@@ -9,10 +9,14 @@ sweep      deterministic grid experiment, CSV rows
 oracle     exact brute-force values for tiny instances (debugging)
 
 Count files are CSV (``category,count``, header optional) or a JSON mapping
-of category to count.  Model specs are JSON with a ``kind`` field; see the
+of category to count.  Every count, in a count file or in a KL-ball spec's
+``counts``, must be a finite non-negative integer, and each mapping's total
+must fit in int64.  Model specs are JSON with a ``kind`` field; see the
 README for the schema.  Categories are aligned between data and model by
 label: the dimension is the union, missing categories get count 0 on the
-data side and mass 0 on the model side.
+data side and mass 0 on the model side.  ``twosample`` is ``estimate``
+against the spec ``{"kind": "klball", "counts": <baseline>, "epsilon":
+<epsilon>}``.
 
 Exit codes: 0 success, 2 contaminated verdict (``test`` only), 1 any error.
 """
@@ -28,6 +32,7 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from typing import Sequence
 
@@ -52,13 +57,14 @@ from .estimator import (
     gof_threshold,
     is_contaminated,
     sweep,
-    two_sample_test,
 )
 from .oracle import exact_cstar, exact_typicality
 
 SCHEMA_VERSION = 1
 
 _CSV_HEADER = ("category", "count")
+
+_MAX_TOTAL = 2**63 - 1  # counts are summed in int64
 
 
 class CliError(ValueError):
@@ -77,39 +83,45 @@ class ModelSpec:
     digest: str = ""
 
 
-@dataclass(frozen=True)
-class RunReport:
-    """Serializable record of one command invocation."""
-
-    schema_version: int
-    command: str
-    payload: dict
-
-    def to_dict(self) -> dict:
-        out = {"schema_version": self.schema_version, "command": self.command}
-        out.update(self.payload)
-        return out
-
-
 # ---------------------------------------------------------------------------
 # ingestion
 
 
-def ingest_counts(path: str | Path, format: str | None = None) -> EmpiricalCounts:
+def _count_map(pairs, source) -> dict[str, int]:
+    """Validate labelled counts: unique labels, finite non-negative integers,
+    and a total that fits in int64."""
+    out: dict[str, int] = {}
+    for label, value in pairs:
+        if label in out:
+            raise CliError(f"duplicate category: {label}")
+        if not isinstance(value, int):  # JSON ints are exact; parse the rest
+            try:
+                as_float = float(value)
+            except (TypeError, ValueError):
+                raise CliError(f"unparseable count for category {label}: {value!r}")
+            if not math.isfinite(as_float) or as_float != int(as_float):
+                raise CliError(f"non-integer count for category {label}: {value!r}")
+            value = as_float
+        count = int(value)
+        if count < 0:
+            raise CliError(f"negative count for category {label}: {count}")
+        out[label] = count
+    if sum(out.values()) > _MAX_TOTAL:
+        raise CliError(f"counts in {source} sum to more than 2**63 - 1")
+    return out
+
+
+def ingest_counts(path: str | Path) -> EmpiricalCounts:
     """Read a count file into first-appearance category order.
 
-    ``format`` is 'csv' or 'json'; inferred from the suffix when omitted.
-    Rejects negative counts, non-integer counts, and duplicate categories.
+    The file is JSON if its suffix is ``.json`` and CSV otherwise.  Rejects
+    duplicate categories and counts that break the rule of ``_count_map``.
     """
     path = Path(path)
     if not path.exists():
         raise CliError(f"no such file: {path}")
-    if format is None:
-        format = "json" if path.suffix.lower() == ".json" else "csv"
-    if format not in ("csv", "json"):
-        raise CliError(f"unknown format: {format}")
     text = path.read_text()
-    if format == "json":
+    if path.suffix.lower() == ".json":
         try:
             raw = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -132,23 +144,8 @@ def ingest_counts(path: str | Path, format: str | None = None) -> EmpiricalCount
             raise CliError(f"unparseable file: {path}: {exc}") from exc
         if not pairs:
             raise CliError(f"unparseable file: {path}: no data rows")
-    labels: list[str] = []
-    values: list[int] = []
-    for label, value in pairs:
-        if label in labels:
-            raise CliError(f"duplicate category: {label}")
-        try:
-            as_float = float(value)
-        except (TypeError, ValueError):
-            raise CliError(f"unparseable count for category {label}: {value!r}")
-        if not math.isfinite(as_float) or as_float != int(as_float):
-            raise CliError(f"non-integer count for category {label}: {value!r}")
-        as_int = int(as_float)
-        if as_int < 0:
-            raise CliError(f"negative count for category {label}: {as_int}")
-        labels.append(label)
-        values.append(as_int)
-    return EmpiricalCounts(np.asarray(values, dtype=np.int64), labels=tuple(labels))
+    counts = _count_map(pairs, path)
+    return EmpiricalCounts(np.array(list(counts.values()), dtype=np.int64), tuple(counts))
 
 
 def serialize_counts(counts: EmpiricalCounts, path: str | Path, format: str = "csv") -> None:
@@ -186,9 +183,16 @@ def _probs_mapping(node, base: Path, what: str) -> dict[str, float]:
     for k, v in node.items():
         try:
             out[str(k)] = float(v)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise CliError(f"model spec: bad mass for category {k}: {v!r}")
     return out
+
+
+def _spec_number(raw: dict, key: str) -> float:
+    try:
+        return float(raw[key])
+    except (TypeError, ValueError, OverflowError):
+        raise CliError(f"model spec: {key} must be a number: {raw[key]!r}")
 
 
 def load_model_spec(path: str | Path) -> ModelSpec:
@@ -219,36 +223,25 @@ def load_model_spec(path: str | Path) -> ModelSpec:
     if kind == "klball":
         if "center" in raw and "radius" in raw:
             center = _probs_mapping(raw["center"], base, "center")
-            radius = float(raw["radius"])
+            radius = _spec_number(raw, "radius")
             if radius <= 0:
                 raise CliError("model spec: radius must be positive")
+            if not math.isfinite(radius):
+                raise CliError("model spec: radius must be finite")
             return ModelSpec(kind=kind, distributions=(center,), radius=radius, digest=digest)
         if "counts" in raw and "epsilon" in raw:
             counts_map = raw["counts"]
             if not isinstance(counts_map, dict) or not counts_map:
                 raise CliError("model spec: counts must be a category->count mapping")
-            counts = {str(k): int(v) for k, v in counts_map.items()}
             return ModelSpec(
                 kind=kind,
                 distributions=(),
-                counts=counts,
-                epsilon=float(raw["epsilon"]),
+                counts=_count_map(((str(k), v) for k, v in counts_map.items()), path),
+                epsilon=_spec_number(raw, "epsilon"),
                 digest=digest,
             )
         raise CliError("model spec: klball needs center+radius or counts+epsilon")
     raise CliError(f"model spec: unknown kind {kind!r}")
-
-
-def _model_labels(spec: ModelSpec) -> list[str]:
-    labels: list[str] = []
-    sources = list(spec.distributions)
-    if spec.counts is not None:
-        sources.append(spec.counts)
-    for mapping in sources:
-        for label in mapping:
-            if label not in labels:
-                labels.append(label)
-    return labels
 
 
 def align_with_model(
@@ -260,42 +253,32 @@ def align_with_model(
     first-appearance order, then model-only categories.  Missing entries are
     zero-extended on both sides.
     """
-    data_labels = list(counts.labels) if counts.labels else None
-    model_labels = _model_labels(spec)
-    if data_labels is None:
-        # Positional data: dimensions must already agree.
-        if counts.n != len(model_labels):
-            raise CliError("dimension mismatch between unlabeled data and model")
-        union = model_labels
-        aligned_counts = EmpiricalCounts(counts.counts, labels=tuple(union))
-    else:
-        union = data_labels + [l for l in model_labels if l not in data_labels]
-        values = np.zeros(len(union), dtype=np.int64)
-        index = {l: i for i, l in enumerate(union)}
-        for l, c in zip(data_labels, counts.counts):
-            values[index[l]] = c
-        aligned_counts = EmpiricalCounts(values, labels=tuple(union))
+    index: dict[str, int] = {}
+    for mapping in (counts.labels, *spec.distributions, spec.counts or ()):
+        for label in mapping:
+            index.setdefault(label, len(index))
+    labels = tuple(index)
 
-    def embed(mapping: dict[str, float]) -> Distribution:
-        vec = np.zeros(len(union))
-        for l, v in mapping.items():
-            vec[union.index(l)] = v
-        return Distribution(vec, labels=tuple(union))
+    def embed(mapping: dict, dtype=float) -> np.ndarray:
+        vec = np.zeros(len(labels), dtype=dtype)
+        vec[[index[l] for l in mapping]] = list(mapping.values())
+        return vec
 
+    def distribution(mapping: dict[str, float]) -> Distribution:
+        return Distribution(embed(mapping), labels=labels)
+
+    values = np.zeros(len(labels), dtype=np.int64)
+    values[: counts.n] = counts.counts  # data labels come first in the union
+    aligned_counts = EmpiricalCounts(values, labels=labels)
     if spec.kind == "singleton":
-        model: ModelSet = Singleton(embed(spec.distributions[0]))
+        model: ModelSet = Singleton(distribution(spec.distributions[0]))
     elif spec.kind == "mixture":
-        model = Mixture(tuple(embed(d) for d in spec.distributions))
+        model = Mixture(tuple(distribution(d) for d in spec.distributions))
+    elif spec.counts is not None:
+        model_counts = EmpiricalCounts(embed(spec.counts, np.int64), labels=labels)
+        model = KlBall(empirical(model_counts), klball_radius(model_counts, spec.epsilon))
     else:
-        if spec.counts is not None:
-            vec = np.zeros(len(union), dtype=np.int64)
-            for l, v in spec.counts.items():
-                vec[union.index(l)] = v
-            model_counts = EmpiricalCounts(vec, labels=tuple(union))
-            radius = klball_radius(model_counts, spec.epsilon)
-            model = KlBall(empirical(model_counts), radius)
-        else:
-            model = KlBall(embed(spec.distributions[0]), spec.radius)
+        model = KlBall(distribution(spec.distributions[0]), spec.radius)
     return aligned_counts, model
 
 
@@ -311,13 +294,12 @@ def _flatten(prefix: str, node, out: dict) -> None:
         out[prefix] = node
 
 
-def _emit_report(report: RunReport, fmt: str, out_path: str | None) -> None:
-    data = report.to_dict()
+def _emit_report(report: dict, fmt: str, out_path: str | None) -> None:
     if fmt == "json":
-        text = json.dumps(data, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
         flat: dict = {}
-        _flatten("", data, flat)
+        _flatten("", report, flat)
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(list(flat.keys()))
@@ -336,97 +318,87 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _estimate_payload(result) -> dict:
-    return {
-        "alpha_lower": result.alpha_lower,
-        "kappa": result.kappa,
-        "c_lower": result.c_lower,
-        "threshold_at_alpha": result.threshold_at_alpha,
-        "objective_at_alpha": result.objective_at_alpha,
-        "contaminated": result.contaminated,
-        "bisection_width": result.bisection_width,
-    }
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _cmd_test(args) -> int:
+def _run(args, compute, load_spec=lambda args: load_model_spec(args.model)) -> int:
+    """Ingest, align, time ``compute`` and emit its report; returns the exit code.
+
+    ``compute(args, counts, spec, model)`` returns the command's own report
+    fields, ``result`` at least, and its exit code.  A returned field that
+    the runner also sets (``data``) replaces it in place, so CSV columns keep
+    their order.
+    """
     counts = ingest_counts(args.data)
-    spec = load_model_spec(args.model)
+    spec = load_spec(args)
     counts, model = align_with_model(counts, spec)
     start = time.perf_counter()
+    fields, code = compute(args, counts, spec, model)
+    elapsed_ms = (time.perf_counter() - start) * 1e3
+    report = {"schema_version": SCHEMA_VERSION, "command": args.command}
+    report["epsilon"] = args.epsilon
+    if "tol" in args:
+        report["bisect_tol"] = args.tol
+    report["model_digest"] = spec.digest
+    report["data"] = {"p": counts.total, "n": counts.n}
+    report.update(fields)
+    report["wall_time_ms"] = elapsed_ms
+    report["version"] = __version__
+    _emit_report(report, args.format, args.out)
+    return code
+
+
+def _test(args, counts, spec, model):
     verdict, margin = is_contaminated(counts, model, args.epsilon)
-    elapsed_ms = (time.perf_counter() - start) * 1e3
     threshold = gof_threshold(counts.total, counts.n, args.epsilon)
-    payload = {
-        "epsilon": args.epsilon,
-        "model_digest": spec.digest,
-        "data": {"p": counts.total, "n": counts.n},
-        "result": {
-            "contaminated": verdict,
-            "margin": margin,
-            "objective": math.inf if math.isinf(margin) else margin + threshold,
-            "threshold": threshold,
-        },
-        "wall_time_ms": elapsed_ms,
-        "version": __version__,
+    result = {
+        "contaminated": verdict,
+        "margin": margin,
+        "objective": math.inf if math.isinf(margin) else margin + threshold,
+        "threshold": threshold,
     }
-    _emit_report(RunReport(SCHEMA_VERSION, "test", payload), args.format, args.out)
-    return 2 if verdict else 0
+    return {"result": result}, 2 if verdict else 0
 
 
-def _cmd_estimate(args) -> int:
-    counts = ingest_counts(args.data)
-    spec = load_model_spec(args.model)
-    counts, model = align_with_model(counts, spec)
-    start = time.perf_counter()
-    result = estimate_alpha_lower(counts, model, args.epsilon, args.tol)
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-    payload = {
-        "epsilon": args.epsilon,
-        "bisect_tol": args.tol,
-        "model_digest": spec.digest,
-        "data": {"p": counts.total, "n": counts.n},
-        "result": _estimate_payload(result),
-        "wall_time_ms": elapsed_ms,
-        "version": __version__,
+def _estimate(args, counts, spec, model):
+    bound = estimate_alpha_lower(counts, model, args.epsilon, args.tol)
+    result = {
+        "alpha_lower": bound.alpha_lower,
+        "kappa": bound.kappa,
+        "c_lower": bound.c_lower,
+        "threshold_at_alpha": bound.threshold_at_alpha,
+        "objective_at_alpha": bound.objective_at_alpha,
+        "contaminated": bound.contaminated,
+        "bisection_width": bound.bisection_width,
     }
-    _emit_report(RunReport(SCHEMA_VERSION, "estimate", payload), args.format, args.out)
-    return 0
+    return {"result": result}, 0
 
 
-def _cmd_twosample(args) -> int:
-    counts_p = ingest_counts(args.data)
-    counts_q = ingest_counts(args.baseline)
-    labels_p = counts_p.labels or tuple(str(i) for i in range(counts_p.n))
-    labels_q = counts_q.labels or tuple(str(i) for i in range(counts_q.n))
-    union = list(labels_p) + [l for l in labels_q if l not in labels_p]
+def _baseline_spec(args) -> ModelSpec:
+    """The baseline counts as a KL-ball spec: the model ``two_sample_test`` uses."""
+    baseline = ingest_counts(args.baseline)
+    counts = dict(zip(baseline.labels, baseline.counts.tolist()))
+    return ModelSpec(kind="klball", distributions=(), counts=counts, epsilon=args.epsilon)
 
-    def embed(labels, counts):
-        vec = np.zeros(len(union), dtype=np.int64)
-        for l, c in zip(labels, counts.counts):
-            vec[union.index(l)] = c
-        return EmpiricalCounts(vec, labels=tuple(union))
 
-    aligned_p = embed(labels_p, counts_p)
-    aligned_q = embed(labels_q, counts_q)
-    start = time.perf_counter()
-    result = two_sample_test(aligned_p, aligned_q, args.epsilon, args.tol)
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-    payload = {
-        "epsilon": args.epsilon,
-        "bisect_tol": args.tol,
-        "model_digest": "",
-        "data": {"p": aligned_p.total, "p_model": aligned_q.total, "n": len(union)},
-        "radius": klball_radius(aligned_q, args.epsilon),
-        "result": _estimate_payload(result),
-        "wall_time_ms": elapsed_ms,
-        "version": __version__,
+def _twosample(args, counts, spec, model):
+    fields, code = _estimate(args, counts, spec, model)
+    data = {"p": counts.total, "p_model": sum(spec.counts.values()), "n": counts.n}
+    return {"data": data, "radius": model.radius, **fields}, code
+
+
+def _oracle(args, counts, spec, model):
+    if not isinstance(model, Singleton):
+        raise CliError("oracle supports singleton models only")
+    typical, tail = exact_typicality(counts, model.q0, args.epsilon)
+    result = {
+        "typical": typical,
+        "tail_probability": tail,
+        "c_star": exact_cstar(counts, model.q0, args.epsilon),
+        "divergence": kl_divergence(empirical(counts), model.q0),
     }
-    _emit_report(RunReport(SCHEMA_VERSION, "twosample", payload), args.format, args.out)
-    return 0
+    return {"result": result}, 0
 
 
 def _cmd_sweep(args) -> int:
@@ -463,33 +435,6 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _cmd_oracle(args) -> int:
-    counts = ingest_counts(args.data)
-    spec = load_model_spec(args.model)
-    counts, model = align_with_model(counts, spec)
-    if not isinstance(model, Singleton):
-        raise CliError("oracle supports singleton models only")
-    start = time.perf_counter()
-    typical, tail = exact_typicality(counts, model.q0, args.epsilon)
-    c_star = exact_cstar(counts, model.q0, args.epsilon)
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-    payload = {
-        "epsilon": args.epsilon,
-        "model_digest": spec.digest,
-        "data": {"p": counts.total, "n": counts.n},
-        "result": {
-            "typical": typical,
-            "tail_probability": tail,
-            "c_star": c_star,
-            "divergence": kl_divergence(empirical(counts), model.q0),
-        },
-        "wall_time_ms": elapsed_ms,
-        "version": __version__,
-    }
-    _emit_report(RunReport(SCHEMA_VERSION, "oracle", payload), args.format, args.out)
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # parser / dispatch
 
@@ -515,16 +460,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = sub.add_parser("test", help="contamination verdict at alpha = 0")
     common(p_test, tol=False)
-    p_test.set_defaults(func=_cmd_test)
+    p_test.set_defaults(func=partial(_run, compute=_test))
 
     p_est = sub.add_parser("estimate", help="certified contaminated-fraction bound")
     common(p_est)
-    p_est.set_defaults(func=_cmd_estimate)
+    p_est.set_defaults(func=partial(_run, compute=_estimate))
 
     p_two = sub.add_parser("twosample", help="dataset-vs-dataset contamination bound")
     common(p_two, model=False)
     p_two.add_argument("--baseline", required=True, help="model-side count file")
-    p_two.set_defaults(func=_cmd_twosample)
+    p_two.set_defaults(func=partial(_run, compute=_twosample, load_spec=_baseline_spec))
 
     p_sweep = sub.add_parser("sweep", help="deterministic grid experiment")
     p_sweep.add_argument("--family", choices=("dip", "spike"), required=True)
@@ -539,7 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="exact brute-force values (tiny instances)")
     common(p_oracle, tol=False)
-    p_oracle.set_defaults(func=_cmd_oracle)
+    p_oracle.set_defaults(func=partial(_run, compute=_oracle))
 
     return parser
 
@@ -550,13 +495,7 @@ def run_command(argv: Sequence[str]) -> int:
     try:
         args = parser.parse_args(list(argv))
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # CliError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

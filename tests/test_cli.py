@@ -12,7 +12,8 @@ from contamest.cli import (
     run_command,
     serialize_counts,
 )
-from contamest.distributions import KlBall, Mixture, Singleton
+from contamest.distributions import EmpiricalCounts, KlBall, Mixture, Singleton, klball_radius
+from contamest.estimator import two_sample_test
 
 
 @pytest.fixture
@@ -83,6 +84,22 @@ class TestIngest:
         with pytest.raises(CliError, match="no such file"):
             ingest_counts(tmp_path / "absent.csv")
 
+    def test_count_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,1e30\nb,1\n")
+        with pytest.raises(CliError, match="more than 2\\*\\*63 - 1"):
+            ingest_counts(path)
+
+    def test_total_beyond_int64_rejected(self, capsys, uniform3_model, tmp_path):
+        # each count fits in int64, the sum would wrap
+        path = tmp_path / "x.csv"
+        path.write_text("".join(f"{c},4e18\n" for c in "abcde"))
+        code = run_command(["test", "--model", str(uniform3_model), "--data", str(path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_round_trip_identity(self, tmp_path, fmt):
         src = tmp_path / "src.csv"
@@ -137,6 +154,31 @@ class TestModelSpecs:
         path.write_text(json.dumps({"kind": "singleton", "probs": "q.json"}))
         spec = load_model_spec(path)
         assert spec.distributions[0] == {"a": 0.5, "b": 0.5}
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [({"a": 3, "b": 1.5}, "non-integer count"), ({"a": 1e30}, "more than 2")],
+    )
+    def test_klball_counts_follow_count_rule(self, tmp_path, counts, message):
+        path = tmp_path / "ball.json"
+        path.write_text(json.dumps({"kind": "klball", "counts": counts, "epsilon": 0.05}))
+        with pytest.raises(CliError, match=message):
+            load_model_spec(path)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"center": {"a": 1}, "radius": "inf"}, "radius must be finite"),
+            ({"center": {"a": 1}, "radius": float("nan")}, "radius must be finite"),
+            ({"center": {"a": 1}, "radius": [1]}, "radius must be a number"),
+            ({"counts": {"a": 1}, "epsilon": [1]}, "epsilon must be a number"),
+        ],
+    )
+    def test_klball_scalars_rejected(self, tmp_path, fields, message):
+        path = tmp_path / "ball.json"
+        path.write_text(json.dumps({"kind": "klball", **fields}))
+        with pytest.raises(CliError, match=message):
+            load_model_spec(path)
 
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "m.json"
@@ -248,6 +290,26 @@ class TestCommands:
         assert report["result"]["contaminated"] is True
         assert report["result"]["alpha_lower"] >= 0.5
 
+    def test_twosample_matches_library(self, capsys, tmp_path):
+        a = tmp_path / "a.csv"
+        a.write_text("x,700\ny,200\nz,100\n")
+        b = tmp_path / "b.json"
+        b.write_text('{"w": 40, "y": 500, "x": 460}')
+        code = run_command(["twosample", "--data", str(a), "--baseline", str(b)])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        # the library call on the same counts aligned by hand
+        p = EmpiricalCounts(np.array([700, 200, 100, 0]), labels=("x", "y", "z", "w"))
+        q = EmpiricalCounts(np.array([460, 500, 0, 40]), labels=("x", "y", "z", "w"))
+        expected = two_sample_test(p, q, 0.05)
+        assert report["data"] == {"p": 1000, "p_model": 1000, "n": 4}
+        assert report["radius"] == klball_radius(q, 0.05)
+        for field in (
+            "alpha_lower", "kappa", "c_lower", "threshold_at_alpha",
+            "objective_at_alpha", "contaminated", "bisection_width",
+        ):
+            assert report["result"][field] == getattr(expected, field)
+
     def test_sweep_rows(self, capsys):
         code = run_command(
             [
@@ -316,3 +378,27 @@ class TestCommands:
         assert len(lines) == 2
         header = lines[0].split(",")
         assert "result.contaminated" in header
+
+    @pytest.mark.parametrize("command", ["test", "estimate", "twosample", "oracle"])
+    def test_csv_header_pinned(self, capsys, tmp_path, command):
+        model = tmp_path / "m.json"
+        model.write_text(json.dumps({"kind": "singleton", "probs": {"a": 0.5, "b": 0.5}}))
+        data = tmp_path / "d.csv"
+        data.write_text("a,6\nb,2\n")
+        side = ["--baseline", str(data)] if command == "twosample" else ["--model", str(model)]
+        run_command([command, "--data", str(data), *side, "--format", "csv"])
+        header = capsys.readouterr().out.splitlines()[0]
+        estimate = (
+            "result.alpha_lower,result.kappa,result.c_lower,result.threshold_at_alpha,"
+            "result.objective_at_alpha,result.contaminated,result.bisection_width"
+        )
+        expected = {
+            "test": "epsilon,model_digest,data.p,data.n,result.contaminated,"
+            "result.margin,result.objective,result.threshold",
+            "estimate": f"epsilon,bisect_tol,model_digest,data.p,data.n,{estimate}",
+            "twosample": "epsilon,bisect_tol,model_digest,data.p,data.p_model,data.n,"
+            f"radius,{estimate}",
+            "oracle": "epsilon,model_digest,data.p,data.n,result.typical,"
+            "result.tail_probability,result.c_star,result.divergence",
+        }[command]
+        assert header == f"schema_version,command,{expected},wall_time_ms,version"
