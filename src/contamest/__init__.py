@@ -24,7 +24,6 @@ from .distributions import (
 )
 from .estimator import (
     EstimateResult,
-    GofThreshold,
     SweepConfig,
     SweepRow,
     contaminated_count_lower,
@@ -43,7 +42,6 @@ from .oracle import (
 )
 from .solver import (
     Duals,
-    FeasibleBox,
     SolveResult,
     closed_form_singleton,
     solve,
@@ -64,7 +62,6 @@ __all__ = [
     "separation_distance",
     "klball_radius",
     "uniform",
-    "FeasibleBox",
     "SolveResult",
     "Duals",
     "solve",
@@ -72,7 +69,6 @@ __all__ = [
     "closed_form_singleton",
     "solve_mixture",
     "solve_klball",
-    "GofThreshold",
     "EstimateResult",
     "gof_threshold",
     "is_contaminated",

@@ -233,10 +233,9 @@ def klball_radius(model_counts: EmpiricalCounts, epsilon: float) -> float:
     p_prime = model_counts.total
     if p_prime < 1:
         raise ValueError("empty dataset")
-    n = model_counts.n
-    return (math.log(1.0 / epsilon) + 2.0 * n * math.log(p_prime + 1)) / p_prime
+    return _large_deviations_radius(p_prime, model_counts.n, epsilon)
 
 
-def model_dimension(model: ModelSet) -> int:
-    """Number of categories the model is defined over."""
-    return model.n
+def _large_deviations_radius(p, n: int, epsilon: float) -> float:
+    """(1/p) log(1/epsilon) + (2n/p) log(p + 1), in the arithmetic of ``p``."""
+    return (math.log(1.0 / epsilon) + 2.0 * n * math.log(p + 1)) / p

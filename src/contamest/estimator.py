@@ -25,43 +25,26 @@ import numpy as np
 from .distributions import (
     EmpiricalCounts,
     KlBall,
-    Mixture,
     ModelSet,
     Singleton,
+    _large_deviations_radius,
     empirical,
     klball_radius,
     separation_distance,
     uniform,
 )
-from .solver import DEFAULT_TOLERANCE, solve, solve_mixture
+from .solver import solve
 
 DEFAULT_BISECT_TOL = 2.0**-28
 
 
-@dataclass(frozen=True)
-class GofThreshold:
-    """Goodness-of-fit decision threshold at a given effective sample size."""
-
-    epsilon: float
-    effective_p: float
-    n: int
-    value: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError("epsilon must be in (0, 1)")
-        if not (self.effective_p > 0):
-            raise ValueError("effective_p must be positive")
-        value = (
-            math.log(1.0 / self.epsilon)
-            + 2.0 * self.n * math.log(self.effective_p + 1.0)
-        ) / self.effective_p
-        object.__setattr__(self, "value", value)
-
-
 def gof_threshold(p_eff: float, n: int, epsilon: float) -> float:
     """(1/p_eff) log(1/epsilon) + (2n/p_eff) log(p_eff + 1)."""
-    return GofThreshold(epsilon=epsilon, effective_p=float(p_eff), n=int(n)).value
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError("epsilon must be in (0, 1)")
+    if not (p_eff > 0):
+        raise ValueError("effective_p must be positive")
+    return _large_deviations_radius(float(p_eff), int(n), epsilon)
 
 
 @dataclass(frozen=True)
@@ -105,7 +88,6 @@ def estimate_alpha_lower(
     model: ModelSet,
     epsilon: float,
     bisect_tol: float = DEFAULT_BISECT_TOL,
-    solve_tolerance: float = DEFAULT_TOLERANCE,
 ) -> EstimateResult:
     """Certified lower bound on the contaminated fraction by bisection.
 
@@ -123,25 +105,15 @@ def estimate_alpha_lower(
         raise ValueError("bisect_tol must be positive")
     n = counts.n
 
-    # Warm-start mixture weights across probes: consecutive alphas are close,
-    # so the previous optimum is a near-optimal start.  A warm start changes
-    # the iterates, never the limit (joint convexity).
-    warm_weights = {}
+    # Each solve warm-starts from the previous one: consecutive alphas are
+    # close, so the previous optimum is a near-optimal start.  A warm start
+    # changes the iterates, never the limit (joint convexity).
+    previous = None
 
     def run_solve(alpha: float, threshold: float | None = None):
-        if isinstance(model, Mixture):
-            result = solve_mixture(
-                counts,
-                model.components,
-                alpha,
-                solve_tolerance,
-                stop_below=threshold,
-                stop_above=threshold,
-                init_weights=warm_weights.get("w"),
-            )
-            warm_weights["w"] = result.mixture_weights
-            return result
-        return solve(counts, model, alpha, solve_tolerance, stop_below=threshold)
+        nonlocal previous
+        previous = solve(counts, model, alpha, threshold=threshold, warm_start=previous)
+        return previous
 
     def exceeds(alpha: float) -> bool:
         # The iterate objective upper-bounds the optimum and the solver
@@ -173,16 +145,12 @@ def estimate_alpha_lower(
     return EstimateResult(
         alpha_lower=alpha_lower,
         kappa=kappa,
-        c_lower=contaminated_count_lower_from_alpha(alpha_lower, p),
+        c_lower=int(math.floor(p * alpha_lower)),
         threshold_at_alpha=gof_threshold(p * (1.0 - alpha_lower), n, epsilon),
         objective_at_alpha=final.objective,
         contaminated=contaminated,
         bisection_width=width,
     )
-
-
-def contaminated_count_lower_from_alpha(alpha_lower: float, p: int) -> int:
-    return int(math.floor(p * alpha_lower))
 
 
 def contaminated_count_lower(result: EstimateResult, p: int) -> int:
@@ -192,7 +160,7 @@ def contaminated_count_lower(result: EstimateResult, p: int) -> int:
     feasible box at fraction m/p <= alpha_lower, so every m-sample remainder
     is still flagged; rounding down keeps the guarantee unconditional.
     """
-    return contaminated_count_lower_from_alpha(result.alpha_lower, p)
+    return int(math.floor(p * result.alpha_lower))
 
 
 def two_sample_test(

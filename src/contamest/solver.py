@@ -40,24 +40,11 @@ DEFAULT_TOLERANCE = 1e-10
 MAX_ITERATIONS = 10_000
 
 
-@dataclass(frozen=True)
-class FeasibleBox:
-    """Per-category upper bounds induced by discarding a mass fraction."""
-
-    upper: np.ndarray
-    alpha: float
-
-    def __post_init__(self):
-        upper = np.array(self.upper, dtype=float)  # copy: frozen below
-        upper.setflags(write=False)
-        object.__setattr__(self, "upper", upper)
-
-    @classmethod
-    def from_counts(cls, counts: EmpiricalCounts, alpha: float) -> "FeasibleBox":
-        if not (0.0 <= alpha < 1.0):
-            raise ValueError("alpha must be in [0, 1)")
-        phat = empirical(counts)
-        return cls(phat.probs / (1.0 - alpha), float(alpha))
+def _caps(counts: EmpiricalCounts, alpha: float) -> np.ndarray:
+    """Per-category upper bounds phat_i / (1 - alpha) of the feasible box."""
+    if not (0.0 <= alpha < 1.0):
+        raise ValueError("alpha must be in [0, 1)")
+    return empirical(counts).probs / (1.0 - alpha)
 
 
 @dataclass(frozen=True)
@@ -109,16 +96,15 @@ def _water_fill_pos(cap: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, float]
     return p, c
 
 
-def _water_fill(upper: np.ndarray, q: np.ndarray, with_duals: bool = True):
+def _water_fill(upper: np.ndarray, q: np.ndarray):
     """Exact optimizer of min D(P||q) subject to P <= upper on the simplex.
 
     Categories with q_i = 0 are forced to zero mass (any positive mass there
     makes the objective infinite); if the remaining caps cannot carry the
     full unit mass the objective is +inf.
 
-    Returns ``(p_star, objective, lam, nu)``; ``lam``/``nu`` are None on the
-    infinite branch or when ``with_duals`` is off (alternating inner loops
-    discard them).
+    Returns ``(p_star, objective, level)`` with ``level`` the water level c
+    of :func:`_water_fill_pos`, or None on the infinite branch.
     """
     n = upper.size
     supp = q > 0
@@ -136,23 +122,12 @@ def _water_fill(upper: np.ndarray, q: np.ndarray, with_duals: bool = True):
         deficit = 1.0 - cap_total
         rest = upper[~supp]
         p[~supp] = deficit * rest / float(rest.sum())
-        return p, math.inf, None, None
+        return p, math.inf, None
 
     p_supp, c = _water_fill_pos(cap, qs)
     p = np.zeros(n)
     p[supp] = p_supp
-
-    if not with_duals:
-        return p, _kl(p, q), None, None
-    lam = np.zeros(n)
-    lam_supp = np.zeros(cap.size)
-    positive_cap = cap > 0
-    lam_supp[positive_cap] = np.maximum(
-        0.0, np.log(c * qs[positive_cap] / cap[positive_cap])
-    )
-    lam[supp] = lam_supp
-    nu = -1.0 - math.log(c)
-    return p, _kl(p, q), lam, nu
+    return p, _kl(p, q), c
 
 
 def solve_singleton(counts: EmpiricalCounts, q0: Distribution, alpha: float) -> SolveResult:
@@ -164,10 +139,16 @@ def solve_singleton(counts: EmpiricalCounts, q0: Distribution, alpha: float) -> 
     """
     if counts.n != q0.n:
         raise ValueError("dimension mismatch")
-    box = FeasibleBox.from_counts(counts, alpha)
-    p, obj, lam, nu = _water_fill(box.upper, q0.probs)
+    upper = _caps(counts, alpha)
+    q = q0.probs
+    p, _, c = _water_fill(upper, q)
+    duals = None
+    if c is not None:
+        lam = np.zeros(q.size)
+        active = (q > 0) & (upper > 0)
+        lam[active] = np.maximum(0.0, np.log(c * q[active] / upper[active]))
+        duals = Duals(lam, -1.0 - math.log(c))
     p_star = Distribution(p)
-    duals = Duals(lam, nu) if lam is not None else None
     return SolveResult(
         objective=_kl(p_star.probs, q0.probs),
         p_star=p_star,
@@ -244,9 +225,9 @@ def solve_mixture(
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = MAX_ITERATIONS,
     callback: Callable[[float], None] | None = None,
-    stop_below: float | None = None,
-    stop_above: float | None = None,
-    init_weights: np.ndarray | None = None,
+    *,
+    threshold: float | None = None,
+    warm_start: SolveResult | None = None,
 ) -> SolveResult:
     """Alternating minimization over the feasible box and mixture weights.
 
@@ -256,16 +237,16 @@ def solve_mixture(
         w_j <- w_j * m_j,    m_j = sum_i P_i * Q_ij / (sum_l w_l * Q_il)
 
     which stays on the simplex and never increases the objective.  Weights
-    start uniform unless ``init_weights`` is given (a warm start changes the
-    iterates, not the limit: the objective is jointly convex).  Stops when
-    the objective decrease drops below ``tolerance`` (or the objective itself
-    does, since the optimum is >= 0).
+    start uniform, or from the ``mixture_weights`` of ``warm_start`` (a warm
+    start changes the iterates, not the limit: the objective is jointly
+    convex).  Stops when the objective decrease drops below ``tolerance`` (or
+    the objective itself does, since the optimum is >= 0).
 
-    ``stop_below``/``stop_above`` are early exits for threshold comparisons.
-    Iterate values upper-bound the optimum, so a value below ``stop_below``
-    settles the comparison.  Conversely the multipliers certify a lower
+    ``threshold`` adds two early exits that settle the comparison of the
+    optimum with it.  Iterate values upper-bound the optimum, so a value
+    below ``threshold`` settles it one way.  The multipliers certify a lower
     bound: by convexity the optimum is at least obj - (max_j m_j - 1), so
-    when that bound reaches ``stop_above`` the comparison is settled the
+    when that bound reaches ``threshold`` the comparison is settled the
     other way.  On either exit the returned objective is only an upper bound
     on the optimum, still on the certified side of the threshold.
     """
@@ -278,22 +259,22 @@ def solve_mixture(
         raise ValueError("tolerance must be positive")
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    box = FeasibleBox.from_counts(counts, alpha)
+    upper = _caps(counts, alpha)
     qmat = np.stack([c.probs for c in comps])  # (k, n)
     k = qmat.shape[0]
     n = counts.n
-    if init_weights is None:
+    if warm_start is None or warm_start.mixture_weights is None:
         w = np.full(k, 1.0 / k)
     else:
-        w = np.maximum(np.asarray(init_weights, dtype=float), 1e-15)
+        w = np.maximum(warm_start.mixture_weights, 1e-15)
         if w.size != k:
-            raise ValueError("init_weights length must match component count")
+            raise ValueError("warm_start weights must match the component count")
         w = w / w.sum()
 
     union = qmat.sum(axis=0) > 0
-    if float(box.upper[union].sum()) < 1.0 - 1e-12:
+    if float(upper[union].sum()) < 1.0 - 1e-12:
         # No mixture can carry the required mass at this alpha.
-        p, obj, _, _ = _water_fill(box.upper, w @ qmat, with_duals=False)
+        p, obj, _ = _water_fill(upper, w @ qmat)
         return SolveResult(
             objective=obj,
             p_star=Distribution(p),
@@ -303,7 +284,7 @@ def solve_mixture(
             converged=True,
         )
 
-    cap_u = box.upper[union]
+    cap_u = upper[union]
     qmat_u = qmat[:, union]
 
     prev = math.inf
@@ -318,7 +299,7 @@ def solve_mixture(
             obj = _kl(p_u, q_u)
         else:
             # A component with exclusive support died (weight hit zero).
-            p_u, obj, _, _ = _water_fill(cap_u, q_u, with_duals=False)
+            p_u, obj, _ = _water_fill(cap_u, q_u)
         if callback is not None:
             callback(obj)
         if math.isinf(obj):
@@ -330,13 +311,13 @@ def solve_mixture(
         if prev - obj <= tolerance or obj <= tolerance:
             converged = True
             break
-        if stop_below is not None and obj < stop_below:
+        if threshold is not None and obj < threshold:
             converged = True
             break
         prev = obj
         ratio = np.where(q_u > 0, p_u / np.where(q_u > 0, q_u, 1.0), 0.0)
         m = qmat_u @ ratio
-        if stop_above is not None and obj - (float(m.max()) - 1.0) >= stop_above:
+        if threshold is not None and obj - (float(m.max()) - 1.0) >= threshold:
             converged = True
             break
         w = w * m
@@ -370,7 +351,8 @@ def solve_klball(
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = MAX_ITERATIONS,
     callback: Callable[[float], None] | None = None,
-    stop_below: float | None = None,
+    *,
+    threshold: float | None = None,
 ) -> SolveResult:
     """Alternating minimization with the model ranging over a KL ball.
 
@@ -380,7 +362,8 @@ def solve_klball(
     Q_i = (P_i + lam*center_i)/(1+lam) with lam >= 0 the unique root of
     D(center||Q(lam)) = radius, located by monotone bisection.
 
-    ``stop_below`` behaves as in :func:`solve_mixture`.
+    ``threshold`` adds one early exit: an iterate value below it settles the
+    comparison, as in :func:`solve_mixture`.
     """
     if counts.n != center.n:
         raise ValueError("dimension mismatch")
@@ -390,7 +373,7 @@ def solve_klball(
         raise ValueError("tolerance must be positive")
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    box = FeasibleBox.from_counts(counts, alpha)
+    upper = _caps(counts, alpha)
     c_arr = center.probs
 
     q = c_arr
@@ -400,13 +383,13 @@ def solve_klball(
     converged = False
     it = 0
     for it in range(1, max_iterations + 1):
-        p, obj, _, _ = _water_fill(box.upper, q, with_duals=False)
+        p, obj, _ = _water_fill(upper, q)
         if callback is not None:
             callback(obj)
         if prev - obj <= tolerance or obj <= tolerance:
             converged = True
             break
-        if stop_below is not None and obj < stop_below:
+        if threshold is not None and obj < threshold:
             converged = True
             break
         prev = obj
@@ -463,28 +446,33 @@ def solve(
     alpha: float,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = MAX_ITERATIONS,
-    stop_below: float | None = None,
+    *,
+    threshold: float | None = None,
+    warm_start: SolveResult | None = None,
 ) -> SolveResult:
     """Minimum KL divergence from the discard-feasible box to the model set.
 
     Exact for singleton models; within ``tolerance`` of the optimum for
     mixture and KL-ball models.  Non-convergence within the iteration cap is
     reported via ``converged=False`` with the best iterate, never raised.
-    ``stop_below`` (alternating solvers only) is the early exit described in
-    :func:`solve_mixture`.
+
+    ``threshold`` asks only whether the optimum is at or above it.  The
+    alternating solvers may then stop as soon as that is settled: the
+    returned objective is on the settled side of ``threshold`` and is only
+    an upper bound on the optimum.  The exact singleton solve ignores it.
+    ``warm_start`` is a previous result for the same data and model; its
+    mixture weights seed the mixture solver, and other models ignore it.
     """
-    if not (0.0 <= alpha < 1.0):
-        raise ValueError("alpha must be in [0, 1)")
     if isinstance(model, Singleton):
         return solve_singleton(counts, model.q0, alpha)
     if isinstance(model, Mixture):
         return solve_mixture(
             counts, model.components, alpha, tolerance, max_iterations,
-            stop_below=stop_below,
+            threshold=threshold, warm_start=warm_start,
         )
     if isinstance(model, KlBall):
         return solve_klball(
             counts, model.center, model.radius, alpha, tolerance, max_iterations,
-            stop_below=stop_below,
+            threshold=threshold,
         )
     raise TypeError(f"unknown model set: {type(model).__name__}")

@@ -6,7 +6,6 @@ import pytest
 from contamest import (
     Distribution,
     EmpiricalCounts,
-    GofThreshold,
     KlBall,
     Mixture,
     Singleton,
@@ -17,6 +16,7 @@ from contamest import (
     estimate_alpha_lower,
     gof_threshold,
     is_contaminated,
+    klball_radius,
     separation_distance,
     solve,
     sweep,
@@ -50,7 +50,7 @@ class TestGofThreshold:
         with pytest.raises(ValueError):
             gof_threshold(10, 3, 1.0)
         with pytest.raises(ValueError):
-            GofThreshold(epsilon=0.05, effective_p=-1.0, n=2)
+            gof_threshold(-1.0, 2, 0.05)
 
 
 class TestIsContaminated:
@@ -316,3 +316,66 @@ class TestRoundToCounts:
         # equal remainders: earliest indices receive the leftover units
         got = round_to_counts(np.full(4, 0.25), 5)
         np.testing.assert_array_equal(got, [2, 1, 1, 1])
+
+
+class TestPinnedBounds:
+    """Bounds recorded from the solver as released, pinned exactly.
+
+    Bisection endpoints are dyadic, so ``alpha_lower`` compares by equality.
+    The mixture and KL-ball probes stop at the threshold exits from warm
+    starts; a change to either shows up here as a different endpoint.
+    """
+
+    def test_criterion_5_mixture_instances(self):
+        rng = np.random.default_rng(20240005)
+        expected = [
+            (float.fromhex("0x1.6eda01p-1"), 71650),
+            (float.fromhex("0x1.7fa5a7ap-1"), 74931),
+        ]
+        for alpha_lower, c_lower in expected:
+            comps = tuple(Distribution(rng.dirichlet(np.ones(50))) for _ in range(10))
+            truth = rng.dirichlet(np.ones(50))
+            c = EmpiricalCounts(rng.multinomial(100_000, truth))
+            res = estimate_alpha_lower(c, Mixture(comps), 0.05)
+            assert res.contaminated
+            assert res.alpha_lower == alpha_lower
+            assert res.c_lower == c_lower
+
+    @staticmethod
+    def two_sample_pair():
+        rng = np.random.default_rng(31)
+        q = rng.dirichlet(np.full(40, 5.0))
+        baseline = EmpiricalCounts(rng.multinomial(40_000, q))
+        target = 0.8 * q
+        target[[3, 17, 29]] += 0.2 / 3
+        return EmpiricalCounts(rng.multinomial(40_000, target)), baseline
+
+    def test_contaminated_two_sample_pair(self):
+        data, baseline = self.two_sample_pair()
+        res = two_sample_test(data, baseline, 0.05)
+        assert res.contaminated
+        assert res.alpha_lower == float.fromhex("0x1.ae54f4p-5")
+        assert res.c_lower == 2101
+
+    def test_klball_probe_stops_at_threshold(self):
+        # An iterate below the threshold settles a probe; the full solve
+        # takes one more iteration to meet its tolerance.
+        data, baseline = self.two_sample_pair()
+        model = KlBall(empirical(baseline), klball_radius(baseline, 0.05))
+        alpha = 0.0625
+        threshold = gof_threshold(data.total * (1 - alpha), data.n, 0.05)
+        probe = solve(data, model, alpha, threshold=threshold)
+        assert probe.objective < threshold
+        assert probe.iterations == 2
+        assert solve(data, model, alpha).iterations == 3
+
+    def test_singleton_instance(self):
+        rng = np.random.default_rng(37)
+        q = rng.dirichlet(np.full(30, 3.0))
+        target = 0.85 * q
+        target[[0, 7]] += 0.075
+        c = EmpiricalCounts(rng.multinomial(30_000, target))
+        res = estimate_alpha_lower(c, Singleton(Distribution(q)), 0.05)
+        assert res.contaminated
+        assert res.alpha_lower == float.fromhex("0x1.762cd8p-4")
+        assert res.c_lower == 2740

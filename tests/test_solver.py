@@ -20,7 +20,7 @@ from contamest import (
     uniform,
 )
 from contamest.distributions import _kl
-from contamest.solver import FeasibleBox, _water_fill
+from contamest.solver import _water_fill
 
 
 def dist(*probs):
@@ -253,12 +253,12 @@ class TestSolveMixture:
             q1 = Distribution(rng.dirichlet(np.ones(3)))
             q2 = Distribution(rng.dirichlet(np.ones(3)))
             res = solve_mixture(c, (q1, q2), 0.1)
-            box = FeasibleBox.from_counts(c, 0.1)
+            upper = empirical(c).probs / 0.9
             grid = math.inf
             for i in range(201):
                 w1 = i / 200
                 mix = w1 * q1.probs + (1 - w1) * q2.probs
-                _, obj, _, _ = _water_fill(box.upper, mix)
+                _, obj, _ = _water_fill(upper, mix)
                 grid = min(grid, obj)
             assert abs(res.objective - grid) <= 1e-4
 
