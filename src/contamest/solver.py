@@ -82,7 +82,9 @@ def _water_fill_pos(cap: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, float]
     q_s = qs[order]
 
     sat_mass = np.concatenate(([0.0], np.cumsum(cap_s)[:-1]))
-    free_q = float(q_s.sum()) - np.concatenate(([0.0], np.cumsum(q_s)[:-1]))
+    # Suffix sums, not total minus prefix: the difference cancels to zero
+    # when a category's mass is below the rounding error of the total.
+    free_q = np.cumsum(q_s[::-1])[::-1]
     candidates = (1.0 - sat_mass) / free_q
     valid = candidates <= ratios
     if valid.any():

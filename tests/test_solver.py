@@ -417,3 +417,18 @@ class TestSolveDispatch:
             int_obj, _ = integer_program_exact(c, q, m)
             relaxed = solve(c, Singleton(q), m / p).objective
             assert relaxed <= int_obj + 1e-9
+
+    @pytest.mark.parametrize("kind", ["singleton", "mixture"])
+    def test_model_mass_below_rounding_of_total(self, kind):
+        # q_b = 1e-20 is below the ulp of q's total; the water level must
+        # still see it, or the solver returns P = phat with objective 22.33.
+        from contamest import integer_program_exact
+
+        c = counts(5, 5)
+        q = dist(1.0, 1e-20)
+        model = Singleton(q) if kind == "singleton" else Mixture((q, dist(1.0, 1e-30)))
+        res = solve(c, model, 0.3)
+        expected = 5 / 7 * math.log(5 / 7) + 2 / 7 * math.log((2 / 7) / 1e-20)
+        assert res.objective == pytest.approx(expected, abs=1e-9)
+        int_obj, _ = integer_program_exact(c, q, 3)
+        assert res.objective <= int_obj + 1e-9
