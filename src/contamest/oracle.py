@@ -107,7 +107,11 @@ def _tail_probability_table(p: int, n: int, q: tuple[float, ...]):
     i = 0
     while i < len(vecs):
         j = i
-        while j + 1 < len(vecs) and logs_sorted[j + 1] - logs_sorted[i] <= _TIE_LOG_ATOL:
+        # Equality first: -inf - -inf is NaN, and the -inf class is one tie.
+        while j + 1 < len(vecs) and (
+            logs_sorted[j + 1] == logs_sorted[i]
+            or logs_sorted[j + 1] - logs_sorted[i] <= _TIE_LOG_ATOL
+        ):
             j += 1
         tails[i : j + 1] = cum[j]
         i = j + 1

@@ -146,10 +146,9 @@ def solve_singleton(counts: EmpiricalCounts, q0: Distribution, alpha: float) -> 
     p, _, c = _water_fill(upper, q)
     duals = None
     if c is not None:
-        # Restricted to supp(q) as in the water-fill.  The same values taken
-        # with one full-length mask doubled the page faults of a singleton
-        # bisection (glibc heap trimming) and cost about 8% throughput on the
-        # benchmark's singleton_wide workload.
+        # Restricted to supp(q) as in the water-fill.  A full-length mask gives
+        # the same values but doubled the page faults (glibc heap trimming) of
+        # a singleton bisection: about 8% of singleton_wide's throughput.
         supp = q > 0
         cap = upper[supp]
         qs = q[supp]

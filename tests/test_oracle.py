@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,18 @@ class TestExactTypicality:
         typical, tail = exact_typicality(counts(2, 0), uniform(2), 0.05)
         assert typical
         assert tail == pytest.approx(0.5, abs=1e-12)
+
+    def test_zero_mass_category_forms_one_tie_class(self):
+        # Every vector with a count where q is 0 has log-probability -inf;
+        # together they are one tie class, whose tail is 0.
+        q = (0.0, 0.5, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = _tail_probability_table(6, 3, q)
+            typical, tail = exact_typicality(counts(2, 3, 1), Distribution(np.array(q)), 0.05)
+        assert not typical and tail == 0.0
+        assert all((v == 0.0) == (k[0] > 0) for k, v in table.items())
+        assert table[(0, 3, 3)] == 1.0
 
     def test_tiny_epsilon_makes_everything_typical(self):
         q = Distribution(np.array([0.7, 0.2, 0.1]))
