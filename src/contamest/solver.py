@@ -12,16 +12,16 @@ the data mass.  The solvers compute
 
 For a singleton model the optimum has an exact water-filling form and is
 solved directly from the KKT conditions in O(n log n).  Mixture and KL-ball
-model sets are handled by alternating exact block minimizations; the
-objective is jointly convex over a product of convex sets, so the descent
-converges to the global value.
+model sets share one loop of alternating exact block minimizations,
+:func:`_alternate`; the objective is jointly convex over a product of convex
+sets, so the descent converges to the global value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -108,6 +108,10 @@ def _water_fill(upper: np.ndarray, q: np.ndarray):
     Returns ``(p_star, objective, level)`` with ``level`` the water level c
     of :func:`_water_fill_pos`, or None on the infinite branch.
     """
+    if q.min() > 0:
+        # No support to mask; the caps always carry unit mass in total.
+        p, c = _water_fill_pos(upper, q)
+        return p, _kl(p, q), c
     n = upper.size
     supp = q > 0
     cap = upper[supp]
@@ -115,10 +119,9 @@ def _water_fill(upper: np.ndarray, q: np.ndarray):
     cap_total = float(cap.sum())
 
     if cap_total < 1.0 - 1e-12:
-        # Feasible mass inside supp(q) cannot reach 1: every feasible P puts
-        # mass where q is zero, so the optimum is +inf.  Report a feasible
-        # iterate: caps on supp(q), the deficit spread over the rest
-        # proportionally to the remaining caps.
+        # Every feasible P puts mass where q is zero: the optimum is +inf.
+        # Report a feasible iterate: caps on supp(q), the deficit spread over
+        # the rest in proportion to its caps.
         p = np.zeros(n)
         p[supp] = cap
         deficit = 1.0 - cap_total
@@ -143,7 +146,7 @@ def solve_singleton(counts: EmpiricalCounts, q0: Distribution, alpha: float) -> 
         raise ValueError("dimension mismatch")
     upper = _caps(counts, alpha)
     q = q0.probs
-    p, _, c = _water_fill(upper, q)
+    p, objective, c = _water_fill(upper, q)
     duals = None
     if c is not None:
         # Restricted to supp(q) as in the water-fill.  A full-length mask gives
@@ -160,14 +163,11 @@ def solve_singleton(counts: EmpiricalCounts, q0: Distribution, alpha: float) -> 
         )
         lam[supp] = lam_supp
         duals = Duals(lam, -1.0 - math.log(c))
-    p_star = Distribution(p)
     return SolveResult(
-        objective=_kl(p_star.probs, q0.probs),
-        p_star=p_star,
+        objective=objective,
+        p_star=Distribution(p),
         q_star=q0,
         duals=duals,
-        iterations=0,
-        converged=True,
     )
 
 
@@ -225,9 +225,41 @@ def closed_form_singleton(
         p_star=p_star,
         q_star=q0,
         duals=Duals(lam, nu),
-        iterations=0,
-        converged=True,
     )
+
+
+def _alternate(upper, state, model, step, tolerance, max_iterations, threshold):
+    """The alternating loop of :func:`solve_mixture` and :func:`solve_klball`.
+
+    Each iteration water-fills the box against ``q = model(state)``; then
+    ``step(p, q, objective, state)`` minimizes over the model with P fixed
+    and returns the next state and a certified lower bound on the optimum,
+    or None.  Stops with ``converged=True`` when the objective decrease or
+    the objective is at most ``tolerance``, when the objective is infinite
+    after the first iteration (the first model may miss the data's support),
+    or when ``threshold`` is settled: the objective (an upper bound) is below
+    it or the lower bound reaches it.  Stops with ``converged=False`` after
+    ``max_iterations``.  Returns ``(p, q, state, objective, iterations,
+    converged)``: the last water-filled pair and the state that produced q.
+    """
+    prev = math.inf
+    for it in range(1, max_iterations + 1):
+        q = model(state)
+        p, obj, _ = _water_fill(upper, q)
+        if (
+            prev - obj <= tolerance
+            or obj <= tolerance
+            or (threshold is not None and obj < threshold)
+            or (math.isinf(obj) and it > 1)
+        ):
+            return p, q, state, obj, it, True
+        prev = obj
+        next_state, lower = step(p, q, obj, state)
+        if threshold is not None and lower is not None and lower >= threshold:
+            return p, q, state, obj, it, True
+        if it < max_iterations:
+            state = next_state
+    return p, q, state, obj, max_iterations, False
 
 
 def solve_mixture(
@@ -236,31 +268,22 @@ def solve_mixture(
     alpha: float,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = MAX_ITERATIONS,
-    callback: Callable[[float], None] | None = None,
     *,
     threshold: float | None = None,
     warm_start: SolveResult | None = None,
 ) -> SolveResult:
     """Alternating minimization over the feasible box and mixture weights.
 
-    Each round solves the box subproblem exactly by water-filling against the
-    current mixture, then improves the weights with the multiplicative rule
+    The model step is the multiplicative rule
 
         w_j <- w_j * m_j,    m_j = sum_i P_i * Q_ij / (sum_l w_l * Q_il)
 
-    which stays on the simplex and never increases the objective.  Weights
-    start uniform, or from the ``mixture_weights`` of ``warm_start`` (a warm
-    start changes the iterates, not the limit: the objective is jointly
-    convex).  Stops when the objective decrease drops below ``tolerance`` (or
-    the objective itself does, since the optimum is >= 0).
-
-    ``threshold`` adds two early exits that settle the comparison of the
-    optimum with it.  Iterate values upper-bound the optimum, so a value
-    below ``threshold`` settles it one way.  The multipliers certify a lower
-    bound: by convexity the optimum is at least obj - (max_j m_j - 1), so
-    when that bound reaches ``threshold`` the comparison is settled the
-    other way.  On either exit the returned objective is only an upper bound
-    on the optimum, still on the certified side of the threshold.
+    which stays on the simplex and never increases the objective.  By
+    convexity the optimum is at least obj - (max_j m_j - 1), the lower bound
+    of the ``threshold`` exit.  Weights start uniform, or from the
+    ``mixture_weights`` of ``warm_start`` (a warm start changes the iterates,
+    not the limit: the objective is jointly convex).  ``mixture_weights``
+    are the weights of ``q_star``.
     """
     comps = tuple(components)
     if len(comps) < 2:
@@ -274,7 +297,6 @@ def solve_mixture(
     upper = _caps(counts, alpha)
     qmat = np.stack([c.probs for c in comps])  # (k, n)
     k = qmat.shape[0]
-    n = counts.n
     if warm_start is None or warm_start.mixture_weights is None:
         w = np.full(k, 1.0 / k)
     else:
@@ -286,65 +308,29 @@ def solve_mixture(
     union = qmat.sum(axis=0) > 0
     if float(upper[union].sum()) < 1.0 - 1e-12:
         # No mixture can carry the required mass at this alpha.
-        p, obj, _ = _water_fill(upper, w @ qmat)
-        return SolveResult(
-            objective=obj,
-            p_star=Distribution(p),
-            q_star=Distribution(w @ qmat),
-            mixture_weights=w,
-            iterations=0,
-            converged=True,
+        q = w @ qmat
+        p, obj, _ = _water_fill(upper, q)
+        it, converged = 0, True
+    else:
+        qmat_u = qmat[:, union]
+
+        def step(p_u, q_u, obj, w):
+            ratio = np.where(q_u > 0, p_u / np.where(q_u > 0, q_u, 1.0), 0.0)
+            m = qmat_u @ ratio
+            w = w * m
+            return w / w.sum(), obj - (float(m.max()) - 1.0)
+
+        p_u, q_u, w, obj, it, converged = _alternate(
+            upper[union], w, lambda w: w @ qmat_u, step, tolerance, max_iterations, threshold
         )
-
-    cap_u = upper[union]
-    qmat_u = qmat[:, union]
-
-    prev = math.inf
-    p_u = q_u = None
-    obj = math.inf
-    converged = False
-    it = 0
-    for it in range(1, max_iterations + 1):
-        q_u = w @ qmat_u
-        if q_u.min() > 0:
-            p_u, _ = _water_fill_pos(cap_u, q_u)
-            obj = _kl(p_u, q_u)
-        else:
-            # A component with exclusive support died (weight hit zero).
-            p_u, obj, _ = _water_fill(cap_u, q_u)
-        if callback is not None:
-            callback(obj)
-        if math.isinf(obj):
-            if math.isinf(prev):
-                converged = True
-                break
-            prev = obj
-            continue
-        if prev - obj <= tolerance or obj <= tolerance:
-            converged = True
-            break
-        if threshold is not None and obj < threshold:
-            converged = True
-            break
-        prev = obj
-        ratio = np.where(q_u > 0, p_u / np.where(q_u > 0, q_u, 1.0), 0.0)
-        m = qmat_u @ ratio
-        if threshold is not None and obj - (float(m.max()) - 1.0) >= threshold:
-            converged = True
-            break
-        w = w * m
-        w = w / w.sum()
-
-    p = np.zeros(n)
-    p[union] = p_u
-    q = np.zeros(n)
-    q[union] = q_u
-    p_star = Distribution(p)
-    q_star = Distribution(q)
+        p = np.zeros(counts.n)
+        p[union] = p_u
+        q = np.zeros(counts.n)
+        q[union] = q_u
     return SolveResult(
-        objective=_kl(p_star.probs, q_star.probs),
-        p_star=p_star,
-        q_star=q_star,
+        objective=obj,
+        p_star=Distribution(p),
+        q_star=Distribution(q),
         mixture_weights=w,
         iterations=it,
         converged=converged,
@@ -362,20 +348,17 @@ def solve_klball(
     alpha: float,
     tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = MAX_ITERATIONS,
-    callback: Callable[[float], None] | None = None,
     *,
     threshold: float | None = None,
 ) -> SolveResult:
     """Alternating minimization with the model ranging over a KL ball.
 
-    The box subproblem is water-filling as usual.  For fixed P the model
-    subproblem  min D(P||Q) s.t. D(center||Q) <= radius  has the exact
-    solution Q = P when P is inside the ball, and otherwise the blend
-    Q_i = (P_i + lam*center_i)/(1+lam) with lam >= 0 the unique root of
-    D(center||Q(lam)) = radius, located by monotone bisection.
-
-    ``threshold`` adds one early exit: an iterate value below it settles the
-    comparison, as in :func:`solve_mixture`.
+    The model starts at the center.  The model step solves
+    min D(P||Q) s.t. D(center||Q) <= radius  exactly: Q = P when P is inside
+    the ball, and otherwise the blend Q_i = (P_i + lam*center_i)/(1+lam) with
+    lam >= 0 the unique root of D(center||Q(lam)) = radius, located by
+    monotone bisection.  It certifies no lower bound, so ``threshold`` is
+    settled only by an iterate value below it.
     """
     if counts.n != center.n:
         raise ValueError("dimension mismatch")
@@ -388,34 +371,18 @@ def solve_klball(
     upper = _caps(counts, alpha)
     c_arr = center.probs
 
-    q = c_arr
-    prev = math.inf
-    p = None
-    obj = math.inf
-    converged = False
-    it = 0
-    for it in range(1, max_iterations + 1):
-        p, obj, _ = _water_fill(upper, q)
-        if callback is not None:
-            callback(obj)
-        if prev - obj <= tolerance or obj <= tolerance:
-            converged = True
-            break
-        if threshold is not None and obj < threshold:
-            converged = True
-            break
-        prev = obj
+    def step(p, q, obj, state):
         if _kl(c_arr, p) <= radius:
-            q = p
-        else:
-            q = _toward_center(p, c_arr, _ball_boundary_lambda(p, c_arr, radius))
+            return p, None
+        return _toward_center(p, c_arr, _ball_boundary_lambda(p, c_arr, radius)), None
 
-    p_star = Distribution(p)
-    q_star = Distribution(q)
+    p, q, _, obj, it, converged = _alternate(
+        upper, c_arr, lambda q: q, step, tolerance, max_iterations, threshold
+    )
     return SolveResult(
-        objective=_kl(p_star.probs, q_star.probs),
-        p_star=p_star,
-        q_star=q_star,
+        objective=obj,
+        p_star=Distribution(p),
+        q_star=Distribution(q),
         iterations=it,
         converged=converged,
     )
@@ -464,9 +431,11 @@ def solve(
 ) -> SolveResult:
     """Minimum KL divergence from the discard-feasible box to the model set.
 
-    Exact for singleton models; within ``tolerance`` of the optimum for
-    mixture and KL-ball models.  Non-convergence within the iteration cap is
-    reported via ``converged=False`` with the best iterate, never raised.
+    Exact for singleton models.  Mixture and KL-ball models run one
+    alternating loop that stops when the objective decrease falls to
+    ``tolerance``; at ``max_iterations`` it returns the last water-filled
+    pair, its objective and (mixtures) the weights of ``q_star``, with
+    ``converged=False``.  Non-convergence is never raised.
 
     ``threshold`` asks only whether the optimum is at or above it.  The
     alternating solvers may then stop as soon as that is settled: the

@@ -263,14 +263,19 @@ class TestSolveMixture:
             assert abs(res.objective - grid) <= 1e-4
 
     def test_objective_sequence_non_increasing(self):
+        # Chained two-iteration solves: each warm-starts from the weights of
+        # the previous capped result, so the chain walks the descent once.
         rng = np.random.default_rng(61)
         for _ in range(10):
             c = EmpiricalCounts(rng.integers(1, 50, size=4))
             comps = tuple(Distribution(rng.dirichlet(np.ones(4))) for _ in range(3))
-            trace = []
-            solve_mixture(c, comps, 0.2, callback=trace.append)
-            diffs = np.diff(np.asarray(trace))
-            assert np.all(diffs <= 1e-12)
+            res = solve_mixture(c, comps, 0.2, max_iterations=2)
+            trace = [res.objective]
+            while not res.converged:
+                res = solve_mixture(c, comps, 0.2, max_iterations=2, warm_start=res)
+                trace.append(res.objective)
+            assert len(trace) > 1
+            assert np.all(np.diff(np.asarray(trace)) <= 1e-12)
 
     def test_iteration_cap_reports_best_iterate(self):
         rng = np.random.default_rng(63)
@@ -280,6 +285,11 @@ class TestSolveMixture:
         assert not res.converged
         assert res.iterations == 2
         assert math.isfinite(res.objective)
+        # the capped pair is consistent: q_star is the mixture at the weights
+        # (a step past them moves q_star by 0.025 here)
+        qmat = np.stack([d.probs for d in comps])
+        np.testing.assert_allclose(res.q_star.probs, res.mixture_weights @ qmat, rtol=0, atol=1e-15)
+        assert res.objective == kl_divergence(res.p_star, res.q_star)
         # capped run is an upper bound on the converged value
         full = solve_mixture(c, comps, 0.1)
         assert full.converged
@@ -364,13 +374,38 @@ class TestSolveKlball:
         assert grid - res.objective <= 1e-4
 
     def test_objective_sequence_non_increasing(self):
+        # The KL ball converges in a few iterations, so re-solving with every
+        # cap up to convergence is cheap; a capped solve reports the objective
+        # of its last iteration.
         rng = np.random.default_rng(71)
         for _ in range(10):
             c = EmpiricalCounts(rng.integers(1, 50, size=4))
             center = Distribution(rng.dirichlet(np.ones(4)))
             trace = []
-            solve_klball(c, center, 0.08, 0.1, callback=trace.append)
+            for k in range(1, 1000):
+                res = solve_klball(c, center, 0.08, 0.1, max_iterations=k)
+                trace.append(res.objective)
+                if res.converged:
+                    break
+            assert res.converged
             assert np.all(np.diff(np.asarray(trace)) <= 1e-12)
+
+    def test_iteration_cap_reports_last_water_fill(self):
+        # The first iteration water-fills against the center; D(center||P) >
+        # radius, so the ball step would move q off the center.
+        c = counts(50, 20, 30)
+        center = dist(0.2, 0.5, 0.3)
+        upper = empirical(c).probs / 0.9
+        res = solve_klball(c, center, 0.05, 0.1, max_iterations=1)
+        assert not res.converged
+        assert res.iterations == 1
+        np.testing.assert_array_equal(res.q_star.probs, center.probs)
+        p, obj, _ = _water_fill(upper, res.q_star.probs)
+        np.testing.assert_array_equal(res.p_star.probs, p)
+        assert res.objective == obj
+        full = solve_klball(c, center, 0.05, 0.1)
+        assert full.converged
+        assert full.objective <= res.objective + 1e-12
 
     def test_disjoint_support_handled(self):
         # ball centers always admit members covering the data support
