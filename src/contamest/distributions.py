@@ -16,6 +16,8 @@ import numpy as np
 # rounding error, far below any solver tolerance built on top of it.
 SIMPLEX_ATOL = 1e-12
 
+_SMALLEST_NORMAL = float(np.finfo(float).tiny)
+
 
 def _as_labels(labels) -> tuple[str, ...] | None:
     if labels is None:
@@ -192,10 +194,20 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
 def _kl(p: np.ndarray, q: np.ndarray) -> float:
     """KL divergence on raw probability arrays (internal hot path)."""
     mask = p > 0
-    if np.any(q[mask] <= 0):
-        return math.inf
     ps = p[mask]
-    val = float(np.sum(ps * np.log(ps / q[mask])))
+    qs = q[mask]
+    q_min = qs.min(initial=1.0)
+    if q_min <= 0:
+        return math.inf
+    if q_min >= _SMALLEST_NORMAL:
+        logs = np.log(ps / qs)
+    else:
+        # p_i / q_i may overflow: take those logs as differences.
+        with np.errstate(over="ignore"):
+            logs = np.log(ps / qs)
+        big = np.isinf(logs)
+        logs[big] = np.log(ps[big]) - np.log(qs[big])
+    val = float(np.sum(ps * logs))
     # Mathematically >= 0; tiny negatives are pure rounding noise.
     return max(0.0, val)
 
@@ -213,7 +225,8 @@ def separation_distance(p: Distribution, q: Distribution) -> float:
     mask = q.probs > 0
     if not np.any(mask):
         raise ValueError("q must have at least one positive entry")
-    kappa = float(np.max(1.0 - p.probs[mask] / q.probs[mask]))
+    with np.errstate(over="ignore"):  # a subnormal q_i gives -inf, never the max
+        kappa = float(np.max(1.0 - p.probs[mask] / q.probs[mask]))
     return min(1.0, max(0.0, kappa))
 
 

@@ -14,7 +14,9 @@ For a singleton model the optimum has an exact water-filling form and is
 solved directly from the KKT conditions in O(n log n).  Mixture and KL-ball
 model sets share one loop of alternating exact block minimizations,
 :func:`_alternate`; the objective is jointly convex over a product of convex
-sets, so the descent converges to the global value.
+sets, so the descent converges to the global value.  :func:`solve` lists the
+loop's stopping rules; a solve stopped by the iteration cap returns the last
+water-filled pair with ``converged=False``.
 """
 
 from __future__ import annotations
@@ -73,19 +75,24 @@ def _water_fill_pos(cap: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, float]
     so the mass sums to one, located by scanning the sorted breakpoints
     cap_i / qs_i: with the k lowest-ratio coordinates saturated the mass is
     S_k + c * T_k, and the candidate level (1 - S_k) / T_k is valid when it
-    does not exceed the next breakpoint.
+    does not exceed the next breakpoint.  When a ratio overflows (subnormal
+    qs_i), the fill runs on qs scaled by 2**960, which is exact, and the
+    level, beyond the float range, is reported as inf.
     """
-    ratios_unsorted = cap / qs
-    order = np.argsort(ratios_unsorted, kind="stable")
-    ratios = ratios_unsorted[order]
-    cap_s = cap[order]
-    q_s = qs[order]
+    with np.errstate(over="ignore"):
+        ratios_unsorted = cap / qs
+        order = np.argsort(ratios_unsorted, kind="stable")
+        ratios = ratios_unsorted[order]
+        if ratios[-1] == math.inf:
+            return _water_fill_pos(cap, np.ldexp(qs, 960))[0], math.inf
+        cap_s = cap[order]
+        q_s = qs[order]
 
-    sat_mass = np.concatenate(([0.0], np.cumsum(cap_s)[:-1]))
-    # Suffix sums, not total minus prefix: the difference cancels to zero
-    # when a category's mass is below the rounding error of the total.
-    free_q = np.cumsum(q_s[::-1])[::-1]
-    candidates = (1.0 - sat_mass) / free_q
+        sat_mass = np.concatenate(([0.0], np.cumsum(cap_s)[:-1]))
+        # Suffix sums, not total minus prefix: the difference cancels to zero
+        # when a category's mass is below the rounding error of the total.
+        free_q = np.cumsum(q_s[::-1])[::-1]
+        candidates = (1.0 - sat_mass) / free_q
     valid = candidates <= ratios
     if valid.any():
         c = float(candidates[int(np.argmax(valid))])
@@ -112,25 +119,19 @@ def _water_fill(upper: np.ndarray, q: np.ndarray):
         # No support to mask; the caps always carry unit mass in total.
         p, c = _water_fill_pos(upper, q)
         return p, _kl(p, q), c
-    n = upper.size
     supp = q > 0
     cap = upper[supp]
-    qs = q[supp]
     cap_total = float(cap.sum())
-
+    p = np.zeros(upper.size)
     if cap_total < 1.0 - 1e-12:
         # Every feasible P puts mass where q is zero: the optimum is +inf.
         # Report a feasible iterate: caps on supp(q), the deficit spread over
         # the rest in proportion to its caps.
-        p = np.zeros(n)
         p[supp] = cap
-        deficit = 1.0 - cap_total
         rest = upper[~supp]
-        p[~supp] = deficit * rest / float(rest.sum())
+        p[~supp] = (1.0 - cap_total) * rest / float(rest.sum())
         return p, math.inf, None
-
-    p_supp, c = _water_fill_pos(cap, qs)
-    p = np.zeros(n)
+    p_supp, c = _water_fill_pos(cap, q[supp])
     p[supp] = p_supp
     return p, _kl(p, q), c
 
@@ -140,7 +141,8 @@ def solve_singleton(counts: EmpiricalCounts, q0: Distribution, alpha: float) -> 
 
     Returns the water-filling optimizer together with the KKT multipliers:
     lam_i = max(0, log(c*q_i/upper_i)) on active box constraints and
-    nu = -1 - log(c) for the simplex constraint.
+    nu = -1 - log(c) for the simplex constraint; None when the optimum is
+    infinite or the water level c overflows.
     """
     if counts.n != q0.n:
         raise ValueError("dimension mismatch")
@@ -148,10 +150,9 @@ def solve_singleton(counts: EmpiricalCounts, q0: Distribution, alpha: float) -> 
     q = q0.probs
     p, objective, c = _water_fill(upper, q)
     duals = None
-    if c is not None:
-        # Restricted to supp(q) as in the water-fill.  A full-length mask gives
-        # the same values but doubled the page faults (glibc heap trimming) of
-        # a singleton bisection: about 8% of singleton_wide's throughput.
+    if c is not None and c < math.inf:
+        # On supp(q) only: a full-length mask doubled the page faults of a
+        # singleton bisection (glibc heap trimming).
         supp = q > 0
         cap = upper[supp]
         qs = q[supp]
@@ -202,9 +203,7 @@ def closed_form_singleton(
     ratios = phat / q
     order = np.argsort(ratios, kind="stable")
     l = int(order[0])
-    if ratios[l] == ratios[int(order[1])]:
-        return None
-    if phat[l] == 0:
+    if ratios[l] == ratios[int(order[1])] or phat[l] == 0:
         return None
 
     kappa = 1.0 - float(ratios[l])
@@ -234,12 +233,9 @@ def _alternate(upper, state, model, step, tolerance, max_iterations, threshold):
     Each iteration water-fills the box against ``q = model(state)``; then
     ``step(p, q, objective, state)`` minimizes over the model with P fixed
     and returns the next state and a certified lower bound on the optimum,
-    or None.  Stops with ``converged=True`` when the objective decrease or
-    the objective is at most ``tolerance``, when the objective is infinite
-    after the first iteration (the first model may miss the data's support),
-    or when ``threshold`` is settled: the objective (an upper bound) is below
-    it or the lower bound reaches it.  Stops with ``converged=False`` after
-    ``max_iterations``.  Returns ``(p, q, state, objective, iterations,
+    or None.  An infinite objective ends the loop after the first iteration,
+    whose model may miss the data's support.  The other stopping rules are
+    those of :func:`solve`.  Returns ``(p, q, state, objective, iterations,
     converged)``: the last water-filled pair and the state that produced q.
     """
     prev = math.inf
@@ -296,7 +292,7 @@ def solve_mixture(
         raise ValueError("max_iterations must be >= 1")
     upper = _caps(counts, alpha)
     qmat = np.stack([c.probs for c in comps])  # (k, n)
-    k = qmat.shape[0]
+    k = len(comps)
     if warm_start is None or warm_start.mixture_weights is None:
         w = np.full(k, 1.0 / k)
     else:
@@ -315,8 +311,12 @@ def solve_mixture(
         qmat_u = qmat[:, union]
 
         def step(p_u, q_u, obj, w):
-            ratio = np.where(q_u > 0, p_u / np.where(q_u > 0, q_u, 1.0), 0.0)
-            m = qmat_u @ ratio
+            with np.errstate(over="ignore", invalid="ignore"):
+                ratio = np.where(q_u > 0, p_u / np.where(q_u > 0, q_u, 1.0), 0.0)
+                m = qmat_u @ ratio
+            if not np.isfinite(m).all():
+                # p_i / q_i overflowed (subnormal q_i): divide the components.
+                m = np.divide(qmat_u, q_u, out=np.zeros_like(qmat_u), where=q_u > 0) @ p_u
             w = w * m
             return w / w.sum(), obj - (float(m.max()) - 1.0)
 
@@ -337,10 +337,6 @@ def solve_mixture(
     )
 
 
-def _toward_center(p: np.ndarray, center: np.ndarray, lam: float) -> np.ndarray:
-    return (p + lam * center) / (1.0 + lam)
-
-
 def solve_klball(
     counts: EmpiricalCounts,
     center: Distribution,
@@ -353,12 +349,9 @@ def solve_klball(
 ) -> SolveResult:
     """Alternating minimization with the model ranging over a KL ball.
 
-    The model starts at the center.  The model step solves
-    min D(P||Q) s.t. D(center||Q) <= radius  exactly: Q = P when P is inside
-    the ball, and otherwise the blend Q_i = (P_i + lam*center_i)/(1+lam) with
-    lam >= 0 the unique root of D(center||Q(lam)) = radius, located by
-    monotone bisection.  It certifies no lower bound, so ``threshold`` is
-    settled only by an iterate value below it.
+    The model starts at the center, and the model step is the exact ball
+    projection :func:`_ball_projection`.  The step certifies no lower bound,
+    so ``threshold`` is settled only by an iterate value below it.
     """
     if counts.n != center.n:
         raise ValueError("dimension mismatch")
@@ -372,9 +365,7 @@ def solve_klball(
     c_arr = center.probs
 
     def step(p, q, obj, state):
-        if _kl(c_arr, p) <= radius:
-            return p, None
-        return _toward_center(p, c_arr, _ball_boundary_lambda(p, c_arr, radius)), None
+        return _ball_projection(p, c_arr, radius), None
 
     p, q, _, obj, it, converged = _alternate(
         upper, c_arr, lambda q: q, step, tolerance, max_iterations, threshold
@@ -388,20 +379,23 @@ def solve_klball(
     )
 
 
-def _ball_boundary_lambda(p: np.ndarray, center: np.ndarray, radius: float) -> float:
-    """Root of D(center || (p + lam*center)/(1+lam)) = radius, lam > 0.
+def _ball_projection(p: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+    """Exact minimizer of D(p || Q) subject to D(center || Q) <= radius.
 
-    The divergence is non-increasing in lam (the blend moves toward the
-    center), starts above ``radius`` at lam -> 0+ by the caller's branch
-    condition, and tends to 0, so bisection on a doubled bracket converges.
+    Q = p inside the ball, else the blend (p + lam*center)/(1+lam) with lam > 0
+    the root of D(center || Q) = radius.  The divergence is non-increasing in
+    lam (the blend moves toward the center), starts above ``radius`` at
+    lam -> 0+ and tends to 0, so bisection on a doubled bracket converges.
     """
+    if _kl(center, p) <= radius:
+        return p
 
-    def excess(lam: float) -> float:
-        return _kl(center, _toward_center(p, center, lam)) - radius
+    def blend(lam: float) -> np.ndarray:
+        return (p + lam * center) / (1.0 + lam)
 
     hi = 1.0
     for _ in range(200):
-        if excess(hi) <= 0:
+        if _kl(center, blend(hi)) <= radius:
             break
         hi *= 2.0
     else:
@@ -411,12 +405,12 @@ def _ball_boundary_lambda(p: np.ndarray, center: np.ndarray, radius: float) -> f
         if hi - lo <= 1e-13 * max(1.0, hi):
             break
         mid = 0.5 * (lo + hi)
-        if excess(mid) > 0:
+        if _kl(center, blend(mid)) > radius:
             lo = mid
         else:
             hi = mid
     # hi side satisfies the ball constraint within rounding.
-    return hi
+    return blend(hi)
 
 
 def solve(
@@ -432,15 +426,17 @@ def solve(
     """Minimum KL divergence from the discard-feasible box to the model set.
 
     Exact for singleton models.  Mixture and KL-ball models run one
-    alternating loop that stops when the objective decrease falls to
-    ``tolerance``; at ``max_iterations`` it returns the last water-filled
-    pair, its objective and (mixtures) the weights of ``q_star``, with
-    ``converged=False``.  Non-convergence is never raised.
+    alternating loop that stops when the objective decrease, or the
+    objective, falls to ``tolerance``.  At ``max_iterations`` it stops with
+    ``converged=False`` and returns the last water-filled pair, its objective
+    and (mixtures) the weights of ``q_star``.  Non-convergence is never raised.
 
     ``threshold`` asks only whether the optimum is at or above it.  The
-    alternating solvers may then stop as soon as that is settled: the
-    returned objective is on the settled side of ``threshold`` and is only
-    an upper bound on the optimum.  The exact singleton solve ignores it.
+    alternating loop then also stops as soon as that is settled: when the
+    objective, an upper bound on the optimum, is below ``threshold``, or a
+    certified lower bound (mixtures only) reaches it.  The returned objective
+    is then on the settled side of ``threshold`` and is only an upper bound
+    on the optimum.  The exact singleton solve ignores it.
     ``warm_start`` is a previous result for the same data and model; its
     mixture weights seed the mixture solver, and other models ignore it.
     """

@@ -264,6 +264,22 @@ class TestCommands:
         assert report["result"]["contaminated"] is False
         assert report["result"]["margin"] < 0
 
+    def test_subnormal_model_mass(self, capsys, tmp_path):
+        # the water level and P_b / q_b overflow; no warning, finite objective
+        data = tmp_path / "data.csv"
+        data.write_text("a,5\nb,5\n")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"kind": "singleton", "probs": {"a": 1.0, "b": 1e-320}}))
+        argv = ["--model", str(model), "--data", str(data)]
+        assert run_command(["test", *argv]) == 2
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert math.isfinite(json.loads(out)["result"]["objective"])
+        assert run_command(["estimate", *argv]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert math.isfinite(json.loads(out)["result"]["objective_at_alpha"])
+
     def test_error_exit_code_and_stderr(self, capsys, uniform3_model, tmp_path):
         assert (
             run_command(

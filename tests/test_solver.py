@@ -453,17 +453,29 @@ class TestSolveDispatch:
             relaxed = solve(c, Singleton(q), m / p).objective
             assert relaxed <= int_obj + 1e-9
 
-    @pytest.mark.parametrize("kind", ["singleton", "mixture"])
+    @pytest.mark.parametrize(
+        "kind", ["singleton", "mixture", "singleton-subnormal", "mixture-subnormal"]
+    )
     def test_model_mass_below_rounding_of_total(self, kind):
         # q_b = 1e-20 is below the ulp of q's total; the water level must
         # still see it, or the solver returns P = phat with objective 22.33.
+        # q_b = 1e-320 is subnormal: the level and P_b / q_b overflow, which
+        # once gave P = phat with objective inf.
         from contamest import integer_program_exact
 
+        tiny = 1e-320 if kind.endswith("subnormal") else 1e-20
         c = counts(5, 5)
-        q = dist(1.0, 1e-20)
-        model = Singleton(q) if kind == "singleton" else Mixture((q, dist(1.0, 1e-30)))
+        q = dist(1.0, tiny)
+        if kind.startswith("singleton"):
+            model = Singleton(q)
+        elif kind == "mixture":
+            model = Mixture((q, dist(1.0, 1e-30)))
+        else:
+            # Equal components keep the weights at (1/2, 1/2), so w @ Q is q
+            # exactly; other weights round a subnormal mass to a few bits.
+            model = Mixture((q, q))
         res = solve(c, model, 0.3)
-        expected = 5 / 7 * math.log(5 / 7) + 2 / 7 * math.log((2 / 7) / 1e-20)
+        expected = 5 / 7 * math.log(5 / 7) + 2 / 7 * (math.log(2 / 7) - math.log(tiny))
         assert res.objective == pytest.approx(expected, abs=1e-9)
         int_obj, _ = integer_program_exact(c, q, 3)
         assert res.objective <= int_obj + 1e-9
