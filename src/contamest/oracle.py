@@ -176,7 +176,10 @@ def exact_cstar(counts: EmpiricalCounts, q0: Distribution, epsilon: float) -> in
     """Smallest removal count whose best remainder is typical.
 
     Searches m = 0, 1, 2, ... over every removal vector; the empty remainder
-    (m = p) is typical by convention, so the search always terminates.
+    (m = p) is typical by convention, so the search always terminates.  The
+    guard bounds the whole search: the tail tables of every remainder size
+    (C(p + n, n) - 1 entries in all) and the removal vectors of every m
+    (at most C(p + n - 1, n)).
     """
     if counts.n != q0.n:
         raise ValueError("dimension mismatch")
@@ -184,7 +187,7 @@ def exact_cstar(counts: EmpiricalCounts, q0: Distribution, epsilon: float) -> in
         raise ValueError("epsilon must be in (0, 1)")
     p = counts.total
     n = counts.n
-    if _n_compositions(p, n) > MAX_COMPOSITIONS:
+    if math.comb(p + n, n) + math.comb(p + n - 1, n) > MAX_COMPOSITIONS:
         raise ValueError("instance too large")
     q = tuple(float(x) for x in q0.probs)
     caps = tuple(int(c) for c in counts.counts)

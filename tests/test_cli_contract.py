@@ -7,7 +7,7 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contamest.cli import run_command
@@ -61,6 +61,14 @@ def write_counts(path: Path, mapping: dict) -> None:
 
 
 @settings(max_examples=60, deadline=None)
+@example(  # oracle, p = 101, n = 4: too large for the whole exact_cstar search
+    command="oracle",
+    data={"baé": 6, "a": 35, "": 18, ",": 42},
+    data_suffix=".csv",
+    spec={"kind": "singleton", "probs": {"": 0.01}},
+    baseline={"a": 1},
+    epsilon="0.05",
+)
 @given(
     command=st.sampled_from(["test", "estimate", "twosample", "oracle"]),
     data=count_maps,
