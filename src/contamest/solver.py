@@ -34,6 +34,7 @@ from .distributions import (
     Mixture,
     ModelSet,
     Singleton,
+    _SMALLEST_NORMAL,
     _kl,
     empirical,
 )
@@ -75,9 +76,8 @@ def _water_fill_pos(cap: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, float]
     so the mass sums to one, located by scanning the sorted breakpoints
     cap_i / qs_i: with the k lowest-ratio coordinates saturated the mass is
     S_k + c * T_k, and the candidate level (1 - S_k) / T_k is valid when it
-    does not exceed the next breakpoint.  When a ratio overflows (subnormal
-    qs_i), the fill runs on qs scaled by 2**960, which is exact, and the
-    level, beyond the float range, is reported as inf.
+    does not exceed the next breakpoint.  If a ratio overflows (subnormal
+    qs_i), the fill runs on qs * 2**960 (exact) and reports the level as inf.
     """
     with np.errstate(over="ignore"):
         ratios_unsorted = cap / qs
@@ -158,10 +158,8 @@ def solve_singleton(counts: EmpiricalCounts, q0: Distribution, alpha: float) -> 
         qs = q[supp]
         lam = np.zeros(q.size)
         lam_supp = np.zeros(cap.size)
-        positive_cap = cap > 0
-        lam_supp[positive_cap] = np.maximum(
-            0.0, np.log(c * qs[positive_cap] / cap[positive_cap])
-        )
+        pos = cap > 0
+        lam_supp[pos] = np.maximum(0.0, np.log(c * qs[pos] / cap[pos]))
         lam[supp] = lam_supp
         duals = Duals(lam, -1.0 - math.log(c))
     return SolveResult(
@@ -292,12 +290,11 @@ def solve_mixture(
         raise ValueError("max_iterations must be >= 1")
     upper = _caps(counts, alpha)
     qmat = np.stack([c.probs for c in comps])  # (k, n)
-    k = len(comps)
     if warm_start is None or warm_start.mixture_weights is None:
-        w = np.full(k, 1.0 / k)
+        w = np.full(len(comps), 1.0 / len(comps))
     else:
         w = np.maximum(warm_start.mixture_weights, 1e-15)
-        if w.size != k:
+        if w.size != len(comps):
             raise ValueError("warm_start weights must match the component count")
         w = w / w.sum()
 
@@ -311,12 +308,14 @@ def solve_mixture(
         qmat_u = qmat[:, union]
 
         def step(p_u, q_u, obj, w):
-            with np.errstate(over="ignore", invalid="ignore"):
-                ratio = np.where(q_u > 0, p_u / np.where(q_u > 0, q_u, 1.0), 0.0)
-                m = qmat_u @ ratio
-            if not np.isfinite(m).all():
-                # p_i / q_i overflowed (subnormal q_i): divide the components.
-                m = np.divide(qmat_u, q_u, out=np.zeros_like(qmat_u), where=q_u > 0) @ p_u
+            if q_u.min() >= _SMALLEST_NORMAL:
+                m = qmat_u @ (p_u / q_u)
+            else:  # a dead component's zeros, or a subnormal q_i
+                with np.errstate(over="ignore", invalid="ignore"):
+                    ratio = np.where(q_u > 0, p_u / np.where(q_u > 0, q_u, 1.0), 0.0)
+                    m = qmat_u @ ratio
+                if not np.isfinite(m).all():  # p_i / q_i overflowed
+                    m = np.divide(qmat_u, q_u, out=np.zeros_like(qmat_u), where=q_u > 0) @ p_u
             w = w * m
             return w / w.sum(), obj - (float(m.max()) - 1.0)
 
@@ -431,12 +430,11 @@ def solve(
     ``converged=False`` and returns the last water-filled pair, its objective
     and (mixtures) the weights of ``q_star``.  Non-convergence is never raised.
 
-    ``threshold`` asks only whether the optimum is at or above it.  The
-    alternating loop then also stops as soon as that is settled: when the
-    objective, an upper bound on the optimum, is below ``threshold``, or a
-    certified lower bound (mixtures only) reaches it.  The returned objective
-    is then on the settled side of ``threshold`` and is only an upper bound
-    on the optimum.  The exact singleton solve ignores it.
+    ``threshold`` asks only whether the optimum is at or above it.  The loop
+    then also stops once the objective, an upper bound on the optimum, is
+    below ``threshold``, or a certified lower bound (mixtures only) reaches
+    it; the returned objective is then only an upper bound on the optimum.
+    The exact singleton solve ignores ``threshold``.
     ``warm_start`` is a previous result for the same data and model; its
     mixture weights seed the mixture solver, and other models ignore it.
     """
