@@ -128,8 +128,9 @@ def _water_fill(upper: np.ndarray, q: np.ndarray):
         # Report a feasible iterate: caps on supp(q), the deficit spread over
         # the rest in proportion to its caps.
         p[supp] = cap
+        deficit = 1.0 - cap_total
         rest = upper[~supp]
-        p[~supp] = (1.0 - cap_total) * rest / float(rest.sum())
+        p[~supp] = deficit * rest / float(rest.sum())
         return p, math.inf, None
     p_supp, c = _water_fill_pos(cap, q[supp])
     p[supp] = p_supp
@@ -361,13 +362,12 @@ def solve_klball(
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     upper = _caps(counts, alpha)
-    c_arr = center.probs
 
     def step(p, q, obj, state):
-        return _ball_projection(p, c_arr, radius), None
+        return _ball_projection(p, center.probs, radius), None
 
     p, q, _, obj, it, converged = _alternate(
-        upper, c_arr, lambda q: q, step, tolerance, max_iterations, threshold
+        upper, center.probs, lambda q: q, step, tolerance, max_iterations, threshold
     )
     return SolveResult(
         objective=obj,
