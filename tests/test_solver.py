@@ -459,8 +459,8 @@ class TestSolveDispatch:
     def test_model_mass_below_rounding_of_total(self, kind):
         # q_b = 1e-20 is below the ulp of q's total; the water level must
         # still see it, or the solver returns P = phat with objective 22.33.
-        # q_b = 1e-320 is subnormal: the level and P_b / q_b overflow, which
-        # once gave P = phat with objective inf.
+        # q_b = 1e-320 is subnormal: the level and P_b / q_b overflow, and an
+        # overflowed level puts P at the caps with objective inf.
         from contamest import integer_program_exact
 
         tiny = 1e-320 if kind.endswith("subnormal") else 1e-20
