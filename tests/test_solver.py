@@ -288,7 +288,9 @@ class TestSolveMixture:
         # the capped pair is consistent: q_star is the mixture at the weights
         # (a step past them moves q_star by 0.025 here)
         qmat = np.stack([d.probs for d in comps])
-        np.testing.assert_allclose(res.q_star.probs, res.mixture_weights @ qmat, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(
+            res.q_star.probs, res.mixture_weights @ qmat, rtol=0, atol=1e-15
+        )
         assert res.objective == kl_divergence(res.p_star, res.q_star)
         # capped run is an upper bound on the converged value
         full = solve_mixture(c, comps, 0.1)
