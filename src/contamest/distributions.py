@@ -199,12 +199,10 @@ def _kl(p: np.ndarray, q: np.ndarray) -> float:
     q_min = qs.min(initial=1.0)
     if q_min <= 0:
         return math.inf
-    if q_min >= _SMALLEST_NORMAL:
+    with np.errstate(over="ignore"):
         logs = np.log(ps / qs)
-    else:
-        # p_i / q_i may overflow: take those logs as differences.
-        with np.errstate(over="ignore"):
-            logs = np.log(ps / qs)
+    if q_min < _SMALLEST_NORMAL:
+        # p_i / q_i may have overflowed: take those logs as differences.
         big = np.isinf(logs)
         logs[big] = np.log(ps[big]) - np.log(qs[big])
     val = float(np.sum(ps * logs))

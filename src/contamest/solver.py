@@ -34,7 +34,6 @@ from .distributions import (
     Mixture,
     ModelSet,
     Singleton,
-    _SMALLEST_NORMAL,
     _kl,
     empirical,
 )
@@ -309,20 +308,20 @@ def solve_mixture(
         qmat_u = qmat[:, union]
 
         def step(p_u, q_u, obj, w):
-            if q_u.min() >= _SMALLEST_NORMAL:
-                m = qmat_u @ (p_u / q_u)
-            else:  # a dead component's zeros, or a subnormal q_i
-                with np.errstate(over="ignore", invalid="ignore"):
-                    ratio = np.where(q_u > 0, p_u / np.where(q_u > 0, q_u, 1.0), 0.0)
-                    m = qmat_u @ ratio
-                if not np.isfinite(m).all():  # p_i / q_i overflowed
-                    m = np.divide(qmat_u, q_u, out=np.zeros_like(qmat_u), where=q_u > 0) @ p_u
+            ratio = np.where(q_u > 0, p_u / np.where(q_u > 0, q_u, 1.0), 0.0)
+            m = qmat_u @ ratio
+            m_max = float(m.max())
+            if not math.isfinite(m_max):  # p_i / q_i overflowed (subnormal q_i)
+                m = np.divide(qmat_u, q_u, out=np.zeros_like(qmat_u), where=q_u > 0) @ p_u
+                m_max = float(m.max())
             w = w * m
-            return w / w.sum(), obj - (float(m.max()) - 1.0)
+            return w / w.sum(), obj - (m_max - 1.0)
 
-        p_u, q_u, w, obj, it, converged = _alternate(
-            upper[union], w, lambda w: w @ qmat_u, step, tolerance, max_iterations, threshold
-        )
+        # Set once per solve, not per step: the step checks m for overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            p_u, q_u, w, obj, it, converged = _alternate(
+                upper[union], w, lambda w: w @ qmat_u, step, tolerance, max_iterations, threshold
+            )
         p = np.zeros(counts.n)
         p[union] = p_u
         q = np.zeros(counts.n)
