@@ -176,10 +176,11 @@ def exact_cstar(counts: EmpiricalCounts, q0: Distribution, epsilon: float) -> in
     """Smallest removal count whose best remainder is typical.
 
     Searches m = 0, 1, 2, ... over every removal vector; the empty remainder
-    (m = p) is typical by convention, so the search always terminates.  The
-    guard bounds the whole search: the tail tables of every remainder size
-    (C(p + n, n) - 1 entries in all) and the removal vectors of every m
-    (at most C(p + n - 1, n)).
+    (m = p) is typical by convention, so the search always terminates.  It
+    starts at the samples in categories where q0 is zero, since every
+    remainder that keeps one of them has probability zero.  The guard is a
+    running budget: every tail table entry and every removal vector searched
+    counts against ``MAX_COMPOSITIONS``.
     """
     if counts.n != q0.n:
         raise ValueError("dimension mismatch")
@@ -187,18 +188,23 @@ def exact_cstar(counts: EmpiricalCounts, q0: Distribution, epsilon: float) -> in
         raise ValueError("epsilon must be in (0, 1)")
     p = counts.total
     n = counts.n
-    if math.comb(p + n, n) + math.comb(p + n - 1, n) > MAX_COMPOSITIONS:
-        raise ValueError("instance too large")
     q = tuple(float(x) for x in q0.probs)
     caps = tuple(int(c) for c in counts.counts)
-    base = tuple(int(c) for c in counts.counts)
-    for m in range(0, p + 1):
+    forced = int(counts.counts[q0.probs <= 0].sum())
+    spent = 0
+    for m in range(forced, p + 1):
         p_rem = p - m
         if p_rem == 0:
             return m
+        spent += _n_compositions(p_rem, n)
+        if spent > MAX_COMPOSITIONS:
+            raise ValueError("instance too large")
         table = _tail_probability_table(p_rem, n, q)
         for removal in compositions(m, n, caps):
-            remaining = tuple(b - r for b, r in zip(base, removal))
+            spent += 1
+            if spent > MAX_COMPOSITIONS:
+                raise ValueError("instance too large")
+            remaining = tuple(b - r for b, r in zip(caps, removal))
             if table[remaining] >= epsilon:
                 return m
     return p

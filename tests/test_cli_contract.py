@@ -61,7 +61,7 @@ def write_counts(path: Path, mapping: dict) -> None:
 
 
 @settings(max_examples=60, deadline=None)
-@example(  # oracle, p = 101, n = 4: too large for the whole exact_cstar search
+@example(  # oracle, p = 101, n = 4, 83 samples where the model has no mass
     command="oracle",
     data={"baé": 6, "a": 35, "": 18, ",": 42},
     data_suffix=".csv",

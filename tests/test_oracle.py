@@ -19,6 +19,7 @@ from contamest import (
     solve,
     uniform,
 )
+from contamest import oracle
 from contamest.oracle import _log_pmf, _tail_probability_table, compositions
 
 
@@ -186,6 +187,22 @@ class TestExactCstar:
         )
         assert got == expected
         assert got > 0  # the point mass itself is implausible under uniform
+
+    def test_budget_charges_every_table_and_removal(self, monkeypatch):
+        # c* = 5 for (10, 0) under uniform: the tables for p = 10, ..., 5 hold
+        # 11 + 10 + ... + 6 = 51 entries, and each m has one removal vector.
+        monkeypatch.setattr(oracle, "MAX_COMPOSITIONS", 51 + 6)
+        assert exact_cstar(counts(10, 0), uniform(2), 0.05) == 5
+        monkeypatch.setattr(oracle, "MAX_COMPOSITIONS", 51 + 6 - 1)
+        with pytest.raises(ValueError, match="too large"):
+            exact_cstar(counts(10, 0), uniform(2), 0.05)
+
+    def test_search_starts_past_zero_mass_samples(self):
+        # 83 samples fall where q is zero: no remainder that keeps one is
+        # typical, so the search skips the tables for p = 101, ..., 19.
+        q = Distribution(np.array([0.0, 0.0, 1.0, 0.0]))
+        assert exact_cstar(counts(6, 35, 18, 42), q, 0.05) == 83
+        assert exact_cstar(counts(0, 2, 3, 0), q, 0.05) == 2
 
     def test_lower_bound_soundness_spot_checks(self):
         rng = np.random.default_rng(127)
