@@ -456,7 +456,22 @@ class TestSolveDispatch:
             assert relaxed <= int_obj + 1e-9
 
     @pytest.mark.parametrize(
-        "kind", ["singleton", "mixture", "singleton-subnormal", "mixture-subnormal"]
+        "kind",
+        [
+            "singleton",
+            "mixture",
+            "singleton-subnormal",
+            "mixture-subnormal",
+            pytest.param(
+                "mixture-unequal-subnormal",
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    raises=AssertionError,
+                    reason="w @ Q rounds the subnormal mass to a few bits, so the "
+                    "objective stalls 2.8e-4 high (FOUND in CHANGES.md)",
+                ),
+            ),
+        ],
     )
     def test_model_mass_below_rounding_of_total(self, kind):
         # q_b = 1e-20 is below the ulp of q's total; the water level must
@@ -472,6 +487,8 @@ class TestSolveDispatch:
             model = Singleton(q)
         elif kind == "mixture":
             model = Mixture((q, dist(1.0, 1e-30)))
+        elif kind == "mixture-unequal-subnormal":
+            model = Mixture((q, dist(1.0, 0.0)))
         else:
             # Equal components keep the weights at (1/2, 1/2), so w @ Q is q
             # exactly; other weights round a subnormal mass to a few bits.
