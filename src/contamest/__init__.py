@@ -35,7 +35,6 @@ from .estimator import (
     two_sample_test,
 )
 from .oracle import (
-    RemovalVector,
     exact_cstar,
     exact_typicality,
     integer_program_exact,
@@ -79,7 +78,6 @@ __all__ = [
     "SweepConfig",
     "SweepRow",
     "sweep",
-    "RemovalVector",
     "integer_program_exact",
     "exact_typicality",
     "exact_cstar",

@@ -148,22 +148,6 @@ def ingest_counts(path: str | Path) -> EmpiricalCounts:
     return EmpiricalCounts(np.array(list(counts.values()), dtype=np.int64), tuple(counts))
 
 
-def serialize_counts(counts: EmpiricalCounts, path: str | Path, format: str = "csv") -> None:
-    """Write counts back out in a form ``ingest_counts`` reads identically."""
-    path = Path(path)
-    labels = counts.labels or tuple(str(i) for i in range(counts.n))
-    if format == "json":
-        path.write_text(
-            json.dumps({l: int(c) for l, c in zip(labels, counts.counts)}, indent=0)
-        )
-    elif format == "csv":
-        lines = ["category,count"]
-        lines += [f"{l},{int(c)}" for l, c in zip(labels, counts.counts)]
-        path.write_text("\n".join(lines) + "\n")
-    else:
-        raise CliError(f"unknown format: {format}")
-
-
 # ---------------------------------------------------------------------------
 # model specs
 
@@ -264,21 +248,18 @@ def align_with_model(
         vec[[index[l] for l in mapping]] = list(mapping.values())
         return vec
 
-    def distribution(mapping: dict[str, float]) -> Distribution:
-        return Distribution(embed(mapping), labels=labels)
-
     values = np.zeros(len(labels), dtype=np.int64)
     values[: counts.n] = counts.counts  # data labels come first in the union
     aligned_counts = EmpiricalCounts(values, labels=labels)
     if spec.kind == "singleton":
-        model: ModelSet = Singleton(distribution(spec.distributions[0]))
+        model: ModelSet = Singleton(Distribution(embed(spec.distributions[0])))
     elif spec.kind == "mixture":
-        model = Mixture(tuple(distribution(d) for d in spec.distributions))
+        model = Mixture(tuple(Distribution(embed(d)) for d in spec.distributions))
     elif spec.counts is not None:
-        model_counts = EmpiricalCounts(embed(spec.counts, np.int64), labels=labels)
+        model_counts = EmpiricalCounts(embed(spec.counts, np.int64))
         model = KlBall(empirical(model_counts), klball_radius(model_counts, spec.epsilon))
     else:
-        model = KlBall(distribution(spec.distributions[0]), spec.radius)
+        model = KlBall(Distribution(embed(spec.distributions[0])), spec.radius)
     return aligned_counts, model
 
 
@@ -286,24 +267,32 @@ def align_with_model(
 # reports
 
 
-def _flatten(prefix: str, node, out: dict) -> None:
-    if isinstance(node, dict):
-        for k, v in node.items():
-            _flatten(f"{prefix}.{k}" if prefix else str(k), v, out)
-    else:
-        out[prefix] = node
+def _flatten(node: dict, prefix: str = "") -> dict:
+    """Nested report fields as dotted columns, in field order."""
+    flat: dict = {}
+    for k, v in node.items():
+        if isinstance(v, dict):
+            flat.update(_flatten(v, f"{prefix}{k}."))
+        else:
+            flat[f"{prefix}{k}"] = v
+    return flat
 
 
-def _emit_report(report: dict, fmt: str, out_path: str | None) -> None:
+def _emit_report(report: dict | list[dict], fmt: str, out_path: str | None) -> None:
+    """Write one report, or a list of rows, to stdout and to ``out_path``.
+
+    JSON keeps the nesting; CSV has one line per row under the first row's
+    columns.
+    """
     if fmt == "json":
         text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     else:
-        flat: dict = {}
-        _flatten("", report, flat)
+        rows = [report] if isinstance(report, dict) else report
+        flat_rows = [_flatten(row) for row in rows]
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(list(flat.keys()))
-        writer.writerow([_csv_cell(v) for v in flat.values()])
+        writer.writerow(list(flat_rows[0]))
+        writer.writerows([_csv_cell(v) for v in flat.values()] for flat in flat_rows)
         text = buf.getvalue()
     sys.stdout.write(text)
     if out_path:
@@ -363,16 +352,7 @@ def _test(args, counts, spec, model):
 
 def _estimate(args, counts, spec, model):
     bound = estimate_alpha_lower(counts, model, args.epsilon, args.tol)
-    result = {
-        "alpha_lower": bound.alpha_lower,
-        "kappa": bound.kappa,
-        "c_lower": bound.c_lower,
-        "threshold_at_alpha": bound.threshold_at_alpha,
-        "objective_at_alpha": bound.objective_at_alpha,
-        "contaminated": bound.contaminated,
-        "bisection_width": bound.bisection_width,
-    }
-    return {"result": result}, 0
+    return {"result": asdict(bound)}, 0
 
 
 def _baseline_spec(args) -> ModelSpec:
@@ -415,23 +395,7 @@ def _cmd_sweep(args) -> int:
         epsilon=args.epsilon,
         bisect_tol=args.tol,
     )
-    rows = sweep(config)
-    if args.format == "json":
-        text = json.dumps([asdict(r) for r in rows], sort_keys=True, indent=2) + "\n"
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        columns = [
-            "p", "pi", "family", "alpha_lower", "kappa", "ratio",
-            "threshold", "objective", "wall_time_ms",
-        ]
-        writer.writerow(columns)
-        for r in rows:
-            writer.writerow([_csv_cell(getattr(r, c)) for c in columns])
-        text = buf.getvalue()
-    sys.stdout.write(text)
-    if args.out:
-        Path(args.out).write_text(text)
+    _emit_report([asdict(r) for r in sweep(config)], args.format, args.out)
     return 0
 
 

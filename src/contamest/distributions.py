@@ -19,12 +19,6 @@ SIMPLEX_ATOL = 1e-12
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
 
-def _as_labels(labels) -> tuple[str, ...] | None:
-    if labels is None:
-        return None
-    return tuple(str(x) for x in labels)
-
-
 @dataclass(frozen=True)
 class Distribution:
     """A probability mass function over a finite set of categories.
@@ -35,7 +29,6 @@ class Distribution:
     """
 
     probs: np.ndarray
-    labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
         probs = np.array(self.probs, dtype=float)  # copy: frozen below
@@ -52,21 +45,17 @@ class Distribution:
             probs /= total
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
-        labels = _as_labels(self.labels)
-        if labels is not None and len(labels) != probs.size:
-            raise ValueError("labels length must match probs length")
-        object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
         return int(self.probs.size)
 
 
-def uniform(n: int, labels=None) -> Distribution:
+def uniform(n: int) -> Distribution:
     """Uniform distribution over ``n`` categories."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return Distribution(np.full(n, 1.0 / n), labels=labels)
+    return Distribution(np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True)
@@ -93,10 +82,11 @@ class EmpiricalCounts:
             raise ValueError("counts must be non-negative")
         as_int.setflags(write=False)
         object.__setattr__(self, "counts", as_int)
-        labels = _as_labels(self.labels)
-        if labels is not None and len(labels) != as_int.size:
-            raise ValueError("labels length must match counts length")
-        object.__setattr__(self, "labels", labels)
+        if self.labels is not None:
+            labels = tuple(str(x) for x in self.labels)
+            if len(labels) != as_int.size:
+                raise ValueError("labels length must match counts length")
+            object.__setattr__(self, "labels", labels)
 
     @property
     def total(self) -> int:
@@ -112,10 +102,6 @@ class Singleton:
     """Model family consisting of a single known distribution."""
 
     q0: Distribution
-
-    @property
-    def n(self) -> int:
-        return self.q0.n
 
 
 @dataclass(frozen=True)
@@ -137,14 +123,6 @@ class Mixture:
             raise ValueError("mixture components must share dimension")
         object.__setattr__(self, "components", comps)
 
-    @property
-    def n(self) -> int:
-        return self.components[0].n
-
-    @property
-    def k(self) -> int:
-        return len(self.components)
-
 
 @dataclass(frozen=True)
 class KlBall:
@@ -164,10 +142,6 @@ class KlBall:
             raise ValueError("radius must be positive")
         object.__setattr__(self, "radius", float(self.radius))
 
-    @property
-    def n(self) -> int:
-        return self.center.n
-
 
 ModelSet = Union[Singleton, Mixture, KlBall]
 
@@ -177,7 +151,7 @@ def empirical(counts: EmpiricalCounts) -> Distribution:
     total = counts.total
     if total < 1:
         raise ValueError("empty dataset")
-    return Distribution(counts.counts / total, labels=counts.labels)
+    return Distribution(counts.counts / total)
 
 
 def kl_divergence(p: Distribution, q: Distribution) -> float:

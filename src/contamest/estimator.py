@@ -101,8 +101,8 @@ def estimate_alpha_lower(
     p = counts.total
     if p < 1:
         raise ValueError("empty dataset")
-    if bisect_tol <= 0:
-        raise ValueError("bisect_tol must be positive")
+    if not 0 < bisect_tol < math.inf:  # NaN fails both comparisons
+        raise ValueError("bisect_tol must be finite and positive")
     n = counts.n
 
     # Each solve warm-starts from the previous one: consecutive alphas are
@@ -133,6 +133,8 @@ def estimate_alpha_lower(
         lo, hi = 0.0, 1.0
         while hi - lo > bisect_tol:
             mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:  # bisect_tol is below the float spacing here
+                break
             if exceeds(mid):
                 lo = mid
             else:
@@ -226,6 +228,8 @@ class SweepConfig:
             raise ValueError("n must be >= 2")
         if any(p < 1 for p in self.p_grid):
             raise ValueError("sample sizes must be >= 1")
+        if any(p > 2**53 for p in self.p_grid):  # exact as floats up to here
+            raise ValueError("sample sizes must be at most 2**53")
         if any(not (0.0 <= x <= 1.0) for x in self.pi_grid):
             raise ValueError("mixing proportions must be in [0, 1]")
 
@@ -247,7 +251,9 @@ def round_to_counts(probs: np.ndarray, total: int) -> np.ndarray:
     """Nearest integer count vector summing to ``total`` (largest remainder).
 
     Floors each scaled mass, then hands the leftover units to the largest
-    fractional remainders, earliest index first on ties.  Deterministic.
+    fractional remainders, earliest index first on ties.  Near ``2**53`` the
+    rounded masses can sum past ``total``, so the floors overshoot it; the
+    largest count then gives the excess back.  Deterministic.
     """
     scaled = np.asarray(probs, dtype=float) * total
     base = np.floor(scaled).astype(np.int64)
@@ -256,6 +262,8 @@ def round_to_counts(probs: np.ndarray, total: int) -> np.ndarray:
         remainders = scaled - base
         order = np.lexsort((np.arange(len(base)), -remainders))
         base[order[:leftover]] += 1
+    elif leftover < 0:
+        base[np.argmax(base)] += leftover
     return base
 
 

@@ -2,7 +2,8 @@
 
 These enumerate everything: the integer removal program, the exact
 significance-ordering typicality test, and the exact minimum removal count.
-They exist as ground truth for property tests and for debugging through the
+Results are plain values: floats, ints, and int64 arrays of per-category
+removals.  They exist as ground truth for property tests and for debugging through the
 CLI; the guards are hard errors because a silently truncated oracle is worse
 than none.
 """
@@ -10,7 +11,6 @@ than none.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -23,22 +23,6 @@ MAX_COMPOSITIONS = 10**6
 
 # log-probabilities closer than this are treated as the same tie class
 _TIE_LOG_ATOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RemovalVector:
-    """How many samples to discard from each category."""
-
-    removals: np.ndarray
-
-    def __post_init__(self):
-        arr = np.array(self.removals, dtype=np.int64)  # copy: frozen below
-        arr.setflags(write=False)
-        object.__setattr__(self, "removals", arr)
-
-    @property
-    def total_removed(self) -> int:
-        return int(self.removals.sum())
 
 
 def compositions(total: int, parts: int, caps=None) -> Iterator[tuple[int, ...]]:
@@ -142,12 +126,14 @@ def exact_typicality(
 
 def integer_program_exact(
     counts: EmpiricalCounts, q0: Distribution, m: int
-) -> tuple[float, RemovalVector]:
+) -> tuple[float, np.ndarray]:
     """Exhaustive minimum of D over all ways to remove exactly m samples.
 
     Minimizes D((counts - removals)/(p - m) || q0) over integer removal
-    vectors with sum m and removals_i <= counts_i.  For m = p the remainder
-    is empty and the objective is 0 by convention.
+    vectors with sum m and removals_i <= counts_i.  Returns ``(objective,
+    removals)``, the removals an int64 array of per-category discards; the
+    first minimizer in lexicographic order wins ties.  For m = p the
+    remainder is empty and the objective is 0 by convention.
     """
     if counts.n != q0.n:
         raise ValueError("dimension mismatch")
@@ -155,7 +141,7 @@ def integer_program_exact(
     if not (0 <= m <= p):
         raise ValueError("m must be in [0, p]")
     if m == p:
-        return 0.0, RemovalVector(counts.counts.copy())
+        return 0.0, counts.counts.copy()
     if _n_compositions(m, counts.n) > MAX_REMOVAL_VECTORS:
         raise ValueError("instance too large")
     caps = tuple(int(c) for c in counts.counts)
@@ -169,7 +155,7 @@ def integer_program_exact(
         if obj < best_obj:
             best_obj = obj
             best_vec = removal
-    return best_obj, RemovalVector(np.asarray(best_vec, dtype=np.int64))
+    return best_obj, np.asarray(best_vec, dtype=np.int64)
 
 
 def exact_cstar(counts: EmpiricalCounts, q0: Distribution, epsilon: float) -> int:

@@ -10,7 +10,6 @@ from contamest.cli import (
     ingest_counts,
     load_model_spec,
     run_command,
-    serialize_counts,
 )
 from contamest.distributions import EmpiricalCounts, KlBall, Mixture, Singleton, klball_radius
 from contamest.estimator import two_sample_test
@@ -100,16 +99,15 @@ class TestIngest:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_round_trip_identity(self, tmp_path, fmt):
-        src = tmp_path / "src.csv"
-        src.write_text("category,count\nx,7\ny,0\nz,12\n")
-        first = ingest_counts(src)
-        out = tmp_path / f"copy.{fmt}"
-        serialize_counts(first, out, format=fmt)
-        second = ingest_counts(out)
-        np.testing.assert_array_equal(first.counts, second.counts)
-        assert first.labels == second.labels
+    def test_csv_and_json_read_identically(self, tmp_path):
+        as_csv = tmp_path / "counts.csv"
+        as_csv.write_text("category,count\nx,7\ny,0\nz,12\n")
+        as_json = tmp_path / "counts.json"
+        as_json.write_text(json.dumps({"x": 7, "y": 0, "z": 12}))
+        from_csv, from_json = ingest_counts(as_csv), ingest_counts(as_json)
+        np.testing.assert_array_equal(from_csv.counts, [7, 0, 12])
+        np.testing.assert_array_equal(from_json.counts, from_csv.counts)
+        assert from_csv.labels == from_json.labels == ("x", "y", "z")
 
 
 class TestModelSpecs:
@@ -292,6 +290,14 @@ class TestCommands:
         assert "\n" not in err.strip()
         # bad usage also exits 1, not argparse's default 2
         assert run_command(["estimate", "--model", "x"]) == 1
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+    def test_non_finite_tol_rejected(self, capsys, uniform3_model, spike_data, tol):
+        argv = ["estimate", "--model", str(uniform3_model), "--data", str(spike_data)]
+        assert run_command([*argv, f"--tol={tol}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_twosample_command(self, capsys, tmp_path):
         a = tmp_path / "a.csv"

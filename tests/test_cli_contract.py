@@ -99,3 +99,54 @@ def test_exit_code_and_stderr_contract(command, data, data_suffix, spec, baselin
     else:
         assert err.getvalue() == ""
         assert out.getvalue()
+
+
+def mostly(valid, hostile):
+    """Seven draws in eight from ``valid``, so that a fair share of examples
+    passes every check and runs the sweep."""
+    return st.sampled_from([valid] * 7 + [hostile]).flatmap(lambda strategy: strategy)
+
+
+def grid(values):
+    return st.lists(values, min_size=1, max_size=2).map(lambda xs: ",".join(map(str, xs)))
+
+
+hostile_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(["x", ""])
+
+
+@settings(max_examples=60, deadline=None)
+@example(  # the float cast of 2**63 - 1 overflowed with a numpy warning on stderr
+    family="spike", n="3", p="9223372036854775807", pi="1.0", tol="3.7e-09", epsilon="0.05"
+)
+@example(  # the rounded masses summed past p = 2**53
+    family="dip", n="2", p="9007199254740992", pi="0.2", tol="3.7e-09", epsilon="0.05"
+)
+@example(  # a tolerance below the float spacing at alpha_lower stalled the bisection
+    family="spike", n="3", p="1000", pi="0.5", tol="1e-20", epsilon="0.05"
+)
+@given(
+    family=st.sampled_from(["dip", "spike"]),
+    n=mostly(st.integers(2, 30), st.integers(-2, 1) | st.sampled_from(["x", "2.5", ""])),
+    p=grid(
+        mostly(
+            st.integers(1, 500) | st.integers(2**52, 2**53),
+            st.integers(-2, 0) | st.integers(2**53 + 1, 2**64) | st.sampled_from(["", "x", "1e3"]),
+        )
+    ),
+    pi=grid(mostly(st.floats(0, 1), hostile_floats)),
+    tol=mostly(st.floats(1e-12, 0.1) | st.floats(5e-324, 1e-12), hostile_floats),
+    epsilon=mostly(st.floats(0.01, 0.5), hostile_floats),
+)
+def test_sweep_exit_code_and_stderr_contract(family, n, p, pi, tol, epsilon):
+    argv = ["sweep", f"--family={family}", f"--n={n}", f"--p={p}", f"--pi={pi}"]
+    argv += [f"--tol={tol}", f"--epsilon={epsilon}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_command(argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue() == ""
+        assert out.getvalue()

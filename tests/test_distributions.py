@@ -43,10 +43,6 @@ class TestDistribution:
         with pytest.raises(ValueError):
             d.probs[0] = 0.9
 
-    def test_labels_length_checked(self):
-        with pytest.raises(ValueError):
-            Distribution(np.array([0.5, 0.5]), labels=("a",))
-
 
 class TestEmpiricalCounts:
     def test_total_is_sum(self):

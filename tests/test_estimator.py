@@ -23,7 +23,7 @@ from contamest import (
     two_sample_test,
     uniform,
 )
-from contamest.estimator import round_to_counts
+from contamest.estimator import _sweep_target, round_to_counts
 
 
 def counts(*values):
@@ -101,6 +101,20 @@ class TestEstimateAlphaLower:
 
         assert predicate(res.alpha_lower)
         assert not predicate(res.alpha_lower + res.bisection_width + 1e-12)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
+    def test_bisect_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValueError, match="bisect_tol"):
+            estimate_alpha_lower(counts(900, 50, 50), Singleton(uniform(3)), 0.05, tol)
+
+    def test_bisect_tol_below_float_spacing_terminates(self):
+        # the midpoint stops moving before hi - lo reaches the tolerance
+        model = Singleton(uniform(3))
+        coarse = estimate_alpha_lower(counts(900, 50, 50), model, 0.05)
+        fine = estimate_alpha_lower(counts(900, 50, 50), model, 0.05, 1e-300)
+        assert 0 < fine.bisection_width <= 2 * np.spacing(fine.alpha_lower)
+        assert coarse.alpha_lower <= fine.alpha_lower
+        assert fine.alpha_lower <= coarse.alpha_lower + coarse.bisection_width
 
     def test_predicate_set_is_an_interval(self):
         # dense alpha scan: once the predicate fails it never recovers
@@ -298,6 +312,9 @@ class TestSweep:
             SweepConfig(p_grid=(10,), pi_grid=(1.5,), family="dip", n=5)
         with pytest.raises(ValueError):
             SweepConfig(p_grid=(10,), pi_grid=(0.5,), family="dip", n=1)
+        with pytest.raises(ValueError, match="at most 2\\*\\*53"):
+            SweepConfig(p_grid=(10, 2**53 + 1), pi_grid=(0.5,), family="dip", n=5)
+        SweepConfig(p_grid=(2**53,), pi_grid=(0.5,), family="dip", n=5)
 
 
 class TestRoundToCounts:
@@ -311,6 +328,18 @@ class TestRoundToCounts:
             assert rounded.sum() == total
             assert np.all(rounded >= 0)
             assert np.max(np.abs(rounded - target * total)) < 1.0
+
+    @pytest.mark.parametrize(
+        "family, n, total",
+        [("dip", 2, 2**53), ("spike", 2, 3 * 2**51), ("spike", 4, 3 * 2**51), ("spike", 5, 2**53)],
+    )
+    def test_float_overshoot_gives_units_back(self, family, n, total):
+        # the scaled masses round past total, so the floors sum to total + 1
+        target = _sweep_target(family, n, 0.2)
+        rounded = round_to_counts(target, total)
+        assert int(rounded.sum()) == total
+        assert np.all(rounded >= 0)
+        assert np.max(np.abs(rounded - target * total)) <= 2.0
 
     def test_deterministic_tie_break(self):
         # equal remainders: earliest indices receive the leftover units

@@ -111,18 +111,18 @@ class TestIntegerProgramExact:
         q = Distribution(np.array([0.6, 0.4]))
         obj, removal = integer_program_exact(c, q, 0)
         assert obj == pytest.approx(kl_divergence(empirical(c), q), abs=1e-12)
-        assert removal.total_removed == 0
+        assert removal.sum() == 0
 
     def test_single_removal_example(self):
         # both removal vectors leave (2,1)/(1,2); objective = D((2/3,1/3)||(1/2,1/2))
         obj, removal = integer_program_exact(counts(2, 2), uniform(2), 1)
         assert obj == pytest.approx(0.056633012265132426, abs=1e-12)
-        assert removal.total_removed == 1
+        assert removal.sum() == 1
 
     def test_full_removal_convention(self):
         obj, removal = integer_program_exact(counts(2, 2), uniform(2), 4)
         assert obj == 0.0
-        assert removal.total_removed == 4
+        assert removal.sum() == 4
 
     def test_matches_direct_enumeration(self):
         rng = np.random.default_rng(107)
@@ -141,8 +141,8 @@ class TestIntegerProgramExact:
                     continue
                 best = min(best, float(np.sum(rem[mask] * np.log(rem[mask] / q.probs[mask]))))
             assert obj == pytest.approx(best, abs=1e-12)
-            assert removal.total_removed == m
-            assert np.all(removal.removals <= c.counts)
+            assert removal.sum() == m
+            assert np.all(removal <= c.counts)
 
     def test_relaxation_sandwich(self):
         rng = np.random.default_rng(109)
