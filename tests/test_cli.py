@@ -99,15 +99,21 @@ class TestIngest:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
-    def test_csv_and_json_read_identically(self, tmp_path):
-        as_csv = tmp_path / "counts.csv"
-        as_csv.write_text("category,count\nx,7\ny,0\nz,12\n")
-        as_json = tmp_path / "counts.json"
-        as_json.write_text(json.dumps({"x": 7, "y": 0, "z": 12}))
-        from_csv, from_json = ingest_counts(as_csv), ingest_counts(as_json)
-        np.testing.assert_array_equal(from_csv.counts, [7, 0, 12])
-        np.testing.assert_array_equal(from_json.counts, from_csv.counts)
-        assert from_csv.labels == from_json.labels == ("x", "y", "z")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_round_trip_identity(self, tmp_path, fmt):
+        src = tmp_path / "src.csv"
+        src.write_text("category,count\nx,7\ny,0\nz,12\n")
+        first = ingest_counts(src)
+        pairs = dict(zip(first.labels, (int(n) for n in first.counts)))
+        out = tmp_path / f"copy.{fmt}"
+        if fmt == "csv":
+            out.write_text("category,count\n" + "".join(f"{k},{n}\n" for k, n in pairs.items()))
+        else:
+            out.write_text(json.dumps(pairs))
+        second = ingest_counts(out)
+        np.testing.assert_array_equal(first.counts, [7, 0, 12])
+        np.testing.assert_array_equal(first.counts, second.counts)
+        assert first.labels == second.labels == ("x", "y", "z")
 
 
 class TestModelSpecs:
