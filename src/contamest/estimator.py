@@ -33,7 +33,7 @@ from .distributions import (
     separation_distance,
     uniform,
 )
-from .solver import solve
+from .solver import _singleton_profile, solve
 
 DEFAULT_BISECT_TOL = 2.0**-28
 
@@ -97,6 +97,14 @@ def estimate_alpha_lower(
     isolates the largest alpha satisfying it to within ``bisect_tol``.  When
     the predicate already fails at alpha = 0 the dataset shows no detectable
     contamination and the bound is 0.
+
+    For a singleton model the data is sorted once (``_singleton_profile`` in
+    the solver module) and each probe, the one at alpha = 0 included, reads
+    the distance from prefix sums together with a bound on its rounding
+    difference from the exact solve.  A probe whose distance lies within
+    that bound of the threshold is re-solved exactly, so every decision is
+    the exact solve's; the one exact solve left is at ``alpha_lower``, for
+    ``objective_at_alpha``.  Other model sets solve at every probe.
     """
     p = counts.total
     if p < 1:
@@ -109,6 +117,7 @@ def estimate_alpha_lower(
     # close, so the previous optimum is a near-optimal start.  A warm start
     # changes the iterates, never the limit (joint convexity).
     previous = None
+    profile = _singleton_profile(counts, model.q0) if isinstance(model, Singleton) else None
 
     def run_solve(alpha: float, threshold: float | None = None):
         nonlocal previous
@@ -120,15 +129,21 @@ def estimate_alpha_lower(
         # certifies a lower bound as it goes, so it may stop as soon as the
         # threshold comparison is settled either way.
         threshold = gof_threshold(p * (1.0 - alpha), n, epsilon)
+        probe = profile(alpha) if profile is not None else None
+        if probe is not None and abs(probe[0] - threshold) > probe[1]:
+            return probe[0] >= threshold
         return run_solve(alpha, threshold).objective >= threshold
 
-    at_zero = run_solve(0.0)
-    contaminated = at_zero.objective >= gof_threshold(p, n, epsilon)
+    if profile is None:
+        at_zero = run_solve(0.0)
+        contaminated = at_zero.objective >= gof_threshold(p, n, epsilon)
+    else:
+        at_zero = None
+        contaminated = exceeds(0.0)
 
     if not contaminated:
         alpha_lower = 0.0
         width = 0.0
-        final = at_zero
     else:
         lo, hi = 0.0, 1.0
         while hi - lo > bisect_tol:
@@ -141,7 +156,7 @@ def estimate_alpha_lower(
                 hi = mid
         alpha_lower = lo
         width = hi - lo
-        final = run_solve(alpha_lower) if lo > 0 else at_zero
+    final = at_zero if alpha_lower == 0 and at_zero is not None else run_solve(alpha_lower)
 
     kappa = separation_distance(empirical(counts), final.q_star)
     return EstimateResult(

@@ -20,6 +20,9 @@ from .distributions import Distribution, EmpiricalCounts, _kl
 
 MAX_REMOVAL_VECTORS = 10**7
 MAX_COMPOSITIONS = 10**6
+# Tail tables kept alive: an exhaustive sweep over totals up to 14 (the
+# acceptance suite's) revisits all 14 smaller totals under one model.
+TAIL_TABLE_CACHE = 16
 
 # log-probabilities closer than this are treated as the same tie class
 _TIE_LOG_ATOL = 1e-9
@@ -69,7 +72,7 @@ def _log_pmf(counts: tuple[int, ...], q: tuple[float, ...]) -> float:
     return logp
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=TAIL_TABLE_CACHE)
 def _tail_probability_table(p: int, n: int, q: tuple[float, ...]):
     """Map each count vector to the total probability of it and everything
     no more likely, under q.
@@ -152,7 +155,8 @@ def integer_program_exact(
     for removal in compositions(m, counts.n, caps):
         rem = base - np.asarray(removal, dtype=float)
         obj = _kl(rem / (p - m), q)
-        if obj < best_obj:
+        # The first vector always counts: every objective may be inf.
+        if obj < best_obj or best_vec is None:
             best_obj = obj
             best_vec = removal
     return best_obj, np.asarray(best_vec, dtype=np.int64)

@@ -11,7 +11,12 @@ the data mass.  The solvers compute
     min  D(P || Q)   over  P in the box,  Q in the model set.
 
 For a singleton model the optimum has an exact water-filling form and is
-solved directly from the KKT conditions in O(n log n).  Mixture and KL-ball
+solved directly from the KKT conditions in O(n log n).  A bisection over
+alpha asks the same singleton question many times; :func:`_singleton_profile`
+sorts once and answers each alpha in O(log n) from prefix sums, with a bound
+on its rounding difference from :func:`solve_singleton`.  Inside that
+fallback band the caller re-solves exactly, so every decision matches the
+exact solve's.  Mixture and KL-ball
 model sets share one loop of alternating exact block minimizations,
 :func:`_alternate`; the objective is jointly convex over a product of convex
 sets, so the descent converges to the global value.  :func:`solve` lists the
@@ -34,12 +39,15 @@ from .distributions import (
     Mixture,
     ModelSet,
     Singleton,
+    _SMALLEST_NORMAL,
     _kl,
     empirical,
 )
 
 DEFAULT_TOLERANCE = 1e-10
 MAX_ITERATIONS = 10_000
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _caps(counts: EmpiricalCounts, alpha: float) -> np.ndarray:
@@ -168,6 +176,90 @@ def solve_singleton(counts: EmpiricalCounts, q0: Distribution, alpha: float) -> 
         q_star=q0,
         duals=duals,
     )
+
+
+def _singleton_profile(counts: EmpiricalCounts, q0: Distribution):
+    """Sort-once form of :func:`solve_singleton`'s objective for a sweep over alpha.
+
+    The caps phat_i / (1 - alpha) all scale together, so the breakpoints
+    r_i = phat_i / q_i keep one order for every alpha.  After one sort of
+    supp(q) by r the water-fill needs only the prefix sums S_k (phat mass)
+    and A_k (phat log r) and the suffix sums T_k (q mass): level k is valid
+    at alpha when S_k + r_k T_k >= 1 - alpha, and with the first valid k and
+    c_k = (1 - S_k/(1-alpha)) / T_k the optimum is
+
+        D(alpha) = (A_k - S_k log(1-alpha)) / (1-alpha) + (1 - S_k/(1-alpha)) log c_k.
+
+    Returns ``probe(alpha) -> (D, err)`` with ``err`` a bound on
+    ``|D - solve_singleton(counts, q0, alpha).objective|`` built from
+    (m + 2) * eps, m = |supp(q)|, times the magnitude of the summed terms
+    (both sides accumulate prefix sums in sequence); a comparison of
+    D with anything farther than ``err`` away agrees with the exact solve.
+    ``probe`` returns None where it cannot bound the error: within rounding
+    of the support-deficit edge (the cap total at 1 - 1e-12 of
+    :func:`_water_fill`) and where the free mass vanishes.  The profile
+    itself is None when some q_i is subnormal: ratios and levels can then
+    overflow, and :func:`_water_fill_pos` takes its rescaled path.
+    """
+    if counts.n != q0.n:
+        raise ValueError("dimension mismatch")
+    q = q0.probs
+    supp = q > 0
+    ph = empirical(counts).probs[supp]
+    qs = q[supp]
+    if qs.min() < _SMALLEST_NORMAL:
+        return None
+    mass = float(ph.sum())
+    r = ph / qs  # at most 1 / _SMALLEST_NORMAL: no overflow
+    order = np.argsort(r)
+    r, ph, qs = r[order], ph[order], qs[order]
+    terms = ph * np.log(r, out=np.zeros_like(r), where=ph > 0)
+    sat = np.concatenate(([0.0], np.cumsum(ph)))
+    ent = np.concatenate(([0.0], np.cumsum(terms)))
+    ent_abs = np.concatenate(([0.0], np.cumsum(np.abs(terms))))
+    free_q = np.cumsum(qs[::-1])[::-1]
+    # Non-decreasing in exact arithmetic; the running max irons out rounding.
+    reach = np.maximum.accumulate(sat[:-1] + r * free_q)
+    m = r.size
+    tol = (m + 2) * _EPS  # sequential prefix sums, here and in _water_fill_pos
+    # The cap total of _water_fill is a pairwise sum (blocks of 128, 8 lanes).
+    edge = 2.0 * (math.log2(m) + 20.0) * _EPS
+    log_r_max = abs(math.log(float(r[-1]))) if r[-1] > 0 else math.inf
+    ent_total = float(ent[-1])
+    ent_abs_total = float(ent_abs[-1])
+
+    def probe(alpha: float) -> tuple[float, float] | None:
+        keep = 1.0 - alpha
+        total = mass / keep
+        if total < 1.0 - 1e-12 - edge:
+            return math.inf, 0.0
+        if total <= 1.0 - 1e-12 + edge:
+            return None
+        log_keep = math.log(keep)
+        if total <= 1.0 + 2.0 * tol:
+            # Every cap saturated (alpha = 0, or a support deficit within
+            # 1e-12): P = caps / total.  The exact fill may instead free the
+            # top level with the leftover 1 - total, which err covers.
+            d = max(0.0, ent_total / mass - math.log(mass))
+            scale = ent_abs_total / mass + abs(math.log(mass)) + 1.0 + abs(d)
+            slack = (abs(1.0 - total) + 2.0 * tol) * (log_r_max + abs(log_keep) + abs(d) + 2.0)
+            return d, 4.0 * tol * scale + slack
+        k = int(np.searchsorted(reach, keep))
+        if k == m:
+            return None
+        s = float(sat[k])
+        free = 1.0 - s / keep
+        if not free > 0:
+            return None
+        log_c = math.log(free / float(free_q[k]))
+        # Clamped like _kl: q may sum to 1 + 1e-12, and D to a tiny negative.
+        d = max(0.0, (float(ent[k]) - s * log_keep) / keep + free * log_c)
+        scale = (float(ent_abs[k]) + s * abs(log_keep)) / keep + (s / keep + 1.0) * (
+            abs(log_c) + 1.0
+        ) + abs(d)
+        return d, 4.0 * tol * scale
+
+    return probe
 
 
 def closed_form_singleton(

@@ -1,4 +1,6 @@
+import itertools
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from contamest import (
     Distribution,
     EmpiricalCounts,
+    EstimateResult,
     KlBall,
     Mixture,
     Singleton,
@@ -23,11 +26,17 @@ from contamest import (
     two_sample_test,
     uniform,
 )
-from contamest.estimator import _sweep_target, round_to_counts
+import contamest.estimator as estimator_module
+from contamest.estimator import DEFAULT_BISECT_TOL, _sweep_target, round_to_counts
+from contamest.oracle import compositions
 
 
 def counts(*values):
     return EmpiricalCounts(np.asarray(values, dtype=np.int64))
+
+
+def dist(*probs):
+    return Distribution(np.asarray(probs, dtype=float))
 
 
 class TestGofThreshold:
@@ -408,3 +417,130 @@ class TestPinnedBounds:
         assert res.contaminated
         assert res.alpha_lower == float.fromhex("0x1.762cd8p-4")
         assert res.c_lower == 2740
+
+
+def reference_estimate(c, model, epsilon, bisect_tol=DEFAULT_BISECT_TOL):
+    """The bisection with a full ``solve`` at every probe, as the estimator
+    ran before singleton probes were answered from a sorted profile."""
+    p, n = c.total, c.n
+
+    def exceeds(alpha):
+        return solve(c, model, alpha).objective >= gof_threshold(p * (1 - alpha), n, epsilon)
+
+    at_zero = solve(c, model, 0.0)
+    contaminated = at_zero.objective >= gof_threshold(p, n, epsilon)
+    lo, hi = 0.0, 0.0
+    if contaminated:
+        hi = 1.0
+        while hi - lo > bisect_tol:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if exceeds(mid):
+                lo = mid
+            else:
+                hi = mid
+    final = solve(c, model, lo) if lo > 0 else at_zero
+    return EstimateResult(
+        alpha_lower=lo,
+        kappa=separation_distance(empirical(c), final.q_star),
+        c_lower=int(math.floor(p * lo)),
+        threshold_at_alpha=gof_threshold(p * (1.0 - lo), n, epsilon),
+        objective_at_alpha=final.objective,
+        contaminated=contaminated,
+        bisection_width=hi - lo,
+    )
+
+
+def assert_same_estimate(c, model, epsilon, bisect_tol=DEFAULT_BISECT_TOL):
+    got = estimate_alpha_lower(c, model, epsilon, bisect_tol)
+    want = reference_estimate(c, model, epsilon, bisect_tol)
+    for field in fields(EstimateResult):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        assert type(g) is type(w), (field.name, type(g), type(w))
+        if isinstance(w, float):
+            assert g.hex() == w.hex(), (field.name, g, w, tuple(c.counts)[:6])
+        else:
+            assert g == w, (field.name, g, w, tuple(c.counts)[:6])
+    return got
+
+
+def wide_singleton(seed, n):
+    """An input of the benchmark's singleton_wide generator: p = 300 n,
+    10% of the mass moved onto five categories."""
+    rng = np.random.default_rng(seed)
+    q = rng.dirichlet(np.full(n, 5.0))
+    target = 0.9 * q
+    target[rng.choice(n, size=5, replace=False)] += 0.02
+    return EmpiricalCounts(rng.multinomial(300 * n, target)), Singleton(Distribution(q))
+
+
+class TestSortOnceBisection:
+    """Singleton estimates answer probes from one sorted profile and fall
+    back to a solve near the threshold; every result field must equal the
+    per-probe bisection's, bit for bit."""
+
+    @pytest.mark.parametrize("family", ["dip", "spike"])
+    def test_sweep_grid(self, family):
+        for n in (2, 3, 10, 1000):
+            model = Singleton(uniform(n))
+            for pi in (0.0, 0.05, 0.3, 0.7, 1.0):
+                target = _sweep_target(family, n, pi)
+                for p in (1, 7, 100, 10**4, 10**6, 2**53):
+                    assert_same_estimate(EmpiricalCounts(round_to_counts(target, p)), model, 0.05)
+
+    def test_criterion_1_generator(self):
+        rng = np.random.default_rng(20240001)
+        for _ in range(100):
+            n = int(rng.integers(3, 21))
+            c = EmpiricalCounts(rng.integers(1, 100, size=n))
+            q = Distribution(rng.dirichlet(np.ones(n)))
+            assert_same_estimate(c, Singleton(q), 0.05)
+
+    def test_criterion_2_and_3_generator(self):
+        epsilons = itertools.cycle((0.01, 0.05, 0.1))
+        for n in (2, 3):
+            models = [uniform(n)] + ([dist(0.7, 0.2, 0.1)] if n == 3 else [])
+            for q in models:
+                for p in range(1, 15):
+                    for vec in compositions(p, n):
+                        c = EmpiricalCounts(np.asarray(vec, dtype=np.int64))
+                        assert_same_estimate(c, Singleton(q), next(epsilons))
+
+    def test_criterion_4_generator(self):
+        model = Singleton(uniform(11))
+        for pi in (0.2, 0.4, 0.6):
+            target = np.full(11, (1 - pi) / 11)
+            target[0] += pi
+            for p in (10**2, 10**3, 10**4, 10**5, 10**6):
+                assert_same_estimate(EmpiricalCounts(round_to_counts(target, p)), model, 0.05)
+
+    @pytest.mark.parametrize("seed", [7, 11, 12])
+    def test_singleton_wide_inputs(self, seed):
+        assert assert_same_estimate(*wide_singleton(seed, 2000), 0.05).contaminated
+
+    @pytest.mark.parametrize(
+        "c, q",
+        [
+            pytest.param(counts(5, 5), dist(1.0, 1e-320), id="subnormal-q"),
+            pytest.param(counts(3, 5, 2), dist(0.5, 0.5, 0.0), id="data-off-support"),
+            pytest.param(counts(90, 0, 10), dist(0.5, 0.5, 0.0), id="zero-q-and-count"),
+            pytest.param(counts(*[9] * 8), uniform(8), id="tied-ratios"),
+            pytest.param(counts(10**15, 1), dist(0.5, 0.5), id="saturated-spike"),
+        ],
+    )
+    def test_edge_inputs(self, c, q):
+        for epsilon in (0.01, 0.05, 0.5):
+            assert_same_estimate(c, Singleton(q), epsilon)
+
+    def test_contaminated_wide_estimate_solves_at_most_twice(self, monkeypatch):
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(args[2])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(estimator_module, "solve", counting_solve)
+        res = estimate_alpha_lower(*wide_singleton(7, 2000), 0.05)
+        assert res.contaminated and res.alpha_lower > 0
+        assert len(calls) <= 2, calls

@@ -104,6 +104,13 @@ class TestExactTypicality:
                 EmpiricalCounts(np.full(8, 500, dtype=np.int64)), uniform(8), 0.05
             )
 
+    def test_tail_table_cache_is_bounded(self):
+        # One table per total: more totals than the cache holds evict the
+        # oldest, so the tables alive stay at the bound.
+        for p in range(1, oracle.TAIL_TABLE_CACHE + 6):
+            exact_typicality(counts(p, 0), uniform(2), 0.05)
+        assert _tail_probability_table.cache_info().currsize == oracle.TAIL_TABLE_CACHE
+
 
 class TestIntegerProgramExact:
     def test_nothing_removed(self):
@@ -155,6 +162,14 @@ class TestIntegerProgramExact:
                 int_obj, _ = integer_program_exact(c, q, m)
                 relaxed = solve(c, Singleton(q), m / p).objective
                 assert relaxed <= int_obj + 1e-9
+
+    def test_every_removal_leaves_unsupported_mass(self):
+        # Both removal vectors keep a sample where q is zero: every
+        # objective is inf and the first vector in lexicographic order wins.
+        obj, removal = integer_program_exact(counts(2, 2), Distribution(np.array([1.0, 0.0])), 1)
+        assert obj == math.inf
+        np.testing.assert_array_equal(removal, [0, 1])
+        assert removal.dtype == np.int64
 
     def test_m_validation(self):
         with pytest.raises(ValueError):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from contamest import (
     Distribution,
@@ -20,7 +22,7 @@ from contamest import (
     uniform,
 )
 from contamest.distributions import _kl
-from contamest.solver import _water_fill
+from contamest.solver import _caps, _singleton_profile, _water_fill
 
 
 def dist(*probs):
@@ -188,6 +190,130 @@ class TestSolveSingleton:
             solve_singleton(counts(1, 1), dist(0.5, 0.5), 1.0)
         with pytest.raises(ValueError):
             solve_singleton(counts(1, 1), dist(0.5, 0.3, 0.2), 0.1)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RuntimeWarning,
+        reason="lam = log(c q_i / cap_i) forms c q_i / cap_i, which overflows "
+        "for a level c near 1e300 (FOUND in CHANGES.md)",
+    )
+    def test_duals_with_overflowing_level(self):
+        # c = 1/1e-300 on the first category; the second's multiplier is
+        # log(1e300 / 1e-15) = 725.4, finite.
+        res = solve_singleton(counts(10**15, 1), dist(1e-300, 1.0), 0.0)
+        assert res.duals.lam[1] == pytest.approx(math.log(1e300 / 1e-15), rel=1e-6)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RuntimeWarning,
+        reason="the caps of a and c sum to exactly 1, so the fill picks level "
+        "c = 0 and min(cap, 0 * q) zeroes every mass (FOUND in CHANGES.md)",
+    )
+    def test_fill_with_zero_level(self):
+        # At alpha = 0.5 the caps are (1/3, 1, 2/3); q_b is below the rounding
+        # of q_c, so b's level is chosen with nothing left to fill.  The
+        # optimum saturates a and fills c: D = 1/3 log(1/3) + 2/3 log(2/3 / 1e-20).
+        res = solve_singleton(counts(1, 3, 2), dist(1.0, 1e-300, 1e-20), 0.5)
+        expected = math.log(1 / 3) / 3 + 2 / 3 * math.log(2 / 3 / 1e-20)
+        assert res.objective == pytest.approx(expected, rel=1e-9)
+
+
+def exact_objective(c, q, alpha):
+    """solve_singleton's objective: the water-fill it calls, without its duals."""
+    return _water_fill(_caps(c, alpha), q.probs)[1]
+
+
+def check_profile(c, q, alpha):
+    """The profile's D(alpha) is within its own bound of the exact objective.
+
+    The duals of solve_singleton overflow on some generated inputs
+    (``test_duals_with_overflowing_level``), so the exact objective comes
+    from :func:`exact_objective`.  Returns the probe, or None where the
+    profile declines.
+    """
+    profile = _singleton_profile(c, q)
+    exact = exact_objective(c, q, alpha)
+    if profile is None:
+        # It declines only on subnormal model masses.
+        assert np.any((q.probs > 0) & (q.probs < np.finfo(float).tiny))
+        return None
+    probe = profile(alpha)
+    if probe is not None:
+        d, err = probe
+        if d == math.inf:
+            assert err == 0.0 and exact == math.inf, (alpha, exact)
+        else:
+            assert abs(d - exact) <= err, (alpha, d, exact, err)
+    return probe
+
+
+PROFILE_ALPHAS = (0.0, 2.0**-52, 1e-12, 1e-6, 0.1, 0.37, 0.5, 0.8, 0.99, 1 - 1e-9, 1 - 2.0**-53)
+
+
+@st.composite
+def profile_cases(draw):
+    n = draw(st.integers(1, 12))
+    masses = st.sampled_from([0.0, 1e-300, 1e-20, 0.25, 1.0]) | st.floats(0.0, 4.0)
+    values = st.integers(0, 9) | st.integers(0, 10**6) | st.just(10**15)
+    q = draw(st.lists(masses, min_size=n, max_size=n).filter(lambda v: sum(v) > 0))
+    c = draw(st.lists(values, min_size=n, max_size=n).filter(lambda v: sum(v) > 0))
+    alpha = draw(st.sampled_from(PROFILE_ALPHAS) | st.floats(0.0, 1.0, exclude_max=True))
+    return EmpiricalCounts(np.asarray(c, dtype=np.int64)), dist(*q), alpha
+
+
+class TestSingletonProfile:
+    @pytest.mark.parametrize(
+        "c, q",
+        [
+            pytest.param(counts(0, 0, 7, 3, 0), dist(0.1, 0.3, 0.2, 0.25, 0.15), id="zero-counts"),
+            pytest.param(counts(3, 5, 2), dist(0.5, 0.5, 0.0), id="zero-q"),
+            pytest.param(counts(*[4] * 6), uniform(6), id="tied-ratios"),
+            pytest.param(counts(40, 2, 9, 0, 1), dist(0.2, 0.2, 0.2, 0.2, 0.2), id="spike"),
+            pytest.param(counts(5, 5), dist(1.0, 1e-20), id="tiny-q"),
+        ],
+    )
+    def test_matches_exact_solve_within_bound(self, c, q):
+        probes = [check_profile(c, q, alpha) for alpha in PROFILE_ALPHAS]
+        assert all(probe is not None for probe in probes)
+
+    def test_alpha_zero_saturates_every_cap(self):
+        rng = np.random.default_rng(59)
+        for _ in range(50):
+            n = int(rng.integers(2, 40))
+            c = EmpiricalCounts(rng.integers(0, 1000, size=n) + 1)
+            q = Distribution(rng.dirichlet(np.ones(n)))
+            d, _ = check_profile(c, q, 0.0)
+            assert d == pytest.approx(kl_divergence(empirical(c), q), rel=1e-12)
+
+    def test_support_deficit_is_infinite_up_to_its_edge(self):
+        # 0.2 of the mass sits where q is zero: the caps on supp(q) carry
+        # 0.8 / (1 - alpha), which reaches 1 - 1e-12 at alpha = 0.2 - 8e-13.
+        c, q = counts(3, 5, 2), dist(0.5, 0.5, 0.0)
+        edge = 1.0 - 0.8 / (1.0 - 1e-12)
+        assert check_profile(c, q, 0.1) == (math.inf, 0.0)
+        assert check_profile(c, q, edge - 1e-13) == (math.inf, 0.0)
+        assert check_profile(c, q, edge) is None
+        assert check_profile(c, q, edge + 1e-13)[0] < math.inf
+        assert check_profile(c, q, 0.2)[0] < math.inf
+
+    def test_subnormal_model_mass_declines(self):
+        # phat_b / q_b overflows for the subnormal q_b; solve decides.
+        assert _singleton_profile(counts(5, 5), dist(1.0, 1e-320)) is None
+        # No ratio overflows here, but 2.5 / q_a does at alpha = 0.8.
+        assert _singleton_profile(counts(1, 1), dist(2.0**-1024, 1.0)) is None
+
+    def test_dimension_checked(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            _singleton_profile(counts(1, 1), dist(0.5, 0.3, 0.2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(profile_cases())
+    def test_property_matches_exact_solve_within_bound(self, case):
+        try:
+            exact_objective(*case)
+        except RuntimeWarning:
+            reject()  # the exact fill itself fails: test_fill_with_zero_level
+        check_profile(*case)
 
 
 class TestClosedFormSingleton:
