@@ -26,7 +26,6 @@ from .estimator import (
     EstimateResult,
     SweepConfig,
     SweepRow,
-    contaminated_count_lower,
     convergence_bound,
     estimate_alpha_lower,
     gof_threshold,
@@ -72,7 +71,6 @@ __all__ = [
     "gof_threshold",
     "is_contaminated",
     "estimate_alpha_lower",
-    "contaminated_count_lower",
     "two_sample_test",
     "convergence_bound",
     "SweepConfig",

@@ -53,7 +53,10 @@ class EstimateResult:
 
     ``alpha_lower`` is the largest discard fraction at which the data still
     fails the goodness-of-fit test; ``c_lower = floor(p * alpha_lower)`` is
-    the implied bound on the number of contaminated samples.
+    the implied bound on the number of contaminated samples.  Discarding
+    m = c_lower whole samples stays inside the feasible box at fraction
+    m/p <= alpha_lower, so every m-sample remainder is still flagged;
+    rounding down keeps the guarantee unconditional.
     """
 
     alpha_lower: float
@@ -168,16 +171,6 @@ def estimate_alpha_lower(
         contaminated=contaminated,
         bisection_width=width,
     )
-
-
-def contaminated_count_lower(result: EstimateResult, p: int) -> int:
-    """Integer lower bound on the contaminated sample count: floor(p * alpha).
-
-    Discarding m = floor(p * alpha_lower) whole samples stays inside the
-    feasible box at fraction m/p <= alpha_lower, so every m-sample remainder
-    is still flagged; rounding down keeps the guarantee unconditional.
-    """
-    return int(math.floor(p * result.alpha_lower))
 
 
 def two_sample_test(

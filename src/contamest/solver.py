@@ -20,7 +20,8 @@ exact solve's.  Mixture and KL-ball
 model sets share one loop of alternating exact block minimizations,
 :func:`_alternate`; the objective is jointly convex over a product of convex
 sets, so the descent converges to the global value.  :func:`solve` lists the
-loop's stopping rules; a solve stopped by the iteration cap returns the last
+loop's stopping rules, which read the fixed module constants ``TOLERANCE``
+and ``MAX_ITERATIONS``; a solve stopped by the iteration cap returns the last
 water-filled pair with ``converged=False``.
 """
 
@@ -44,7 +45,7 @@ from .distributions import (
     empirical,
 )
 
-DEFAULT_TOLERANCE = 1e-10
+TOLERANCE = 1e-10
 MAX_ITERATIONS = 10_000
 
 _EPS = float(np.finfo(float).eps)
@@ -102,7 +103,12 @@ def _water_fill_pos(cap: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, float]
         candidates = (1.0 - sat_mass) / free_q
     valid = candidates <= ratios
     if valid.any():
-        c = float(candidates[int(np.argmax(valid))])
+        k = int(np.argmax(valid))
+        c = float(candidates[k])
+        if not c > 0:
+            # The k saturated caps already carry unit mass, and rounding
+            # rejected level k - 1: fill at its breakpoint, not at zero.
+            c = float(ratios[k - 1])
     else:
         # All caps saturated (alpha ~ 0 boundary): the box pins P to the caps.
         c = float(ratios[-1])
@@ -148,7 +154,7 @@ def solve_singleton(counts: EmpiricalCounts, q0: Distribution, alpha: float) -> 
     """Exact minimum of D(P || q0) over the discard-feasible box.
 
     Returns the water-filling optimizer together with the KKT multipliers:
-    lam_i = max(0, log(c*q_i/upper_i)) on active box constraints and
+    lam_i = max(0, log(c) + log(q_i/upper_i)) on active box constraints and
     nu = -1 - log(c) for the simplex constraint; None when the optimum is
     infinite or the water level c overflows.
     """
@@ -167,7 +173,8 @@ def solve_singleton(counts: EmpiricalCounts, q0: Distribution, alpha: float) -> 
         lam = np.zeros(q.size)
         lam_supp = np.zeros(cap.size)
         pos = cap > 0
-        lam_supp[pos] = np.maximum(0.0, np.log(c * qs[pos] / cap[pos]))
+        # log(c) apart: c * q_i overflows for a level near 1e300.
+        lam_supp[pos] = np.maximum(0.0, math.log(c) + np.log(qs[pos] / cap[pos]))
         lam[supp] = lam_supp
         duals = Duals(lam, -1.0 - math.log(c))
     return SolveResult(
@@ -317,7 +324,7 @@ def closed_form_singleton(
     )
 
 
-def _alternate(upper, state, model, step, tolerance, max_iterations, threshold):
+def _alternate(upper, state, model, step, threshold):
     """The alternating loop of :func:`solve_mixture` and :func:`solve_klball`.
 
     Each iteration water-fills the box against ``q = model(state)``; then
@@ -329,12 +336,12 @@ def _alternate(upper, state, model, step, tolerance, max_iterations, threshold):
     converged)``: the last water-filled pair and the state that produced q.
     """
     prev = math.inf
-    for it in range(1, max_iterations + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         q = model(state)
         p, obj, _ = _water_fill(upper, q)
         if (
-            prev - obj <= tolerance
-            or obj <= tolerance
+            prev - obj <= TOLERANCE
+            or obj <= TOLERANCE
             or (threshold is not None and obj < threshold)
             or (math.isinf(obj) and it > 1)
         ):
@@ -343,17 +350,15 @@ def _alternate(upper, state, model, step, tolerance, max_iterations, threshold):
         next_state, lower = step(p, q, obj, state)
         if threshold is not None and lower is not None and lower >= threshold:
             return p, q, state, obj, it, True
-        if it < max_iterations:
+        if it < MAX_ITERATIONS:
             state = next_state
-    return p, q, state, obj, max_iterations, False
+    return p, q, state, obj, MAX_ITERATIONS, False
 
 
 def solve_mixture(
     counts: EmpiricalCounts,
     components: Sequence[Distribution],
     alpha: float,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = MAX_ITERATIONS,
     *,
     threshold: float | None = None,
     warm_start: SolveResult | None = None,
@@ -376,10 +381,6 @@ def solve_mixture(
         raise ValueError("mixture model needs at least 2 components")
     if any(c.n != counts.n for c in comps):
         raise ValueError("dimension mismatch")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
     upper = _caps(counts, alpha)
     qmat = np.stack([c.probs for c in comps])  # (k, n)
     if warm_start is None or warm_start.mixture_weights is None:
@@ -412,7 +413,7 @@ def solve_mixture(
         # Set once per solve, not per step: the step checks m for overflow.
         with np.errstate(over="ignore", invalid="ignore"):
             p_u, q_u, w, obj, it, converged = _alternate(
-                upper[union], w, lambda w: w @ qmat_u, step, tolerance, max_iterations, threshold
+                upper[union], w, lambda w: w @ qmat_u, step, threshold
             )
         p = np.zeros(counts.n)
         p[union] = p_u
@@ -433,8 +434,6 @@ def solve_klball(
     center: Distribution,
     radius: float,
     alpha: float,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = MAX_ITERATIONS,
     *,
     threshold: float | None = None,
 ) -> SolveResult:
@@ -448,18 +447,12 @@ def solve_klball(
         raise ValueError("dimension mismatch")
     if not (radius > 0):
         raise ValueError("radius must be positive")
-    if tolerance <= 0:
-        raise ValueError("tolerance must be positive")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
     upper = _caps(counts, alpha)
 
     def step(p, q, obj, state):
         return _ball_projection(p, center.probs, radius), None
 
-    p, q, _, obj, it, converged = _alternate(
-        upper, center.probs, lambda q: q, step, tolerance, max_iterations, threshold
-    )
+    p, q, _, obj, it, converged = _alternate(upper, center.probs, lambda q: q, step, threshold)
     return SolveResult(
         objective=obj,
         p_star=Distribution(p),
@@ -507,8 +500,6 @@ def solve(
     counts: EmpiricalCounts,
     model: ModelSet,
     alpha: float,
-    tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = MAX_ITERATIONS,
     *,
     threshold: float | None = None,
     warm_start: SolveResult | None = None,
@@ -517,7 +508,7 @@ def solve(
 
     Exact for singleton models.  Mixture and KL-ball models run one
     alternating loop that stops when the objective decrease, or the
-    objective, falls to ``tolerance``.  At ``max_iterations`` it stops with
+    objective, falls to ``TOLERANCE``.  At ``MAX_ITERATIONS`` it stops with
     ``converged=False`` and returns the last water-filled pair, its objective
     and (mixtures) the weights of ``q_star``.  Non-convergence is never raised.
 
@@ -533,12 +524,8 @@ def solve(
         return solve_singleton(counts, model.q0, alpha)
     if isinstance(model, Mixture):
         return solve_mixture(
-            counts, model.components, alpha, tolerance, max_iterations,
-            threshold=threshold, warm_start=warm_start,
+            counts, model.components, alpha, threshold=threshold, warm_start=warm_start
         )
     if isinstance(model, KlBall):
-        return solve_klball(
-            counts, model.center, model.radius, alpha, tolerance, max_iterations,
-            threshold=threshold,
-        )
+        return solve_klball(counts, model.center, model.radius, alpha, threshold=threshold)
     raise TypeError(f"unknown model set: {type(model).__name__}")

@@ -284,6 +284,15 @@ class TestCommands:
         assert err == ""
         assert math.isfinite(json.loads(out)["result"]["objective_at_alpha"])
 
+    def test_water_level_near_overflow(self, capsys, tmp_path):
+        # the level is about 1e300, so c * q_b / cap_b would overflow in the duals
+        data = tmp_path / "data.csv"
+        data.write_text("a,1000000000000000\nb,1\n")
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"kind": "singleton", "probs": {"a": 1e-300, "b": 1}}))
+        assert run_command(["test", "--model", str(model), "--data", str(data)]) == 2
+        assert capsys.readouterr().err == ""
+
     def test_error_exit_code_and_stderr(self, capsys, uniform3_model, tmp_path):
         assert (
             run_command(
