@@ -11,12 +11,13 @@ oracle     exact brute-force values for tiny instances (debugging)
 Count files are CSV (``category,count``, header optional) or a JSON mapping
 of category to count.  Every count, in a count file or in a KL-ball spec's
 ``counts``, must be a finite non-negative integer, and each mapping's total
-must fit in int64.  Model specs are JSON with a ``kind`` field; see the
-README for the schema.  Categories are aligned between data and model by
-label: the dimension is the union, missing categories get count 0 on the
-data side and mass 0 on the model side.  ``twosample`` is ``estimate``
-against the spec ``{"kind": "klball", "counts": <baseline>, "epsilon":
-<epsilon>}``.
+must fit in int64; a JSON boolean is not a number anywhere.  Input files
+are UTF-8, with or without a byte-order mark.  Model specs are JSON with a
+``kind`` field; see the README for the schema.  Categories are aligned
+between data and model by label: the dimension is the union, missing
+categories get count 0 on the data side and mass 0 on the model side.
+``twosample`` is ``estimate`` against the spec ``{"kind": "klball",
+"counts": <baseline>, "epsilon": <epsilon>}``.
 
 Exit codes: 0 success, 2 contaminated verdict (``test`` only), 1 any error.
 """
@@ -87,6 +88,21 @@ class ModelSpec:
 # ingestion
 
 
+def _read_text(path: Path) -> str:
+    """Text of an input file; a UTF-8 byte-order mark is dropped."""
+    if not path.exists():
+        raise CliError(f"no such file: {path}")
+    return path.read_text(encoding="utf-8-sig")
+
+
+def _number(value) -> float:
+    """``float(value)`` for a JSON number or numeric string; a JSON boolean
+    (a Python ``int``) raises ``TypeError`` like any other non-number."""
+    if isinstance(value, bool):
+        raise TypeError("boolean is not a number")
+    return float(value)
+
+
 def _count_map(pairs, source) -> dict[str, int]:
     """Validate labelled counts: unique labels, finite non-negative integers,
     and a total that fits in int64."""
@@ -94,9 +110,9 @@ def _count_map(pairs, source) -> dict[str, int]:
     for label, value in pairs:
         if label in out:
             raise CliError(f"duplicate category: {label}")
-        if not isinstance(value, int):  # JSON ints are exact; parse the rest
+        if type(value) is not int:  # JSON ints are exact; parse the rest
             try:
-                as_float = float(value)
+                as_float = _number(value)
             except (TypeError, ValueError):
                 raise CliError(f"unparseable count for category {label}: {value!r}")
             if not math.isfinite(as_float) or as_float != int(as_float):
@@ -118,9 +134,7 @@ def ingest_counts(path: str | Path) -> EmpiricalCounts:
     duplicate categories and counts that break the rule of ``_count_map``.
     """
     path = Path(path)
-    if not path.exists():
-        raise CliError(f"no such file: {path}")
-    text = path.read_text()
+    text = _read_text(path)
     if path.suffix.lower() == ".json":
         try:
             raw = json.loads(text)
@@ -155,10 +169,8 @@ def ingest_counts(path: str | Path) -> EmpiricalCounts:
 def _probs_mapping(node, base: Path, what: str) -> dict[str, float]:
     if isinstance(node, str):
         ref = base / node
-        if not ref.exists():
-            raise CliError(f"no such file: {ref}")
         try:
-            node = json.loads(ref.read_text())
+            node = json.loads(_read_text(ref))
         except json.JSONDecodeError as exc:
             raise CliError(f"unparseable file: {ref}: {exc}") from exc
     if not isinstance(node, dict) or not node:
@@ -166,7 +178,7 @@ def _probs_mapping(node, base: Path, what: str) -> dict[str, float]:
     out: dict[str, float] = {}
     for k, v in node.items():
         try:
-            out[str(k)] = float(v)
+            out[str(k)] = _number(v)
         except (TypeError, ValueError, OverflowError):
             raise CliError(f"model spec: bad mass for category {k}: {v!r}")
     return out
@@ -174,18 +186,15 @@ def _probs_mapping(node, base: Path, what: str) -> dict[str, float]:
 
 def _spec_number(raw: dict, key: str) -> float:
     try:
-        return float(raw[key])
+        return _number(raw[key])
     except (TypeError, ValueError, OverflowError):
         raise CliError(f"model spec: {key} must be a number: {raw[key]!r}")
 
 
 def load_model_spec(path: str | Path) -> ModelSpec:
     path = Path(path)
-    if not path.exists():
-        raise CliError(f"no such file: {path}")
-    text = path.read_text()
     try:
-        raw = json.loads(text)
+        raw = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise CliError(f"unparseable file: {path}: {exc}") from exc
     if not isinstance(raw, dict) or "kind" not in raw:

@@ -101,13 +101,13 @@ def estimate_alpha_lower(
     the predicate already fails at alpha = 0 the dataset shows no detectable
     contamination and the bound is 0.
 
-    For a singleton model the data is sorted once (``_singleton_profile`` in
-    the solver module) and each probe, the one at alpha = 0 included, reads
-    the distance from prefix sums together with a bound on its rounding
-    difference from the exact solve.  A probe whose distance lies within
-    that bound of the threshold is re-solved exactly, so every decision is
-    the exact solve's; the one exact solve left is at ``alpha_lower``, for
-    ``objective_at_alpha``.  Other model sets solve at every probe.
+    Every probe, alpha = 0 included, is decided in one place.  For a
+    singleton model the data is sorted once (``_singleton_profile`` in the
+    solver module) and a probe reads the distance from prefix sums; only a
+    probe within their rounding bound of the threshold calls ``solve``, so
+    every decision is the exact solve's.  Other models solve every probe.
+    A solve at alpha = 0 runs in full, so clean data reuses it as the final
+    solve, the one at ``alpha_lower`` that gives ``objective_at_alpha``.
     """
     p = counts.total
     if p < 1:
@@ -119,57 +119,47 @@ def estimate_alpha_lower(
     # Each solve warm-starts from the previous one: consecutive alphas are
     # close, so the previous optimum is a near-optimal start.  A warm start
     # changes the iterates, never the limit (joint convexity).
-    previous = None
+    previous = at_zero = None
     profile = _singleton_profile(counts, model.q0) if isinstance(model, Singleton) else None
-
-    def run_solve(alpha: float, threshold: float | None = None):
-        nonlocal previous
-        previous = solve(counts, model, alpha, threshold=threshold, warm_start=previous)
-        return previous
 
     def exceeds(alpha: float) -> bool:
         # The iterate objective upper-bounds the optimum and the solver
-        # certifies a lower bound as it goes, so it may stop as soon as the
-        # threshold comparison is settled either way.
+        # certifies a lower bound as it goes, so past alpha = 0 it may stop
+        # as soon as the threshold comparison is settled either way.
+        nonlocal previous, at_zero
         threshold = gof_threshold(p * (1.0 - alpha), n, epsilon)
         probe = profile(alpha) if profile is not None else None
         if probe is not None and abs(probe[0] - threshold) > probe[1]:
             return probe[0] >= threshold
-        return run_solve(alpha, threshold).objective >= threshold
+        previous = solve(
+            counts, model, alpha, threshold=threshold if alpha else None, warm_start=previous
+        )
+        if alpha == 0:
+            at_zero = previous
+        return previous.objective >= threshold
 
-    if profile is None:
-        at_zero = run_solve(0.0)
-        contaminated = at_zero.objective >= gof_threshold(p, n, epsilon)
-    else:
-        at_zero = None
-        contaminated = exceeds(0.0)
-
-    if not contaminated:
-        alpha_lower = 0.0
-        width = 0.0
-    else:
-        lo, hi = 0.0, 1.0
-        while hi - lo > bisect_tol:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:  # bisect_tol is below the float spacing here
-                break
-            if exceeds(mid):
-                lo = mid
-            else:
-                hi = mid
-        alpha_lower = lo
-        width = hi - lo
-    final = at_zero if alpha_lower == 0 and at_zero is not None else run_solve(alpha_lower)
+    contaminated = exceeds(0.0)
+    lo, hi = 0.0, 1.0 if contaminated else 0.0
+    while hi - lo > bisect_tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:  # bisect_tol is below the float spacing here
+            break
+        if exceeds(mid):
+            lo = mid
+        else:
+            hi = mid
+    reuse_zero = lo == 0 and at_zero is not None
+    final = at_zero if reuse_zero else solve(counts, model, lo, warm_start=previous)
 
     kappa = separation_distance(empirical(counts), final.q_star)
     return EstimateResult(
-        alpha_lower=alpha_lower,
+        alpha_lower=lo,
         kappa=kappa,
-        c_lower=int(math.floor(p * alpha_lower)),
-        threshold_at_alpha=gof_threshold(p * (1.0 - alpha_lower), n, epsilon),
+        c_lower=int(math.floor(p * lo)),
+        threshold_at_alpha=gof_threshold(p * (1.0 - lo), n, epsilon),
         objective_at_alpha=final.objective,
         contaminated=contaminated,
-        bisection_width=width,
+        bisection_width=hi - lo,
     )
 
 

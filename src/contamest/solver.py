@@ -39,6 +39,7 @@ from .distributions import (
     KlBall,
     Mixture,
     ModelSet,
+    SIMPLEX_ATOL,
     Singleton,
     _SMALLEST_NORMAL,
     _kl,
@@ -136,7 +137,7 @@ def _water_fill(upper: np.ndarray, q: np.ndarray):
     cap = upper[supp]
     cap_total = float(cap.sum())
     p = np.zeros(upper.size)
-    if cap_total < 1.0 - 1e-12:
+    if cap_total < 1.0 - SIMPLEX_ATOL:
         # Every feasible P puts mass where q is zero: the optimum is +inf.
         # Report a feasible iterate: caps on supp(q), the deficit spread over
         # the rest in proportion to its caps.
@@ -203,7 +204,7 @@ def _singleton_profile(counts: EmpiricalCounts, q0: Distribution):
     (both sides accumulate prefix sums in sequence); a comparison of
     D with anything farther than ``err`` away agrees with the exact solve.
     ``probe`` returns None where it cannot bound the error: within rounding
-    of the support-deficit edge (the cap total at 1 - 1e-12 of
+    of the support-deficit edge (the cap total at 1 - SIMPLEX_ATOL of
     :func:`_water_fill`) and where the free mass vanishes.  The profile
     itself is None when some q_i is subnormal: ratios and levels can then
     overflow, and :func:`_water_fill_pos` takes its rescaled path.
@@ -238,15 +239,15 @@ def _singleton_profile(counts: EmpiricalCounts, q0: Distribution):
     def probe(alpha: float) -> tuple[float, float] | None:
         keep = 1.0 - alpha
         total = mass / keep
-        if total < 1.0 - 1e-12 - edge:
+        if total < 1.0 - SIMPLEX_ATOL - edge:
             return math.inf, 0.0
-        if total <= 1.0 - 1e-12 + edge:
+        if total <= 1.0 - SIMPLEX_ATOL + edge:
             return None
         log_keep = math.log(keep)
         if total <= 1.0 + 2.0 * tol:
             # Every cap saturated (alpha = 0, or a support deficit within
-            # 1e-12): P = caps / total.  The exact fill may instead free the
-            # top level with the leftover 1 - total, which err covers.
+            # SIMPLEX_ATOL): P = caps / total.  The exact fill may instead
+            # free the top level with the leftover 1 - total, which err covers.
             d = max(0.0, ent_total / mass - math.log(mass))
             scale = ent_abs_total / mass + abs(math.log(mass)) + 1.0 + abs(d)
             slack = (abs(1.0 - total) + 2.0 * tol) * (log_r_max + abs(log_keep) + abs(d) + 2.0)
@@ -259,7 +260,7 @@ def _singleton_profile(counts: EmpiricalCounts, q0: Distribution):
         if not free > 0:
             return None
         log_c = math.log(free / float(free_q[k]))
-        # Clamped like _kl: q may sum to 1 + 1e-12, and D to a tiny negative.
+        # Clamped like _kl: q may sum to 1 + SIMPLEX_ATOL, and D to a tiny negative.
         d = max(0.0, (float(ent[k]) - s * log_keep) / keep + free * log_c)
         scale = (float(ent_abs[k]) + s * abs(log_keep)) / keep + (s / keep + 1.0) * (
             abs(log_c) + 1.0
@@ -392,7 +393,7 @@ def solve_mixture(
         w = w / w.sum()
 
     union = qmat.sum(axis=0) > 0
-    if float(upper[union].sum()) < 1.0 - 1e-12:
+    if float(upper[union].sum()) < 1.0 - SIMPLEX_ATOL:
         # No mixture can carry the required mass at this alpha.
         q = w @ qmat
         p, obj, _ = _water_fill(upper, q)

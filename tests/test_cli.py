@@ -314,6 +314,76 @@ class TestCommands:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "data, spec, message",
+        [
+            pytest.param(
+                {"a": True, "b": 3},
+                {"kind": "singleton", "probs": {"a": 0.5, "b": 0.5}},
+                "unparseable count for category a: True",
+                id="count-file",
+            ),
+            pytest.param(
+                {"a": 1, "b": 3},
+                {"kind": "klball", "counts": {"a": True, "b": 9}, "epsilon": 0.05},
+                "unparseable count for category a: True",
+                id="klball-counts",
+            ),
+            pytest.param(
+                {"a": 1, "b": 3},
+                {"kind": "singleton", "probs": {"a": True, "b": 0.5}},
+                "bad mass for category a: True",
+                id="mass",
+            ),
+            pytest.param(
+                {"a": 1, "b": 3},
+                {"kind": "klball", "center": {"a": 0.5, "b": 0.5}, "radius": True},
+                "radius must be a number: True",
+                id="radius",
+            ),
+        ],
+    )
+    def test_json_boolean_rejected(self, capsys, tmp_path, data, spec, message):
+        # bool is an int subclass, and float(True) is 1.0
+        (tmp_path / "d.json").write_text(json.dumps(data))
+        (tmp_path / "m.json").write_text(json.dumps(spec))
+        argv = ["--model", str(tmp_path / "m.json"), "--data", str(tmp_path / "d.json")]
+        assert run_command(["estimate", *argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "data_name, bom_files",
+        [
+            pytest.param("d.csv", ["d.csv"], id="csv-data"),
+            pytest.param("d.json", ["d.json"], id="json-data"),
+            pytest.param("d.csv", ["m.json", "q.json"], id="spec"),
+        ],
+    )
+    def test_utf8_byte_order_mark_accepted(self, capsys, tmp_path, data_name, bom_files):
+        files = {
+            "d.csv": "category,count\na,900\nb,50\nc,50\n",
+            "d.json": '{"a": 900, "b": 50, "c": 50}',
+            "m.json": json.dumps({"kind": "singleton", "probs": "q.json"}),
+            "q.json": '{"a": 0.4, "b": 0.3, "c": 0.3}',
+        }
+
+        def report(directory, marked):
+            directory.mkdir()
+            for name, text in files.items():
+                (directory / name).write_text(("\ufeff" if name in marked else "") + text)
+            argv = ["--model", str(directory / "m.json"), "--data", str(directory / data_name)]
+            code = run_command(["estimate", *argv])
+            out, err = capsys.readouterr()
+            assert (code, err) == (0, "")
+            result = json.loads(out)
+            result.pop("wall_time_ms")
+            return result
+
+        assert report(tmp_path / "bom", bom_files) == report(tmp_path / "plain", [])
+
     def test_twosample_command(self, capsys, tmp_path):
         a = tmp_path / "a.csv"
         a.write_text("x,1000\ny,0\n")

@@ -544,3 +544,57 @@ class TestSortOnceBisection:
         res = estimate_alpha_lower(*wide_singleton(7, 2000), 0.05)
         assert res.contaminated and res.alpha_lower > 0
         assert len(calls) <= 2, calls
+
+
+class TestProbePath:
+    """The alpha = 0 verdict is a probe like the others, solved in full."""
+
+    @staticmethod
+    def random_instances(rng, model_kind):
+        for _ in range(12):
+            n = int(rng.integers(2, 6))
+            q = Distribution(rng.dirichlet(np.ones(n)))
+            if model_kind == "singleton":
+                model = Singleton(q)
+            elif model_kind == "mixture":
+                model = Mixture((q, Distribution(rng.dirichlet(np.ones(n)))))
+            else:
+                model = KlBall(q, float(rng.uniform(0.001, 0.05)))
+            target = q.probs.copy()
+            if rng.random() < 0.5:  # move a share of the mass onto one category
+                target = 0.6 * target
+                target[rng.integers(n)] += 0.4
+            yield EmpiricalCounts(rng.multinomial(int(rng.integers(20, 2000)), target)), model
+
+    @pytest.mark.parametrize("model_kind", ["singleton", "mixture", "klball"])
+    def test_verdict_matches_is_contaminated(self, model_kind):
+        rng = np.random.default_rng(83)
+        verdicts = set()
+        for c, model in self.random_instances(rng, model_kind):
+            for epsilon in (0.01, 0.05):
+                got = estimate_alpha_lower(c, model, epsilon).contaminated
+                assert got == is_contaminated(c, model, epsilon)[0], (tuple(c.counts), epsilon)
+                verdicts.add(got)
+        assert verdicts == {False, True}
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            pytest.param(Mixture((uniform(3), dist(0.2, 0.3, 0.5))), id="mixture"),
+            pytest.param(KlBall(uniform(3), 0.01), id="klball"),
+        ],
+    )
+    def test_clean_estimate_solves_once_in_full(self, model, monkeypatch):
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append((args[2], kwargs.get("threshold")))
+            return solve(*args, **kwargs)
+
+        c = counts(310, 330, 360)
+        monkeypatch.setattr(estimator_module, "solve", counting_solve)
+        res = estimate_alpha_lower(c, model, 0.05)
+        monkeypatch.undo()
+        assert not res.contaminated and res.alpha_lower == 0.0
+        assert calls == [(0.0, None)]
+        assert res.objective_at_alpha.hex() == solve(c, model, 0.0).objective.hex()
