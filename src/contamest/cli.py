@@ -10,10 +10,11 @@ oracle     exact brute-force values for tiny instances (debugging)
 
 Count files are CSV (``category,count``, header optional) or a JSON mapping
 of category to count.  Every count, in a count file or in a KL-ball spec's
-``counts``, must be a finite non-negative integer, and each mapping's total
-must fit in int64; a JSON boolean is not a number anywhere.  Input files
-are UTF-8, with or without a byte-order mark.  Model specs are JSON with a
-``kind`` field; see the README for the schema.  Categories are aligned
+``counts``, must be a finite non-negative integer (an integer literal is
+read exactly), and each mapping's total must be positive and fit in int64;
+a JSON boolean is not a number anywhere.  Input files are UTF-8, with or
+without a byte-order mark.  Model specs are JSON with a ``kind`` field; see
+the README for the schema.  Categories are aligned
 between data and model by label: the dimension is the union, missing
 categories get count 0 on the data side and mass 0 on the model side.
 ``twosample`` is ``estimate`` against the spec ``{"kind": "klball",
@@ -95,35 +96,59 @@ def _read_text(path: Path) -> str:
     return path.read_text(encoding="utf-8-sig")
 
 
-def _number(value) -> float:
-    """``float(value)`` for a JSON number or numeric string; a JSON boolean
-    (a Python ``int``) raises ``TypeError`` like any other non-number."""
-    if isinstance(value, bool):
-        raise TypeError("boolean is not a number")
-    return float(value)
+def _read_json(path: Path):
+    """Decoded JSON of an input file."""
+    try:
+        return json.loads(_read_text(path))
+    except json.JSONDecodeError as exc:
+        raise CliError(f"unparseable file: {path}: {exc}") from exc
+
+
+def _mapping(node, message: str) -> dict:
+    """``node`` if it is a non-empty JSON object; ``CliError(message)`` otherwise."""
+    if not isinstance(node, dict) or not node:
+        raise CliError(message)
+    return node
+
+
+def _number(value, message: str) -> float:
+    """``float(value)`` for a JSON number or numeric string.  Anything else,
+    a JSON boolean (a Python ``int``) included, raises ``CliError`` with
+    ``message`` and the value."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise CliError(f"{message}: {value!r}")
 
 
 def _count_map(pairs, source) -> dict[str, int]:
     """Validate labelled counts: unique labels, finite non-negative integers,
-    and a total that fits in int64."""
+    and a total that is positive and fits in int64.  Integer literals are
+    exact, as JSON numbers or as strings."""
     out: dict[str, int] = {}
     for label, value in pairs:
         if label in out:
             raise CliError(f"duplicate category: {label}")
-        if type(value) is not int:  # JSON ints are exact; parse the rest
+        if isinstance(value, str):
             try:
-                as_float = _number(value)
-            except (TypeError, ValueError):
-                raise CliError(f"unparseable count for category {label}: {value!r}")
+                value = int(value)
+            except ValueError:  # "3.0", "1e3": parsed as floats below
+                pass
+        if type(value) is not int:
+            as_float = _number(value, f"unparseable count for category {label}")
             if not math.isfinite(as_float) or as_float != int(as_float):
                 raise CliError(f"non-integer count for category {label}: {value!r}")
-            value = as_float
-        count = int(value)
-        if count < 0:
-            raise CliError(f"negative count for category {label}: {count}")
-        out[label] = count
-    if sum(out.values()) > _MAX_TOTAL:
+            value = int(as_float)
+        if value < 0:
+            raise CliError(f"negative count for category {label}: {value}")
+        out[label] = value
+    total = sum(out.values())
+    if total > _MAX_TOTAL:
         raise CliError(f"counts in {source} sum to more than 2**63 - 1")
+    if total == 0:
+        raise CliError(f"empty dataset: {source}")
     return out
 
 
@@ -134,19 +159,13 @@ def ingest_counts(path: str | Path) -> EmpiricalCounts:
     duplicate categories and counts that break the rule of ``_count_map``.
     """
     path = Path(path)
-    text = _read_text(path)
     if path.suffix.lower() == ".json":
-        try:
-            raw = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CliError(f"unparseable file: {path}: {exc}") from exc
-        if not isinstance(raw, dict) or not raw:
-            raise CliError(f"unparseable file: {path}: expected a category->count mapping")
-        pairs = [(str(k), v) for k, v in raw.items()]
+        message = f"unparseable file: {path}: expected a category->count mapping"
+        pairs = _mapping(_read_json(path), message).items()
     else:
         pairs = []
         try:
-            for row in csv.reader(io.StringIO(text)):
+            for row in csv.reader(io.StringIO(_read_text(path))):
                 if not row or all(not cell.strip() for cell in row):
                     continue
                 if len(row) != 2:
@@ -168,35 +187,14 @@ def ingest_counts(path: str | Path) -> EmpiricalCounts:
 
 def _probs_mapping(node, base: Path, what: str) -> dict[str, float]:
     if isinstance(node, str):
-        ref = base / node
-        try:
-            node = json.loads(_read_text(ref))
-        except json.JSONDecodeError as exc:
-            raise CliError(f"unparseable file: {ref}: {exc}") from exc
-    if not isinstance(node, dict) or not node:
-        raise CliError(f"model spec: {what} must be a category->mass mapping or file path")
-    out: dict[str, float] = {}
-    for k, v in node.items():
-        try:
-            out[str(k)] = _number(v)
-        except (TypeError, ValueError, OverflowError):
-            raise CliError(f"model spec: bad mass for category {k}: {v!r}")
-    return out
-
-
-def _spec_number(raw: dict, key: str) -> float:
-    try:
-        return _number(raw[key])
-    except (TypeError, ValueError, OverflowError):
-        raise CliError(f"model spec: {key} must be a number: {raw[key]!r}")
+        node = _read_json(base / node)
+    node = _mapping(node, f"model spec: {what} must be a category->mass mapping or file path")
+    return {k: _number(v, f"model spec: bad mass for category {k}") for k, v in node.items()}
 
 
 def load_model_spec(path: str | Path) -> ModelSpec:
     path = Path(path)
-    try:
-        raw = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        raise CliError(f"unparseable file: {path}: {exc}") from exc
+    raw = _read_json(path)
     if not isinstance(raw, dict) or "kind" not in raw:
         raise CliError(f"model spec: missing 'kind' in {path}")
     digest = hashlib.sha256(
@@ -216,21 +214,19 @@ def load_model_spec(path: str | Path) -> ModelSpec:
     if kind == "klball":
         if "center" in raw and "radius" in raw:
             center = _probs_mapping(raw["center"], base, "center")
-            radius = _spec_number(raw, "radius")
+            radius = _number(raw["radius"], "model spec: radius must be a number")
             if radius <= 0:
                 raise CliError("model spec: radius must be positive")
             if not math.isfinite(radius):
                 raise CliError("model spec: radius must be finite")
             return ModelSpec(kind=kind, distributions=(center,), radius=radius, digest=digest)
         if "counts" in raw and "epsilon" in raw:
-            counts_map = raw["counts"]
-            if not isinstance(counts_map, dict) or not counts_map:
-                raise CliError("model spec: counts must be a category->count mapping")
+            message = "model spec: counts must be a category->count mapping"
             return ModelSpec(
                 kind=kind,
                 distributions=(),
-                counts=_count_map(((str(k), v) for k, v in counts_map.items()), path),
-                epsilon=_spec_number(raw, "epsilon"),
+                counts=_count_map(_mapping(raw["counts"], message).items(), path),
+                epsilon=_number(raw["epsilon"], "model spec: epsilon must be a number"),
                 digest=digest,
             )
         raise CliError("model spec: klball needs center+radius or counts+epsilon")

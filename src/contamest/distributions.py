@@ -195,8 +195,6 @@ def separation_distance(p: Distribution, q: Distribution) -> float:
     if p.n != q.n:
         raise ValueError("dimension mismatch")
     mask = q.probs > 0
-    if not np.any(mask):
-        raise ValueError("q must have at least one positive entry")
     with np.errstate(over="ignore"):  # a subnormal q_i gives -inf, never the max
         kappa = float(np.max(1.0 - p.probs[mask] / q.probs[mask]))
     return min(1.0, max(0.0, kappa))

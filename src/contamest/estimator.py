@@ -167,7 +167,6 @@ def two_sample_test(
     counts_p: EmpiricalCounts,
     counts_q: EmpiricalCounts,
     epsilon: float,
-    bisect_tol: float = DEFAULT_BISECT_TOL,
 ) -> EstimateResult:
     """Contamination bound of one dataset against another dataset as model.
 
@@ -182,7 +181,7 @@ def two_sample_test(
     if counts_p.total < 1 or counts_q.total < 1:
         raise ValueError("empty dataset")
     model = KlBall(empirical(counts_q), klball_radius(counts_q, epsilon))
-    return estimate_alpha_lower(counts_p, model, epsilon, bisect_tol)
+    return estimate_alpha_lower(counts_p, model, epsilon)
 
 
 def convergence_bound(p: int, n: int, epsilon: float) -> float:

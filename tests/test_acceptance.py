@@ -252,7 +252,6 @@ def test_criterion_8_two_sample_sanity():
         EmpiricalCounts(np.array([1000, 0])),
         EmpiricalCounts(np.array([0, 1000])),
         0.05,
-        BISECT_TOL,
     )
     assert disjoint.contaminated
     assert disjoint.alpha_lower >= 0.5

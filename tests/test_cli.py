@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -11,8 +12,35 @@ from contamest.cli import (
     load_model_spec,
     run_command,
 )
-from contamest.distributions import EmpiricalCounts, KlBall, Mixture, Singleton, klball_radius
-from contamest.estimator import two_sample_test
+from contamest.distributions import (
+    Distribution,
+    EmpiricalCounts,
+    KlBall,
+    Mixture,
+    Singleton,
+    klball_radius,
+)
+from contamest.estimator import estimate_alpha_lower, is_contaminated, two_sample_test
+
+BAD_JSON = "{oops"
+
+
+def decode_error(text):
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return str(exc)
+
+
+def run_in(tmp_path, capsys, files, argv):
+    """Write ``files`` under ``tmp_path``, run ``argv`` with each file name in
+    it replaced by the file's path, and return the exit code, stdout and
+    stderr."""
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    code = run_command([str(tmp_path / a) if a in files else a for a in argv])
+    out, err = capsys.readouterr()
+    return code, out, err
 
 
 @pytest.fixture
@@ -98,6 +126,18 @@ class TestIngest:
         assert code == 1
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    def test_integer_literals_read_exactly(self, tmp_path):
+        # 2**53 + 1 is not a double; a float() read rounds it to 2**53
+        big = 2**53 + 1
+        files = {
+            "x.csv": f"a,{big}\nb,1\n",
+            "x.json": json.dumps({"a": big, "b": 1}),
+            "strings.json": json.dumps({"a": str(big), "b": "1"}),
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+            assert ingest_counts(tmp_path / name).counts.tolist() == [big, 1], name
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_round_trip_identity(self, tmp_path, fmt):
@@ -383,6 +423,133 @@ class TestCommands:
             return result
 
         assert report(tmp_path / "bom", bom_files) == report(tmp_path / "plain", [])
+
+    @pytest.mark.parametrize(
+        "files, argv, empty",
+        [
+            pytest.param(
+                {"a.csv": "a,5\nb,5\n", "b.csv": "a,0\nb,0\n"},
+                ["twosample", "--data", "a.csv", "--baseline", "b.csv"],
+                "b.csv",
+                id="twosample-baseline",
+            ),
+            pytest.param(
+                {
+                    "d.csv": "a,5\nb,5\n",
+                    "m.json": json.dumps(
+                        {"kind": "klball", "counts": {"a": 0, "b": 0}, "epsilon": 0.05}
+                    ),
+                },
+                ["estimate", "--model", "m.json", "--data", "d.csv"],
+                "m.json",
+                id="klball-counts",
+            ),
+            pytest.param(
+                {
+                    "d.csv": "a,0\nb,0\n",
+                    "m.json": json.dumps({"kind": "singleton", "probs": {"a": 1, "b": 1}}),
+                },
+                ["test", "--model", "m.json", "--data", "d.csv"],
+                "d.csv",
+                id="data",
+            ),
+        ],
+    )
+    def test_empty_dataset_names_its_file(self, capsys, tmp_path, files, argv, empty):
+        code, out, err = run_in(tmp_path, capsys, files, argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: empty dataset: {tmp_path / empty}\n"
+
+    @pytest.mark.parametrize(
+        "files, data_name, culprit, message",
+        [
+            pytest.param(
+                {"d.json": "[1, 2]"}, "d.json", "d.json",
+                "expected a category->count mapping", id="count-file-list",
+            ),
+            pytest.param(
+                {"d.csv": "category,count\n"}, "d.csv", "d.csv", "no data rows",
+                id="header-only-csv",
+            ),
+            pytest.param(
+                {"d.csv": "a," + "1" * 131_073 + "\n"}, "d.csv", "d.csv",
+                "field larger than field limit (131072)", id="csv-field-limit",
+            ),
+            pytest.param(
+                {"m.json": BAD_JSON}, "d.csv", "m.json", decode_error(BAD_JSON),
+                id="spec-json",
+            ),
+            pytest.param(
+                {"m.json": json.dumps({"kind": "singleton", "probs": "q.json"}),
+                 "q.json": BAD_JSON},
+                "d.csv", "q.json", decode_error(BAD_JSON), id="probs-file-json",
+            ),
+            pytest.param(
+                {"m.json": json.dumps({"kind": "singleton", "probs": [0.5, 0.5]})},
+                "d.csv", None,
+                "model spec: probs must be a category->mass mapping or file path",
+                id="probs-not-object",
+            ),
+            pytest.param(
+                {"m.json": json.dumps({"kind": "klball", "counts": [5, 5], "epsilon": 0.05})},
+                "d.csv", None, "model spec: counts must be a category->count mapping",
+                id="klball-counts-not-object",
+            ),
+            pytest.param(
+                {"m.json": json.dumps({"kind": "klball", "center": {"a": 1}, "epsilon": 0.05})},
+                "d.csv", None, "model spec: klball needs center+radius or counts+epsilon",
+                id="klball-neither-pair",
+            ),
+        ],
+    )
+    def test_input_error_messages(self, capsys, tmp_path, files, data_name, culprit, message):
+        defaults = {
+            "d.csv": "a,5\nb,5\n",
+            "m.json": json.dumps({"kind": "singleton", "probs": {"a": 1, "b": 1}}),
+        }
+        argv = ["estimate", "--model", "m.json", "--data", data_name]
+        code, out, err = run_in(tmp_path, capsys, {**defaults, **files}, argv)
+        if culprit is not None:
+            message = f"unparseable file: {tmp_path / culprit}: {message}"
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_blank_csv_line_skipped(self, capsys, tmp_path):
+        model = json.dumps({"kind": "singleton", "probs": {"a": 1, "b": 1}})
+
+        def report(data):
+            files = {"d.csv": data, "m.json": model}
+            argv = ["estimate", "--model", "m.json", "--data", "d.csv"]
+            code, out, err = run_in(tmp_path, capsys, files, argv)
+            assert (code, err) == (0, "")
+            result = json.loads(out)
+            result.pop("wall_time_ms")
+            return result
+
+        assert report("a,9\n\n ,  \nb,1\n") == report("a,9\nb,1\n")
+
+    @pytest.mark.parametrize("command", ["test", "estimate"])
+    def test_klball_center_radius_matches_library(self, capsys, tmp_path, command):
+        center = {"b": 0.4, "a": 0.3, "d": 0.2, "c": 0.1}
+        files = {
+            "d.csv": "a,700\nb,200\nc,100\n",
+            "m.json": json.dumps({"kind": "klball", "center": center, "radius": 0.05}),
+        }
+        argv = [command, "--model", "m.json", "--data", "d.csv"]
+        code, out, err = run_in(tmp_path, capsys, files, argv)
+        assert err == ""
+        report = json.loads(out)
+        # the library call on the same inputs aligned by hand: a, b, c, then d
+        counts = EmpiricalCounts(np.array([700, 200, 100, 0]))
+        ball = KlBall(Distribution([0.3, 0.4, 0.1, 0.2]), 0.05)
+        assert report["data"] == {"p": 1000, "n": 4}
+        if command == "estimate":
+            assert code == 0
+            assert report["result"] == asdict(estimate_alpha_lower(counts, ball, 0.05))
+        else:
+            verdict, margin = is_contaminated(counts, ball, 0.05)
+            assert verdict and code == 2
+            assert report["result"]["contaminated"] is True
+            assert report["result"]["margin"] == margin
 
     def test_twosample_command(self, capsys, tmp_path):
         a = tmp_path / "a.csv"

@@ -13,6 +13,7 @@ from contamest import (
     Singleton,
     closed_form_singleton,
     empirical,
+    estimate_alpha_lower,
     kl_divergence,
     separation_distance,
     solve,
@@ -418,6 +419,22 @@ class TestSolveMixture:
             kl_divergence(res.p_star, res.q_star), abs=1e-9
         )
         assert res.mixture_weights.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+    def test_support_deficit(self):
+        # No component puts mass on category 1, so no mixture can carry the
+        # data's mass there until half the sample is discarded.
+        c = counts(5, 5, 0)
+        comps = (dist(0.7, 0.0, 0.3), dist(0.0, 0.0, 1.0))
+        res = solve_mixture(c, comps, 0.0)
+        assert res.objective == math.inf
+        assert res.iterations == 0
+        np.testing.assert_array_equal(res.p_star.probs, [0.5, 0.5, 0.0])
+        np.testing.assert_array_equal(res.mixture_weights, [0.5, 0.5])
+        est = estimate_alpha_lower(c, Mixture(comps), 0.05)
+        assert est.alpha_lower == 0.5 - 2.0**-28
+        assert est.c_lower == 4
+        assert est.objective_at_alpha == math.inf
 
 
 class TestSolveKlball:
