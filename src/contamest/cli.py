@@ -186,10 +186,21 @@ def ingest_counts(path: str | Path) -> EmpiricalCounts:
 
 
 def _probs_mapping(node, base: Path, what: str) -> dict[str, float]:
+    """Masses of a ``probs``/``center``/component mapping: each finite and
+    non-negative, at least one positive."""
     if isinstance(node, str):
         node = _read_json(base / node)
     node = _mapping(node, f"model spec: {what} must be a category->mass mapping or file path")
-    return {k: _number(v, f"model spec: bad mass for category {k}") for k, v in node.items()}
+    masses = {}
+    for k, v in node.items():
+        message = f"model spec: bad mass for category {k}"
+        mass = _number(v, message)
+        if not 0 <= mass < math.inf:  # NaN fails both comparisons
+            raise CliError(f"{message}: {v!r}")
+        masses[k] = mass
+    if not any(masses.values()):
+        raise CliError(f"model spec: {what} has no positive mass")
+    return masses
 
 
 def load_model_spec(path: str | Path) -> ModelSpec:
@@ -222,12 +233,12 @@ def load_model_spec(path: str | Path) -> ModelSpec:
             return ModelSpec(kind=kind, distributions=(center,), radius=radius, digest=digest)
         if "counts" in raw and "epsilon" in raw:
             message = "model spec: counts must be a category->count mapping"
+            counts = _count_map(_mapping(raw["counts"], message).items(), path)
+            epsilon = _number(raw["epsilon"], "model spec: epsilon must be a number")
+            if not 0 < epsilon < 1:  # NaN fails both comparisons
+                raise CliError("model spec: epsilon must be in (0, 1)")
             return ModelSpec(
-                kind=kind,
-                distributions=(),
-                counts=_count_map(_mapping(raw["counts"], message).items(), path),
-                epsilon=_number(raw["epsilon"], "model spec: epsilon must be a number"),
-                digest=digest,
+                kind=kind, distributions=(), counts=counts, epsilon=epsilon, digest=digest
             )
         raise CliError("model spec: klball needs center+radius or counts+epsilon")
     raise CliError(f"model spec: unknown kind {kind!r}")

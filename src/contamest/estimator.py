@@ -105,9 +105,11 @@ def estimate_alpha_lower(
     singleton model the data is sorted once (``_singleton_profile`` in the
     solver module) and a probe reads the distance from prefix sums; only a
     probe within their rounding bound of the threshold calls ``solve``, so
-    every decision is the exact solve's.  Other models solve every probe.
-    A solve at alpha = 0 runs in full, so clean data reuses it as the final
-    solve, the one at ``alpha_lower`` that gives ``objective_at_alpha``.
+    every decision is the exact solve's.  Other models solve every probe
+    under its threshold, and a probe reads True only from a converged solve:
+    for mixtures that is a certified lower bound at or above the threshold
+    (see ``solve``), and a capped solve reads False.  A final full solve at
+    ``alpha_lower`` gives ``objective_at_alpha``.
     """
     p = counts.total
     if p < 1:
@@ -119,24 +121,22 @@ def estimate_alpha_lower(
     # Each solve warm-starts from the previous one: consecutive alphas are
     # close, so the previous optimum is a near-optimal start.  A warm start
     # changes the iterates, never the limit (joint convexity).
-    previous = at_zero = None
+    previous = None
     profile = _singleton_profile(counts, model.q0) if isinstance(model, Singleton) else None
 
     def exceeds(alpha: float) -> bool:
-        # The iterate objective upper-bounds the optimum and the solver
-        # certifies a lower bound as it goes, so past alpha = 0 it may stop
-        # as soon as the threshold comparison is settled either way.
-        nonlocal previous, at_zero
+        # The solver stops as soon as the threshold comparison is settled
+        # either way: by an iterate objective below it (an upper bound on the
+        # optimum) or by a certified lower bound at or above it.  A solve cut
+        # by the iteration cap settles nothing and reads False, which can
+        # only shrink alpha_lower.
+        nonlocal previous
         threshold = gof_threshold(p * (1.0 - alpha), n, epsilon)
         probe = profile(alpha) if profile is not None else None
         if probe is not None and abs(probe[0] - threshold) > probe[1]:
             return probe[0] >= threshold
-        previous = solve(
-            counts, model, alpha, threshold=threshold if alpha else None, warm_start=previous
-        )
-        if alpha == 0:
-            at_zero = previous
-        return previous.objective >= threshold
+        previous = solve(counts, model, alpha, threshold=threshold, warm_start=previous)
+        return previous.converged and previous.objective >= threshold
 
     contaminated = exceeds(0.0)
     lo, hi = 0.0, 1.0 if contaminated else 0.0
@@ -148,8 +148,7 @@ def estimate_alpha_lower(
             lo = mid
         else:
             hi = mid
-    reuse_zero = lo == 0 and at_zero is not None
-    final = at_zero if reuse_zero else solve(counts, model, lo, warm_start=previous)
+    final = solve(counts, model, lo, warm_start=previous)
 
     kappa = separation_distance(empirical(counts), final.q_star)
     return EstimateResult(

@@ -333,16 +333,20 @@ def _alternate(upper, state, model, step, threshold):
     and returns the next state and a certified lower bound on the optimum,
     or None.  An infinite objective ends the loop after the first iteration,
     whose model may miss the data's support.  The other stopping rules are
-    those of :func:`solve`.  Returns ``(p, q, state, objective, iterations,
+    those of :func:`solve`; the tolerance rules read the bound the previous
+    step returned.  Returns ``(p, q, state, objective, iterations,
     converged)``: the last water-filled pair and the state that produced q.
     """
-    prev = math.inf
+    prev, lower = math.inf, None
     for it in range(1, MAX_ITERATIONS + 1):
         q = model(state)
         p, obj, _ = _water_fill(upper, q)
+        if lower is None:
+            stalled = prev - obj <= TOLERANCE or obj <= TOLERANCE
+        else:
+            stalled = threshold is None and obj - lower <= TOLERANCE
         if (
-            prev - obj <= TOLERANCE
-            or obj <= TOLERANCE
+            stalled
             or (threshold is not None and obj < threshold)
             or (math.isinf(obj) and it > 1)
         ):
@@ -366,16 +370,22 @@ def solve_mixture(
 ) -> SolveResult:
     """Alternating minimization over the feasible box and mixture weights.
 
-    The model step is the multiplicative rule
+    Let F(w) water-fill the box against w @ Q and then apply the
+    multiplicative rule
 
         w_j <- w_j * m_j,    m_j = sum_i P_i * Q_ij / (sum_l w_l * Q_il)
 
     which stays on the simplex and never increases the objective.  By
-    convexity the optimum is at least obj - (max_j m_j - 1), the lower bound
-    of the ``threshold`` exit.  Weights start uniform, or from the
-    ``mixture_weights`` of ``warm_start`` (a warm start changes the iterates,
-    not the limit: the objective is jointly convex).  ``mixture_weights``
-    are the weights of ``q_star``.
+    convexity the optimum is at least obj - (max_j m_j - 1), the Frank-Wolfe
+    bound.  The model step is SQUAREM (Varadhan & Roland, 2008) over F:
+    with w1 = F(w), w2 = F(w1), r = w1 - w, v = w2 - w1 - r and
+    a = min(-|r|/|v|, -1) it tries w - 2a r + a^2 v (floored at 1e-15 and
+    renormalised), kept if its objective is at most that of w1 and replaced
+    by w2 otherwise, so the objective never increases.  The step certifies
+    the larger of the bounds at w and at w1.  Weights start uniform, or from
+    the ``mixture_weights`` of ``warm_start`` (a warm start changes the
+    iterates, not the limit: the objective is jointly convex).
+    ``mixture_weights`` are the weights of ``q_star``.
     """
     comps = tuple(components)
     if len(comps) < 2:
@@ -400,8 +410,10 @@ def solve_mixture(
         it, converged = 0, True
     else:
         qmat_u = qmat[:, union]
+        upper_u = upper[union]
 
-        def step(p_u, q_u, obj, w):
+        def em(p_u, q_u, obj, w):
+            """F(w) from the water-filled pair at w, and the bound at w."""
             ratio = np.where(q_u > 0, p_u / np.where(q_u > 0, q_u, 1.0), 0.0)
             m = qmat_u @ ratio
             m_max = float(m.max())
@@ -411,10 +423,28 @@ def solve_mixture(
             w = w * m
             return w / w.sum(), obj - (m_max - 1.0)
 
+        def step(p_u, q_u, obj, w):
+            w1, lower = em(p_u, q_u, obj, w)
+            q1 = w1 @ qmat_u
+            p1, obj1, _ = _water_fill(upper_u, q1)
+            w2, lower1 = em(p1, q1, obj1, w1)
+            lower = max(lower, lower1)
+            r = w1 - w
+            v = w2 - w1 - r
+            v_norm = float(np.linalg.norm(v))
+            if v_norm == 0:
+                return w2, lower
+            a = min(-float(np.linalg.norm(r)) / v_norm, -1.0)
+            w_ext = np.maximum(w - 2.0 * a * r + a * a * v, 1e-15)
+            w_ext /= w_ext.sum()
+            if _water_fill(upper_u, w_ext @ qmat_u)[1] <= obj1:
+                return w_ext, lower
+            return w2, lower
+
         # Set once per solve, not per step: the step checks m for overflow.
         with np.errstate(over="ignore", invalid="ignore"):
             p_u, q_u, w, obj, it, converged = _alternate(
-                upper[union], w, lambda w: w @ qmat_u, step, threshold
+                upper_u, w, lambda w: w @ qmat_u, step, threshold
             )
         p = np.zeros(counts.n)
         p[union] = p_u
@@ -508,15 +538,20 @@ def solve(
     """Minimum KL divergence from the discard-feasible box to the model set.
 
     Exact for singleton models.  Mixture and KL-ball models run one
-    alternating loop that stops when the objective decrease, or the
-    objective, falls to ``TOLERANCE``.  At ``MAX_ITERATIONS`` it stops with
-    ``converged=False`` and returns the last water-filled pair, its objective
-    and (mixtures) the weights of ``q_star``.  Non-convergence is never raised.
+    alternating loop.  Until the model step has certified a lower bound on
+    the optimum (never, for the KL ball) it stops when the objective
+    decrease, or the objective, falls to ``TOLERANCE``; once it has, a full
+    solve stops when the objective is within ``TOLERANCE`` of the bound.
+    At ``MAX_ITERATIONS`` it stops with ``converged=False`` and returns the
+    last water-filled pair, its objective and (mixtures) the weights of
+    ``q_star``.  Non-convergence is never raised.
 
     ``threshold`` asks only whether the optimum is at or above it.  The loop
     then also stops once the objective, an upper bound on the optimum, is
-    below ``threshold``, or a certified lower bound (mixtures only) reaches
-    it; the returned objective is then only an upper bound on the optimum.
+    below ``threshold``, or once a certified lower bound reaches it; the
+    returned objective is then only an upper bound on the optimum.  A
+    certified bound replaces the tolerance rules here too, so a converged
+    mixture result with an objective at or above ``threshold`` is proven.
     The exact singleton solve ignores ``threshold``.
     ``warm_start`` is a previous result for the same data and model; its
     mixture weights seed the mixture solver, and other models ignore it.

@@ -527,6 +527,69 @@ class TestCommands:
 
         assert report("a,9\n\n ,  \nb,1\n") == report("a,9\nb,1\n")
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            pytest.param(
+                {"kind": "singleton", "probs": {"a": -1, "b": 1}},
+                "model spec: bad mass for category a: -1", id="negative",
+            ),
+            pytest.param(
+                {"kind": "singleton", "probs": {"a": 1, "b": "nan"}},
+                "model spec: bad mass for category b: 'nan'", id="nan",
+            ),
+            pytest.param(
+                {"kind": "klball", "center": {"a": "inf", "b": 1}, "radius": 0.1},
+                "model spec: bad mass for category a: 'inf'", id="center-inf",
+            ),
+            pytest.param(
+                {"kind": "singleton", "probs": {"a": 0, "b": 0.0}},
+                "model spec: probs has no positive mass", id="probs-all-zero",
+            ),
+            pytest.param(
+                {"kind": "mixture", "components": [{"a": 1}, {"a": 0, "b": 0}]},
+                "model spec: component has no positive mass", id="component-all-zero",
+            ),
+        ],
+    )
+    def test_bad_model_mass_named(self, capsys, tmp_path, spec, message):
+        files = {"d.csv": "a,5\nb,5\n", "m.json": json.dumps(spec)}
+        argv = ["estimate", "--model", "m.json", "--data", "d.csv"]
+        code, out, err = run_in(tmp_path, capsys, files, argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "spec, argv, message",
+        [
+            pytest.param(
+                {"kind": "klball", "counts": {"a": 1, "b": 2}, "epsilon": 2},
+                ["estimate", "--model", "m.json", "--data", "d.csv", "--epsilon", "0.05"],
+                "model spec: epsilon must be in (0, 1)", id="spec",
+            ),
+            pytest.param(
+                {"kind": "klball", "counts": {"a": 1, "b": 2}, "epsilon": "nan"},
+                ["estimate", "--model", "m.json", "--data", "d.csv"],
+                "model spec: epsilon must be in (0, 1)", id="spec-nan",
+            ),
+            pytest.param(
+                {"kind": "singleton", "probs": {"a": 1, "b": 1}},
+                ["estimate", "--model", "m.json", "--data", "d.csv", "--epsilon", "2"],
+                "epsilon must be in (0, 1)", id="option",
+            ),
+            pytest.param(
+                None,
+                ["twosample", "--data", "d.csv", "--baseline", "d.csv", "--epsilon", "2"],
+                "epsilon must be in (0, 1)", id="twosample-option",
+            ),
+        ],
+    )
+    def test_epsilon_error_names_its_source(self, capsys, tmp_path, spec, argv, message):
+        files = {"d.csv": "a,5\nb,5\n"}
+        if spec is not None:
+            files["m.json"] = json.dumps(spec)
+        code, out, err = run_in(tmp_path, capsys, files, argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("command", ["test", "estimate"])
     def test_klball_center_radius_matches_library(self, capsys, tmp_path, command):
         center = {"b": 0.4, "a": 0.3, "d": 0.2, "c": 0.1}

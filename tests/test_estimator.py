@@ -365,10 +365,13 @@ class TestPinnedBounds:
     """
 
     def test_criterion_5_mixture_instances(self):
+        # Certified endpoints: every True probe rests on a proven lower bound,
+        # so they depend only on the optimum.  A certified bisection with the
+        # plain multiplicative step, a different solver, gives the same two.
         rng = np.random.default_rng(20240005)
         expected = [
-            (float.fromhex("0x1.6eda01p-1"), 71650),
-            (float.fromhex("0x1.7fa5a7ap-1"), 74931),
+            (float.fromhex("0x1.6eda00ap-1"), 71650),
+            (float.fromhex("0x1.7fa5a76p-1"), 74931),
         ]
         for alpha_lower, c_lower in expected:
             comps = tuple(Distribution(rng.dirichlet(np.ones(50))) for _ in range(10))
@@ -547,7 +550,7 @@ class TestSortOnceBisection:
 
 
 class TestProbePath:
-    """The alpha = 0 verdict is a probe like the others, solved in full."""
+    """The alpha = 0 verdict is a probe like the others, under its threshold."""
 
     @staticmethod
     def random_instances(rng, model_kind):
@@ -596,5 +599,63 @@ class TestProbePath:
         res = estimate_alpha_lower(c, model, 0.05)
         monkeypatch.undo()
         assert not res.contaminated and res.alpha_lower == 0.0
-        assert calls == [(0.0, None)]
+        assert calls == [(0.0, gof_threshold(c.total, c.n, 0.05)), (0.0, None)]
         assert res.objective_at_alpha.hex() == solve(c, model, 0.0).objective.hex()
+
+
+def small_mixtures(rng, count):
+    """Seeded criterion-5-style instances: k = 3 components over n = 6
+    categories and 2,000 samples from an unrelated distribution."""
+    for _ in range(count):
+        comps = tuple(Distribution(rng.dirichlet(np.ones(6))) for _ in range(3))
+        truth = rng.dirichlet(np.ones(6))
+        yield EmpiricalCounts(rng.multinomial(2000, truth)), Mixture(comps)
+
+
+class TestCertifiedProbes:
+    """A mixture probe reads True only from a proven lower bound."""
+
+    def test_capped_probe_reads_false(self, monkeypatch):
+        # With one iteration a probe is True only if the Frank-Wolfe bound of
+        # the first iterate reaches the threshold; a cap hit settles nothing.
+        instances = list(small_mixtures(np.random.default_rng(5), 20))
+        uncapped = [estimate_alpha_lower(c, model, 0.05) for c, model in instances]
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
+        refuted = 0
+        for (c, model), full in zip(instances, uncapped):
+            capped = estimate_alpha_lower(c, model, 0.05)
+            assert capped.alpha_lower <= full.alpha_lower
+            threshold = gof_threshold(c.total, c.n, 0.05)
+            if not solve(c, model, 0.0, threshold=threshold).converged:
+                assert full.contaminated
+                assert not capped.contaminated and capped.alpha_lower == 0.0
+                refuted += 1
+        assert refuted > 0
+
+    def test_never_above_tight_bisection(self, monkeypatch):
+        # The reference decides every probe by a tight full solve, one whose
+        # objective is within 1e-14 of the optimum (a full mixture solve
+        # stops at a certified gap of TOLERANCE).  Every certified True must
+        # survive it, so the certified endpoint, a point of the same dyadic
+        # grid, never lies above the reference's.
+        decided = []
+
+        def recording_solve(*args, **kwargs):
+            res = solve(*args, **kwargs)
+            threshold = kwargs.get("threshold")
+            if threshold is not None and res.converged and res.objective >= threshold:
+                decided.append((args[0], args[1], args[2], threshold))
+            return res
+
+        rng = np.random.default_rng(17)
+        for c, model in small_mixtures(rng, 20):
+            with monkeypatch.context() as m:
+                m.setattr(estimator_module, "solve", recording_solve)
+                got = estimate_alpha_lower(c, model, 0.05)
+            with monkeypatch.context() as m:
+                m.setattr(solver, "TOLERANCE", 1e-14)
+                want = reference_estimate(c, model, 0.05)
+                for data, probe_model, alpha, threshold in decided:
+                    assert solve(data, probe_model, alpha).objective >= threshold
+            decided.clear()
+            assert got.alpha_lower <= want.alpha_lower

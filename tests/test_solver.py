@@ -404,6 +404,38 @@ class TestSolveMixture:
         assert full.converged
         assert full.objective <= res.objective + 1e-12
 
+    def test_threshold_probe_certified_against_ternary_search(self):
+        # With two components the optimum is a convex function of one
+        # weight, found to rounding by ternary search over water-fills.  A
+        # probe reads True (converged, objective at or above the threshold)
+        # for a threshold just below it and never for one just above it.
+        rng = np.random.default_rng(89)
+        checked = 0
+        for _ in range(12):
+            c = EmpiricalCounts(rng.integers(1, 50, size=4))
+            comps = tuple(Distribution(rng.dirichlet(np.ones(4))) for _ in range(2))
+            upper = empirical(c).probs / 0.9
+
+            def g(w1):
+                return _water_fill(upper, w1 * comps[0].probs + (1 - w1) * comps[1].probs)[1]
+
+            lo, hi = 0.0, 1.0
+            for _ in range(100):
+                a, b = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+                if g(a) <= g(b):
+                    hi = b
+                else:
+                    lo = a
+            optimum = min(g(lo), g(0.0), g(1.0))
+            if optimum < 1e-6:
+                continue
+            for scale, expected in ((1 + 1e-6, False), (1 - 1e-6, True)):
+                threshold = optimum * scale
+                res = solve_mixture(c, comps, 0.1, threshold=threshold)
+                assert (res.converged and res.objective >= threshold) == expected
+            checked += 1
+        assert checked >= 6
+
     def test_results_consistent(self):
         rng = np.random.default_rng(67)
         c = EmpiricalCounts(rng.integers(1, 50, size=5))
@@ -589,15 +621,7 @@ class TestSolveDispatch:
             "mixture",
             "singleton-subnormal",
             "mixture-subnormal",
-            pytest.param(
-                "mixture-unequal-subnormal",
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    raises=AssertionError,
-                    reason="w @ Q rounds the subnormal mass to a few bits, so the "
-                    "objective stalls 2.8e-4 high (FOUND in CHANGES.md)",
-                ),
-            ),
+            "mixture-unequal-subnormal",
         ],
     )
     def test_model_mass_below_rounding_of_total(self, kind):
