@@ -48,6 +48,7 @@ from .distributions import (
     Mixture,
     ModelSet,
     Singleton,
+    _MAX_TOTAL,
     empirical,
     kl_divergence,
     klball_radius,
@@ -65,8 +66,6 @@ from .oracle import exact_cstar, exact_typicality
 SCHEMA_VERSION = 1
 
 _CSV_HEADER = ("category", "count")
-
-_MAX_TOTAL = 2**63 - 1  # counts are summed in int64
 
 
 class CliError(ValueError):

@@ -18,6 +18,8 @@ SIMPLEX_ATOL = 1e-12
 
 _SMALLEST_NORMAL = float(np.finfo(float).tiny)
 
+_MAX_TOTAL = 2**63 - 1  # counts are summed in int64
+
 
 @dataclass(frozen=True)
 class Distribution:
@@ -38,7 +40,12 @@ class Distribution:
             raise ValueError("probs must be non-negative")
         if not np.all(np.isfinite(probs)):
             raise ValueError("probs must be finite")
-        total = float(probs.sum())
+        with np.errstate(over="ignore"):
+            total = float(probs.sum())
+        if total == math.inf:
+            # Every mass is finite, so only the sum overflowed.
+            probs /= probs.max()
+            total = float(probs.sum())
         if total <= 0:
             raise ValueError("probs must have positive total mass")
         if abs(total - 1.0) > SIMPLEX_ATOL:
@@ -80,6 +87,11 @@ class EmpiricalCounts:
                 raise ValueError("counts must be integers")
         if np.any(as_int < 0):
             raise ValueError("counts must be non-negative")
+        # ``total`` sums in int64, which wraps past 2**63 - 1.  The float sum
+        # is far within a factor 2 of the exact one, so only a total near
+        # the edge pays for the exact sum.
+        if float(as_int.sum(dtype=float)) > 2.0**62 and sum(map(int, as_int)) > _MAX_TOTAL:
+            raise ValueError("counts must sum to at most 2**63 - 1")
         as_int.setflags(write=False)
         object.__setattr__(self, "counts", as_int)
         if self.labels is not None:

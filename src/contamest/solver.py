@@ -496,35 +496,30 @@ def solve_klball(
 def _ball_projection(p: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     """Exact minimizer of D(p || Q) subject to D(center || Q) <= radius.
 
-    Q = p inside the ball, else the blend (p + lam*center)/(1+lam) with lam > 0
-    the root of D(center || Q) = radius.  The divergence is non-increasing in
-    lam (the blend moves toward the center), starts above ``radius`` at
-    lam -> 0+ and tends to 0, so bisection on a doubled bracket converges.
+    Q = p inside the ball.  Otherwise the minimizer is the blend
+    Q(t) = t*p + (1 - t)*center whose weight t on p solves
+    f(t) = D(center || Q(t)) = radius on the fixed bracket [0, 1]: f is convex
+    with f(0) = 0 and f(1) = D(center || p) > radius, so it is non-decreasing
+    there.  Bisection keeps f(lo) <= radius < f(hi) until
+    hi - lo <= 1e-13 * hi and returns Q(lo), inside the ball as ``_kl``
+    measures it.  No cap is needed: once t <= 2**-54, 1 - t rounds to 1 and
+    Q(t) >= center on supp(center) in rounding, so f reads 0 and ``lo``
+    leaves 0 after at most 54 halvings.
     """
     if _kl(center, p) <= radius:
         return p
 
-    def blend(lam: float) -> np.ndarray:
-        return (p + lam * center) / (1.0 + lam)
+    def blend(t: float) -> np.ndarray:
+        return t * p + (1.0 - t) * center
 
-    hi = 1.0
-    for _ in range(200):
-        if _kl(center, blend(hi)) <= radius:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("KL-ball boundary search failed: degenerate iterate")
-    lo = 0.0
-    for _ in range(200):
-        if hi - lo <= 1e-13 * max(1.0, hi):
-            break
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-13 * hi:
         mid = 0.5 * (lo + hi)
         if _kl(center, blend(mid)) > radius:
-            lo = mid
-        else:
             hi = mid
-    # hi side satisfies the ball constraint within rounding.
-    return blend(hi)
+        else:
+            lo = mid
+    return blend(lo)
 
 
 def solve(

@@ -216,6 +216,8 @@ class TestModelSpecs:
             ({"center": {"a": 1}, "radius": float("nan")}, "radius must be finite"),
             ({"center": {"a": 1}, "radius": [1]}, "radius must be a number"),
             ({"counts": {"a": 1}, "epsilon": [1]}, "epsilon must be a number"),
+            ({"center": {"a": 1}, "radius": 0}, "radius must be positive"),
+            ({"center": {"a": 1}, "radius": -1}, "radius must be positive"),
         ],
     )
     def test_klball_scalars_rejected(self, tmp_path, fields, message):
@@ -224,10 +226,18 @@ class TestModelSpecs:
         with pytest.raises(CliError, match=message):
             load_model_spec(path)
 
-    def test_unknown_kind(self, tmp_path):
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            pytest.param({"kind": "gaussian"}, "unknown kind", id="unknown-kind"),
+            pytest.param({"probs": {"a": 1}}, "missing 'kind'", id="no-kind"),
+            pytest.param([1], "missing 'kind'", id="not-object"),
+        ],
+    )
+    def test_unknown_kind(self, tmp_path, spec, message):
         path = tmp_path / "m.json"
-        path.write_text(json.dumps({"kind": "gaussian"}))
-        with pytest.raises(CliError, match="unknown kind"):
+        path.write_text(json.dumps(spec))
+        with pytest.raises(CliError, match=message):
             load_model_spec(path)
 
 
@@ -557,6 +567,18 @@ class TestCommands:
         argv = ["estimate", "--model", "m.json", "--data", "d.csv"]
         code, out, err = run_in(tmp_path, capsys, files, argv)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_overflowing_model_masses(self, capsys, tmp_path):
+        # The masses are finite but their sum overflows.
+        argv = ["estimate", "--model", "m.json", "--data", "d.csv"]
+        results = []
+        for probs in ({"a": 1e308, "b": 1e308}, {"a": 1, "b": 1}):
+            spec = {"kind": "singleton", "probs": probs}
+            files = {"d.csv": "a,30\nb,10\n", "m.json": json.dumps(spec)}
+            code, out, err = run_in(tmp_path, capsys, files, argv)
+            assert (code, err) == (0, "")
+            results.append(json.loads(out)["result"])
+        assert results[0] == results[1]
 
     @pytest.mark.parametrize(
         "spec, argv, message",

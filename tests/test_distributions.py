@@ -38,6 +38,23 @@ class TestDistribution:
         with pytest.raises(ValueError):
             Distribution(np.array([0.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "probs, message",
+        [
+            pytest.param([0.5, math.nan], "finite", id="nan"),
+            pytest.param([0.5, math.inf], "finite", id="inf"),
+            pytest.param([], "non-empty 1-D", id="empty"),
+            pytest.param([[0.5, 0.5]], "non-empty 1-D", id="2-d"),
+        ],
+    )
+    def test_rejects_malformed(self, probs, message):
+        with pytest.raises(ValueError, match=message):
+            Distribution(np.array(probs, dtype=float))
+
+    def test_overflowing_total(self):
+        # Each mass is finite; their sum overflows.
+        np.testing.assert_array_equal(Distribution(np.array([1e308, 1e308])).probs, [0.5, 0.5])
+
     def test_immutable(self):
         d = dist(0.5, 0.5)
         with pytest.raises(ValueError):
@@ -57,6 +74,23 @@ class TestEmpiricalCounts:
     def test_rejects_non_integer(self):
         with pytest.raises(ValueError):
             EmpiricalCounts(np.array([1.5, 2.0]))
+
+    @pytest.mark.parametrize(
+        "values, labels, message",
+        [
+            pytest.param([1.0, math.inf], None, "finite", id="inf"),
+            pytest.param([], None, "non-empty 1-D", id="empty"),
+            pytest.param([1, 2], ("a",), "labels length", id="labels"),
+        ],
+    )
+    def test_rejects_malformed(self, values, labels, message):
+        with pytest.raises(ValueError, match=message):
+            EmpiricalCounts(np.array(values), labels)
+
+    def test_total_fits_int64(self):
+        assert EmpiricalCounts(np.array([2**63 - 2, 1])).total == 2**63 - 1
+        with pytest.raises(ValueError, match=r"counts must sum to at most 2\*\*63 - 1"):
+            EmpiricalCounts(np.array([2**62, 2**62]))
 
 
 class TestEmpirical:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from contamest import (
     Distribution,
@@ -24,7 +25,7 @@ from contamest import (
 )
 from contamest import solver
 from contamest.distributions import _kl
-from contamest.solver import _singleton_profile, _water_fill
+from contamest.solver import _ball_projection, _singleton_profile, _water_fill
 
 
 def dist(*probs):
@@ -575,6 +576,41 @@ class TestSolveKlball:
         # model stays inside the ball
         assert _kl(np.array([0.0, 1.0]), res.q_star.probs) <= 0.05 + 1e-9
 
+    def test_projection_feasible_and_optimal(self):
+        # Zeros in p (f(1) = inf) or in the center, a center mass scaled to
+        # 1e-6 and radii from 1e-6 to 10**0.5.  The reference is the blend at
+        # a brentq root in the weight t on p.
+        rng = np.random.default_rng(0)
+        on_boundary = 0
+        for _ in range(400):
+            n = int(rng.integers(2, 8))
+            p = rng.dirichlet(np.ones(n))
+            if rng.random() < 0.4:
+                p[rng.integers(n)] = 0.0
+            center = rng.dirichlet(np.ones(n))
+            if rng.random() < 0.4:
+                center[rng.integers(n)] = 0.0
+            center[rng.integers(n)] *= 1e-6
+            p /= p.sum()
+            center /= center.sum()
+            radius = 10.0 ** rng.uniform(-6.0, 0.5)
+            q = _ball_projection(p, center, radius)
+            assert np.all(q >= 0)
+            assert _kl(center, q) <= radius
+            assert _ball_projection(q, center, radius) is q
+            if _kl(center, p) <= radius:
+                assert q is p
+                continue
+            on_boundary += 1
+
+            def blend(t):
+                return t * p + (1.0 - t) * center
+
+            t_ref = brentq(lambda t: _kl(center, blend(t)) - radius, 0.0, 1.0, xtol=1e-300)
+            d_ref = _kl(p, blend(t_ref))
+            assert _kl(p, q) <= d_ref + max(1e-10 * d_ref, 1e-12)
+        assert 0 < on_boundary < 400
+
 
 class TestSolveDispatch:
     def test_dispatches_and_validates(self):
@@ -587,6 +623,11 @@ class TestSolveDispatch:
             solve(c, Singleton(q), -0.1)
         with pytest.raises(ValueError):
             solve(c, Singleton(q), 1.0)
+        three = solve(c, Mixture((q, q, dist(0.9, 0.1))), 0.2)
+        with pytest.raises(ValueError, match="warm_start weights"):
+            solve(c, Mixture((q, dist(0.9, 0.1))), 0.2, warm_start=three)
+        with pytest.raises(TypeError, match="unknown model set"):
+            solve(c, q, 0.2)
 
     def test_zero_at_or_past_kappa_all_model_kinds(self, monkeypatch):
         monkeypatch.setattr(solver, "TOLERANCE", 1e-12)
