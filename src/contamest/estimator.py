@@ -106,9 +106,9 @@ def estimate_alpha_lower(
     solver module) and a probe reads the distance from prefix sums; only a
     probe within their rounding bound of the threshold calls ``solve``, so
     every decision is the exact solve's.  Other models solve every probe
-    under its threshold, and a probe reads True only from a converged solve:
-    for mixtures that is a certified lower bound at or above the threshold
-    (see ``solve``), and a capped solve reads False.  A final full solve at
+    under its threshold, and a probe reads True only from a converged solve,
+    that is from a certified lower bound at or above the threshold (see
+    ``solve``); an unconverged solve reads False.  A final full solve at
     ``alpha_lower`` gives ``objective_at_alpha``.
     """
     p = counts.total
@@ -128,8 +128,8 @@ def estimate_alpha_lower(
         # The solver stops as soon as the threshold comparison is settled
         # either way: by an iterate objective below it (an upper bound on the
         # optimum) or by a certified lower bound at or above it.  A solve cut
-        # by the iteration cap settles nothing and reads False, which can
-        # only shrink alpha_lower.
+        # by the iteration cap, or by a cycle in rounding, settles nothing
+        # and reads False, which can only shrink alpha_lower.
         nonlocal previous
         threshold = gof_threshold(p * (1.0 - alpha), n, epsilon)
         probe = profile(alpha) if profile is not None else None

@@ -19,10 +19,11 @@ fallback band the caller re-solves exactly, so every decision matches the
 exact solve's.  Mixture and KL-ball
 model sets share one loop of alternating exact block minimizations,
 :func:`_alternate`; the objective is jointly convex over a product of convex
-sets, so the descent converges to the global value.  :func:`solve` lists the
-loop's stopping rules, which read the fixed module constants ``TOLERANCE``
-and ``MAX_ITERATIONS``; a solve stopped by the iteration cap returns the last
-water-filled pair with ``converged=False``.
+sets, so the descent converges to the global value.  Each model step also
+certifies a Frank-Wolfe lower bound on the optimum.  :func:`solve` lists
+the loop's stopping rules, which read the fixed module constants
+``TOLERANCE`` and ``MAX_ITERATIONS``; a solve stopped by the iteration cap
+returns the last water-filled pair with ``converged=False``.
 """
 
 from __future__ import annotations
@@ -330,32 +331,33 @@ def _alternate(upper, state, model, step, threshold):
 
     Each iteration water-fills the box against ``q = model(state)``; then
     ``step(p, q, objective, state)`` minimizes over the model with P fixed
-    and returns the next state and a certified lower bound on the optimum,
-    or None.  An infinite objective ends the loop after the first iteration,
-    whose model may miss the data's support.  The other stopping rules are
-    those of :func:`solve`; the tolerance rules read the bound the previous
-    step returned.  Returns ``(p, q, state, objective, iterations,
+    and returns the next state and a certified lower bound on the optimum.
+    Before the first step the bound is 0, as D is never negative.  An
+    infinite objective ends the loop after the first iteration, whose model
+    may miss the data's support.  The other stopping rules are those of
+    :func:`solve`.  Returns ``(p, q, state, objective, iterations,
     converged)``: the last water-filled pair and the state that produced q.
     """
-    prev, lower = math.inf, None
+    lower, recent = 0.0, ()  # recent: (objective, state) of the last 8 iterations
     for it in range(1, MAX_ITERATIONS + 1):
         q = model(state)
         p, obj, _ = _water_fill(upper, q)
-        if lower is None:
-            stalled = prev - obj <= TOLERANCE or obj <= TOLERANCE
+        if threshold is None:
+            done = obj - lower <= TOLERANCE
         else:
-            stalled = threshold is None and obj - lower <= TOLERANCE
-        if (
-            stalled
-            or (threshold is not None and obj < threshold)
-            or (math.isinf(obj) and it > 1)
-        ):
+            done = obj < threshold
+        if done or (math.isinf(obj) and it > 1):
             return p, q, state, obj, it, True
-        prev = obj
+        # A recent state met again, after an objective that did not decrease,
+        # is a cycle in rounding: the cap would replay it.
+        if recent and obj >= recent[-1][0]:
+            if any(o == obj and np.array_equal(state, s) for o, s in recent):
+                return p, q, state, obj, it, False
         next_state, lower = step(p, q, obj, state)
-        if threshold is not None and lower is not None and lower >= threshold:
+        if threshold is not None and lower >= threshold:
             return p, q, state, obj, it, True
         if it < MAX_ITERATIONS:
+            recent = (recent + ((obj, state),))[-8:]
             state = next_state
     return p, q, state, obj, MAX_ITERATIONS, False
 
@@ -471,19 +473,35 @@ def solve_klball(
     """Alternating minimization with the model ranging over a KL ball.
 
     The model starts at the center, and the model step is the exact ball
-    projection :func:`_ball_projection`.  The step certifies no lower bound,
-    so ``threshold`` is settled only by an iterate value below it.
+    projection :func:`_ball_projection`.  The step also certifies a lower
+    bound.  g(Q) = min over the box of D(P || Q) is convex, and at the
+    water-filled pair (P, Q) -a is a subgradient (Danskin), with
+    a_i = P_i / Q_i where Q_i > 0; where Q_i = 0, a_i is 0 if the box cap is
+    0 and the water level max(a) otherwise (the box duals of the fill).  As
+    <a, Q> = 1, the optimum is at least obj + 1 - U for any upper bound U on
+    <a, Q'> over the ball: the Frank-Wolfe bound (Jaggi, 2013), with U from
+    :func:`_ball_linear_max`, warm-started from the previous step's search.
     """
     if counts.n != center.n:
         raise ValueError("dimension mismatch")
     if not (radius > 0):
         raise ValueError("radius must be positive")
     upper = _caps(counts, alpha)
+    c = center.probs
+    scale = None
 
     def step(p, q, obj, state):
-        return _ball_projection(p, center.probs, radius), None
+        nonlocal scale
+        q_next = _ball_projection(p, c, radius)
+        if math.isinf(obj):  # the subgradient needs a finite objective
+            return q_next, -math.inf
+        with np.errstate(over="ignore"):  # P_i / Q_i overflows for subnormal Q_i
+            a = np.divide(p, q, out=np.zeros_like(p), where=q > 0)
+        a[(q == 0) & (upper > 0)] = a.max()
+        bound, scale = _ball_linear_max(a, c, radius, scale)
+        return q_next, obj + 1.0 - bound
 
-    p, q, _, obj, it, converged = _alternate(upper, center.probs, lambda q: q, step, threshold)
+    p, q, _, obj, it, converged = _alternate(upper, c, lambda q: q, step, threshold)
     return SolveResult(
         objective=obj,
         p_star=Distribution(p),
@@ -493,6 +511,77 @@ def solve_klball(
     )
 
 
+def _ball_linear_max(a: np.ndarray, center: np.ndarray, radius: float, scale: float | None):
+    """Upper bound on max <a, Q> over the ball {Q : D(center || Q) <= radius}.
+
+    By weak duality
+
+        U(nu) = nu - exp(sum_{c_i > 0} c_i log(nu - a_i) - radius)
+
+    bounds the maximum for every nu > max a_i over supp(center) with nu at
+    least every other a_i, and U is convex in nu.  With m the first maximum,
+    x = nu - m > 0 and d_i = m - a_i >= 0 on supp(center),
+
+        U = m - x expm1(L),  L = sum c_i log1p(d_i / x) - radius,
+
+    so nu - a_i never rounds to 0 and the cancellation between nu and the
+    exponential stays out of the rounding.  (The center sums to 1 up to
+    rounding, which moves U by about eps * nu; so does the rounding of the
+    ball's boundary, and for a radius near 1e-13 nu passes 1e12.)
+    Safeguarded Newton steps in s = log x find the minimum; every x gives a
+    valid bound, so the search need not be exact.  They start from
+    x = ``scale`` * max(d), the previous step's end in units of its spread
+    max(d), or else from x = sqrt(var_c(d) / 2 radius), the minimizer of
+    U's expansion in 1/x.  At the floor x = max(a) - m, U is increasing if
+    U'(x) >= 0 there, and the minimum is the floor.  Returns
+    ``(bound, scale)``: the least U seen, capped by the trivial max(a), and
+    the scale to start the next search from.
+    """
+    a_max = float(a.max())
+    if not math.isfinite(a_max):
+        return math.inf, scale
+    pos = center > 0
+    c = center[pos]
+    a_c = a[pos]
+    m = float(a_c.max())
+    d = m - a_c
+    spread = float(d.max())
+    # x >= 1e-150 * spread keeps d / x, exp(L) and U'' finite; x <= e**700 keeps x finite.
+    x_lo = max(a_max - m, 1e-150 * max(spread, 1.0))
+    s_lo = math.log(x_lo)
+    s_hi = max(s_lo, 700.0)
+    if spread == 0:
+        x = x_lo
+    elif scale is None:
+        e = d / spread  # scaled: d * d overflows for a_i near 1e300 (subnormal Q_i)
+        mean = float(c @ e)
+        x = spread * math.sqrt(max(float(c @ (e * e)) - mean * mean, 0.0) / (2.0 * radius))
+    else:
+        x = scale * spread
+    s = min(max(math.log(x) if x > 0 else s_lo, s_lo), s_hi)
+    x = x_lo if s == s_lo else math.exp(s)
+    best = a_max
+    for _ in range(30):
+        ratio = d / x
+        eta = ratio / (1.0 + ratio)  # d_i / (x + d_i)
+        big_l = float(c @ np.log1p(ratio)) - radius
+        h1 = float(c @ eta)
+        h2 = float(c @ (eta * eta))
+        best = min(best, m - x * math.expm1(big_l))
+        growth = math.exp(big_l)
+        slope = 1.0 - growth * (1.0 - h1)  # U'(x)
+        if x == x_lo and slope >= 0:
+            break
+        g1 = x * slope  # dU/ds, and below d2U/ds2
+        g2 = g1 + x * growth * max(h2 - h1 * h1, 0.0)
+        ds = min(max(-g1 / g2, -4.0), 4.0) if g2 > 0 else 1.0
+        if abs(ds) <= 1e-9:
+            break
+        s = min(max(s + ds, s_lo), s_hi)
+        x = x_lo if s == s_lo else math.exp(s)
+    return best, x / spread if spread > 0 else scale
+
+
 def _ball_projection(p: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
     """Exact minimizer of D(p || Q) subject to D(center || Q) <= radius.
 
@@ -500,26 +589,53 @@ def _ball_projection(p: np.ndarray, center: np.ndarray, radius: float) -> np.nda
     Q(t) = t*p + (1 - t)*center whose weight t on p solves
     f(t) = D(center || Q(t)) = radius on the fixed bracket [0, 1]: f is convex
     with f(0) = 0 and f(1) = D(center || p) > radius, so it is non-decreasing
-    there.  Bisection keeps f(lo) <= radius < f(hi) until
+    where it crosses the radius.  One pass over supp(center) gives f, as
+    ``_kl`` computes it, and f'(t) = sum_{c_i > 0} c_i (c_i - p_i) / Q_i(t).
+    Safeguarded Newton keeps f(lo) <= radius < f(hi) until
     hi - lo <= 1e-13 * hi and returns Q(lo), inside the ball as ``_kl``
-    measures it.  No cap is needed: once t <= 2**-54, 1 - t rounds to 1 and
-    Q(t) >= center on supp(center) in rounding, so f reads 0 and ``lo``
-    leaves 0 after at most 54 halvings.
+    measures it.  Newton starts at t = 1 and, f being convex, approaches the
+    root from above; a step that would land within the tolerance of ``hi``
+    probes just below it instead, to find a feasible ``lo`` (a feasible
+    probe ends the search).  The midpoint replaces a step that leaves the
+    bracket, one longer than half the step before last (as in rtsafe of
+    Numerical Recipes), and the step after a failed probe.  Once
+    t <= 2**-54, 1 - t rounds to 1 and f reads 0, so ``lo`` leaves 0.
     """
-    if _kl(center, p) <= radius:
+    pos = center > 0
+    c = center[pos]
+    p_c = p[pos]
+    diff = c - p_c
+
+    def f_df(t):
+        q = t * p_c + (1.0 - t) * c
+        if q.min() < _SMALLEST_NORMAL:
+            return _kl(c, q), math.nan
+        ratio = c / q
+        return max(0.0, float(np.sum(c * np.log(ratio)))), float(ratio @ diff)
+
+    f, df = f_df(1.0)
+    if f <= radius:
         return p
-
-    def blend(t: float) -> np.ndarray:
-        return t * p + (1.0 - t) * center
-
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-13 * hi:
-        mid = 0.5 * (lo + hi)
-        if _kl(center, blend(mid)) > radius:
-            hi = mid
+    lo, hi, t = 0.0, 1.0, 1.0
+    step = prior = 1.0  # the last two step lengths
+    probed = False
+    while True:
+        if f > radius:
+            hi = t
         else:
-            lo = mid
-    return blend(lo)
+            lo = t
+        if hi - lo <= 1e-13 * hi:
+            break
+        below = hi - 0.5e-13 * hi
+        newton = (f - radius) / df if df > 0 else math.nan
+        if probed or not lo < t - newton < hi or abs(newton) > 0.5 * prior:
+            prior, step = step, 0.5 * (hi - lo)
+            t, probed = lo + step, False
+        else:
+            prior, step = step, newton
+            t, probed = min(t - newton, below), t - newton >= below
+        f, df = f_df(t)
+    return lo * p + (1.0 - lo) * center
 
 
 def solve(
@@ -533,20 +649,21 @@ def solve(
     """Minimum KL divergence from the discard-feasible box to the model set.
 
     Exact for singleton models.  Mixture and KL-ball models run one
-    alternating loop.  Until the model step has certified a lower bound on
-    the optimum (never, for the KL ball) it stops when the objective
-    decrease, or the objective, falls to ``TOLERANCE``; once it has, a full
-    solve stops when the objective is within ``TOLERANCE`` of the bound.
-    At ``MAX_ITERATIONS`` it stops with ``converged=False`` and returns the
-    last water-filled pair, its objective and (mixtures) the weights of
-    ``q_star``.  Non-convergence is never raised.
+    alternating loop whose model step certifies a lower bound on the
+    optimum (0 before the first step).  A full solve stops when the
+    objective is within ``TOLERANCE`` of the bound.  At ``MAX_ITERATIONS``
+    it stops with ``converged=False`` and returns the last water-filled
+    pair, its objective and (mixtures) the weights of ``q_star``; so does an
+    iteration that repeats the state of one of the eight before it, a cycle
+    in rounding that the cap would only replay (a KL ball of tiny radius can
+    leave the bound's rounding, about eps times its dual nu, above
+    ``TOLERANCE``).  Non-convergence is never raised.
 
     ``threshold`` asks only whether the optimum is at or above it.  The loop
-    then also stops once the objective, an upper bound on the optimum, is
-    below ``threshold``, or once a certified lower bound reaches it; the
-    returned objective is then only an upper bound on the optimum.  A
-    certified bound replaces the tolerance rules here too, so a converged
-    mixture result with an objective at or above ``threshold`` is proven.
+    then stops once the objective, an upper bound on the optimum, is below
+    ``threshold``, or once the certified lower bound reaches it; the
+    returned objective is then only an upper bound on the optimum.  So a
+    converged result with an objective at or above ``threshold`` is proven.
     The exact singleton solve ignores ``threshold``.
     ``warm_start`` is a previous result for the same data and model; its
     mixture weights seed the mixture solver, and other models ignore it.

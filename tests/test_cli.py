@@ -669,6 +669,31 @@ class TestCommands:
         ):
             assert report["result"][field] == getattr(expected, field)
 
+    @pytest.mark.parametrize(
+        "data, baseline",
+        [
+            pytest.param(
+                {"x": 700, "y": 200, "z": 100}, {"z": 0, "y": 540, "x": 460}, id="zero-count"
+            ),
+            pytest.param({"x": 1000, "y": 0}, {"x": 0, "y": 1000}, id="disjoint"),
+        ],
+    )
+    def test_twosample_zero_baseline_count(self, capsys, tmp_path, data, baseline):
+        # The ball's members may put mass where the baseline count is 0; the
+        # probes' certified bound lets nu rest on the floor those categories
+        # set.  The disjoint pair is acceptance criterion 8's.
+        files = {"d.json": json.dumps(data), "b.json": json.dumps(baseline)}
+        code, out, err = run_in(
+            tmp_path, capsys, files, ["twosample", "--data", "d.json", "--baseline", "b.json"]
+        )
+        assert (code, err) == (0, "")
+        labels = tuple(data)
+        p = EmpiricalCounts(np.array([data[l] for l in labels]), labels=labels)
+        q = EmpiricalCounts(np.array([baseline[l] for l in labels]), labels=labels)
+        expected = two_sample_test(p, q, 0.05)
+        assert expected.contaminated and expected.alpha_lower > 0
+        assert json.loads(out)["result"] == asdict(expected)
+
     def test_sweep_rows(self, capsys):
         code = run_command(
             [

@@ -612,13 +612,29 @@ def small_mixtures(rng, count):
         yield EmpiricalCounts(rng.multinomial(2000, truth)), Mixture(comps)
 
 
+def small_klballs(rng, count):
+    """Seeded two-sample balls over n = 6 categories: the center is the
+    empirical distribution of 500 baseline samples, with one count set to 0
+    in every other instance, and 2,000 data samples come from an unrelated
+    distribution, so the data has mass where such a center has none."""
+    for i in range(count):
+        base = rng.multinomial(500, rng.dirichlet(np.ones(6)))
+        if i % 2:
+            base[rng.integers(6)] = 0
+        baseline = EmpiricalCounts(base)
+        model = KlBall(empirical(baseline), klball_radius(baseline, 0.05))
+        yield EmpiricalCounts(rng.multinomial(2000, rng.dirichlet(np.ones(6)))), model
+
+
 class TestCertifiedProbes:
     """A mixture probe reads True only from a proven lower bound."""
+
+    instances = staticmethod(small_mixtures)
 
     def test_capped_probe_reads_false(self, monkeypatch):
         # With one iteration a probe is True only if the Frank-Wolfe bound of
         # the first iterate reaches the threshold; a cap hit settles nothing.
-        instances = list(small_mixtures(np.random.default_rng(5), 20))
+        instances = list(self.instances(np.random.default_rng(5), 20))
         uncapped = [estimate_alpha_lower(c, model, 0.05) for c, model in instances]
         monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
         refuted = 0
@@ -634,10 +650,10 @@ class TestCertifiedProbes:
 
     def test_never_above_tight_bisection(self, monkeypatch):
         # The reference decides every probe by a tight full solve, one whose
-        # objective is within 1e-14 of the optimum (a full mixture solve
-        # stops at a certified gap of TOLERANCE).  Every certified True must
-        # survive it, so the certified endpoint, a point of the same dyadic
-        # grid, never lies above the reference's.
+        # objective is within 1e-14 of the optimum (a full solve stops at a
+        # certified gap of TOLERANCE, or at a cycle in rounding).  Every
+        # certified True must survive it, so the certified endpoint, a point
+        # of the same dyadic grid, never lies above the reference's.
         decided = []
 
         def recording_solve(*args, **kwargs):
@@ -648,7 +664,7 @@ class TestCertifiedProbes:
             return res
 
         rng = np.random.default_rng(17)
-        for c, model in small_mixtures(rng, 20):
+        for c, model in self.instances(rng, 20):
             with monkeypatch.context() as m:
                 m.setattr(estimator_module, "solve", recording_solve)
                 got = estimate_alpha_lower(c, model, 0.05)
@@ -659,3 +675,26 @@ class TestCertifiedProbes:
                     assert solve(data, probe_model, alpha).objective >= threshold
             decided.clear()
             assert got.alpha_lower <= want.alpha_lower
+
+
+class TestCertifiedKlballProbes(TestCertifiedProbes):
+    """The same for KL-ball probes, centers with zero masses included."""
+
+    instances = staticmethod(small_klballs)
+
+    def test_capped_probe_reads_false(self, monkeypatch):
+        # One iteration water-fills against the center, where the data's
+        # mass outside the center's support reads an infinite objective and
+        # no bound: a cap hit there refutes contaminated and clean pairs.
+        instances = list(self.instances(np.random.default_rng(5), 20))
+        uncapped = [estimate_alpha_lower(c, model, 0.05) for c, model in instances]
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 1)
+        refuted = 0
+        for (c, model), full in zip(instances, uncapped):
+            capped = estimate_alpha_lower(c, model, 0.05)
+            assert capped.alpha_lower <= full.alpha_lower
+            threshold = gof_threshold(c.total, c.n, 0.05)
+            if not solve(c, model, 0.0, threshold=threshold).converged:
+                assert not capped.contaminated and capped.alpha_lower == 0.0
+                refuted += full.contaminated
+        assert refuted > 0

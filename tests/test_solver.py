@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from contamest import (
     Distribution,
@@ -16,6 +16,7 @@ from contamest import (
     empirical,
     estimate_alpha_lower,
     kl_divergence,
+    klball_radius,
     separation_distance,
     solve,
     solve_klball,
@@ -25,7 +26,12 @@ from contamest import (
 )
 from contamest import solver
 from contamest.distributions import _kl
-from contamest.solver import _ball_projection, _singleton_profile, _water_fill
+from contamest.solver import (
+    _ball_linear_max,
+    _ball_projection,
+    _singleton_profile,
+    _water_fill,
+)
 
 
 def dist(*probs):
@@ -454,6 +460,20 @@ class TestSolveMixture:
         assert res.mixture_weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+    def test_first_iterate_below_tolerance_not_certified(self, monkeypatch):
+        # The data is a mixture of the two components (optimum 0), and the
+        # first iterate's objective, about 5e-11, lies between the threshold
+        # and TOLERANCE.  Only a certified bound may read "at or above".
+        c = counts(5_000_050, 4_999_950)
+        model = Mixture((dist(0.6, 0.4), dist(0.4, 0.6)))
+        threshold = 1e-11
+        first = _water_fill(empirical(c).probs, np.array([0.5, 0.5]))[1]
+        assert threshold <= first <= solver.TOLERANCE
+        probe = solve(c, model, 0.0, threshold=threshold)
+        monkeypatch.setattr(solver, "TOLERANCE", 1e-14)
+        assert solve(c, model, 0.0).objective < threshold
+        assert not (probe.converged and probe.objective >= threshold)
+
     def test_support_deficit(self):
         # No component puts mass on category 1, so no mixture can carry the
         # data's mass there until half the sample is discarded.
@@ -610,6 +630,82 @@ class TestSolveKlball:
             d_ref = _kl(p, blend(t_ref))
             assert _kl(p, q) <= d_ref + max(1e-10 * d_ref, 1e-12)
         assert 0 < on_boundary < 400
+
+    def test_linear_max_bounds_and_meets_the_ball(self):
+        # U bounds <a, Q> at every projection of a random point into the ball,
+        # and the Newton search meets the dual's minimum, found here by
+        # bounded Brent on the plain formula.  Zeros in the center put a floor
+        # under nu; zeros in a, and a few large a_i, as in the solver.
+        rng = np.random.default_rng(3)
+        floors = 0
+        for _ in range(200):
+            n = int(rng.integers(2, 8))
+            center = rng.dirichlet(np.ones(n))
+            if rng.random() < 0.4:
+                center[rng.integers(n)] = 0.0
+                center /= center.sum()
+            a = rng.exponential(size=n) * (rng.random(n) < 0.8)
+            a[rng.integers(n)] *= 10.0 ** rng.uniform(0.0, 3.0)
+            radius = 10.0 ** rng.uniform(-3.0, 0.0)
+            bound, scale = _ball_linear_max(a, center, radius, None)
+            pos = center > 0
+            m = a[pos].max()
+            floor = a[~pos].max(initial=-math.inf)
+            floors += floor > m
+
+            def dual(s):
+                nu_s = max(m + math.exp(s), floor)
+                return nu_s - math.exp(center[pos] @ np.log(nu_s - a[pos]) - radius)
+
+            best = minimize_scalar(
+                dual, bounds=(-30.0, 15.0), method="bounded", options={"xatol": 1e-12}
+            )
+            assert bound <= min(best.fun, a.max()) + 1e-9 * max(a.max(), 1.0)
+            # A search warm-started from its own end finds no worse a bound.
+            assert _ball_linear_max(a, center, radius, scale)[0] <= bound + 1e-12 * a.max()
+            for _ in range(20):
+                q = _ball_projection(rng.dirichlet(np.full(n, 0.3)), center, radius)
+                assert a @ q <= bound + 1e-12 * max(a.max(), 1.0)
+        assert 0 < floors < 200
+
+    @pytest.mark.parametrize("tiny", [1e-320, 1e-300, 1e-20])
+    def test_tiny_center_mass(self, tiny):
+        # P_i / Q_i reaches 1e300 at the center (subnormal for 1e-320): the
+        # bound's search must not overflow, and it still certifies the
+        # optimum, Q = (e**-r, 1 - e**-r) with P at the caps (5/7, 2/7).
+        res = solve_klball(counts(5, 5), dist(1.0, tiny), 0.05, 0.3)
+        expected = 5 / 7 * (math.log(5 / 7) + 0.05) + 2 / 7 * (
+            math.log(2 / 7) - math.log(-math.expm1(-0.05))
+        )
+        assert res.converged
+        assert res.objective == pytest.approx(expected, abs=1e-9)
+
+    @staticmethod
+    def tiny_balls():
+        """Seeded KL balls of radius 1e-14 to 1e-4: the center is the empirical
+        distribution of 10**6 to 10**16 baseline samples with one count set to
+        0, in a category the data (counts 1 to 99) uses."""
+        rng = np.random.default_rng(5)
+        for _ in range(24):
+            n = int(rng.integers(3, 8))
+            data = EmpiricalCounts(rng.integers(1, 100, size=n))
+            base = rng.multinomial(int(10 ** rng.uniform(6, 16)), rng.dirichlet(np.ones(n)))
+            base[rng.integers(n)] = 0
+            baseline = EmpiricalCounts(base)
+            yield data, empirical(baseline), klball_radius(baseline, 0.05)
+
+    def test_tiny_radius_full_solve_matches_tight_solve(self, monkeypatch):
+        # A full solve stops on its certified gap, or at a cycle in rounding
+        # where the bound's rounding (eps times a dual nu of up to 3e9 here)
+        # exceeds the gap: a tighter tolerance moves no objective by more
+        # than TOLERANCE, and no solve spins to the iteration cap.
+        for c, center, radius in self.tiny_balls():
+            full = solve_klball(c, center, radius, 0.3)
+            with monkeypatch.context() as m:
+                m.setattr(solver, "TOLERANCE", 1e-14)
+                tight = solve_klball(c, center, radius, 0.3)
+            assert abs(full.objective - tight.objective) <= solver.TOLERANCE
+            assert max(full.iterations, tight.iterations) <= 10
 
 
 class TestSolveDispatch:
