@@ -63,7 +63,7 @@ from .estimator import (
 )
 from .oracle import exact_cstar, exact_typicality
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _CSV_HEADER = ("category", "count")
 
@@ -296,11 +296,13 @@ def _flatten(node: dict, prefix: str = "") -> dict:
 def _emit_report(report: dict | list[dict], fmt: str, out_path: str | None) -> None:
     """Write one report, or a list of rows, to stdout and to ``out_path``.
 
-    JSON keeps the nesting; CSV has one line per row under the first row's
-    columns.
+    JSON keeps the nesting and writes a non-finite float as null (strict
+    JSON has no Infinity or NaN); CSV has one line per row under the first
+    row's columns.
     """
     if fmt == "json":
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(_finite_or_null(report), sort_keys=True, indent=2, allow_nan=False)
+        text += "\n"
     else:
         rows = [report] if isinstance(report, dict) else report
         flat_rows = [_flatten(row) for row in rows]
@@ -312,6 +314,17 @@ def _emit_report(report: dict | list[dict], fmt: str, out_path: str | None) -> N
     sys.stdout.write(text)
     if out_path:
         Path(out_path).write_text(text)
+
+
+def _finite_or_null(node):
+    """``node`` with every non-finite float, nested ones included, as None."""
+    if isinstance(node, dict):
+        return {k: _finite_or_null(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_finite_or_null(v) for v in node]
+    if isinstance(node, float) and not math.isfinite(node):
+        return None
+    return node
 
 
 def _csv_cell(value) -> str:

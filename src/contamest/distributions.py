@@ -231,6 +231,14 @@ def klball_radius(model_counts: EmpiricalCounts, epsilon: float) -> float:
     return _large_deviations_radius(p_prime, model_counts.n, epsilon)
 
 
+def _log_inverse(epsilon: float) -> float:
+    """log(1/epsilon), as -log(epsilon) only where 1/epsilon overflows
+    (epsilon below about 5.6e-309): elsewhere the two can differ in the
+    last bit, and reports keep the bits of log(1/epsilon)."""
+    inverse = 1.0 / epsilon
+    return math.log(inverse) if inverse < math.inf else -math.log(epsilon)
+
+
 def _large_deviations_radius(p, n: int, epsilon: float) -> float:
     """(1/p) log(1/epsilon) + (2n/p) log(p + 1), in the arithmetic of ``p``."""
-    return (math.log(1.0 / epsilon) + 2.0 * n * math.log(p + 1)) / p
+    return (_log_inverse(epsilon) + 2.0 * n * math.log(p + 1)) / p

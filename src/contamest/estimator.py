@@ -28,6 +28,7 @@ from .distributions import (
     ModelSet,
     Singleton,
     _large_deviations_radius,
+    _log_inverse,
     empirical,
     klball_radius,
     separation_distance,
@@ -68,22 +69,45 @@ class EstimateResult:
     bisection_width: float
 
 
+def _exceeds(counts, model, epsilon, p, alpha, profile=None, warm_start=None):
+    """Whether the distance to ``model`` at discard fraction ``alpha``
+    provably reaches its threshold; ``p`` is ``counts.total``, an O(n) sum.
+
+    Returns the verdict and the latest solve: the one that decided, or
+    ``warm_start`` when ``profile`` (``_singleton_profile``) did, which it
+    does only outside its rounding bound of the threshold, where it agrees
+    with the exact solve.  Otherwise ``solve`` runs under the threshold and
+    stops once the comparison is settled: by an iterate objective below it
+    (an upper bound on the optimum) or by a certified lower bound at or
+    above it.  A solve cut by the iteration cap or by a cycle in rounding
+    settles nothing and reads False, which can only shrink alpha_lower.
+    """
+    threshold = gof_threshold(p * (1.0 - alpha), counts.n, epsilon)
+    probe = profile(alpha) if profile is not None else None
+    if probe is not None and abs(probe[0] - threshold) > probe[1]:
+        return probe[0] >= threshold, warm_start
+    result = solve(counts, model, alpha, threshold=threshold, warm_start=warm_start)
+    return result.converged and result.objective >= threshold, result
+
+
 def is_contaminated(
     counts: EmpiricalCounts, model: ModelSet, epsilon: float
 ) -> tuple[bool, float]:
     """Contamination verdict at significance ``epsilon`` for the full dataset.
 
-    Flags the data when the model-set KL distance of the empirical
-    distribution reaches the decision threshold.  Returns
-    ``(verdict, margin)`` with margin = objective - threshold; a verdict of
-    True is conservative (no false flags beyond the significance level).
+    The verdict is the alpha = 0 probe of :func:`_exceeds`, the one that
+    ``estimate_alpha_lower`` reports as ``contaminated``: True only when the
+    model-set KL distance provably reaches the decision threshold, so there
+    are no false flags beyond the significance level.  Returns ``(verdict,
+    margin)`` with margin = objective - threshold, the objective of a full
+    solve; a singleton's exact solve gives both.
     """
     p = counts.total
     if p < 1:
         raise ValueError("empty dataset")
-    threshold = gof_threshold(p, counts.n, epsilon)
-    result = solve(counts, model, 0.0)
-    return result.objective >= threshold, result.objective - threshold
+    verdict, probe = _exceeds(counts, model, epsilon, p, 0.0)
+    full = probe if isinstance(model, Singleton) else solve(counts, model, 0.0)
+    return verdict, full.objective - gof_threshold(p, counts.n, epsilon)
 
 
 def estimate_alpha_lower(
@@ -101,53 +125,28 @@ def estimate_alpha_lower(
     the predicate already fails at alpha = 0 the dataset shows no detectable
     contamination and the bound is 0.
 
-    Every probe, alpha = 0 included, is decided in one place.  For a
-    singleton model the data is sorted once (``_singleton_profile`` in the
-    solver module) and a probe reads the distance from prefix sums; only a
-    probe within their rounding bound of the threshold calls ``solve``, so
-    every decision is the exact solve's.  Other models solve every probe
-    under its threshold, and a probe reads True only from a converged solve,
-    that is from a certified lower bound at or above the threshold (see
-    ``solve``); an unconverged solve reads False.  A final full solve at
-    ``alpha_lower`` gives ``objective_at_alpha``.
+    :func:`_exceeds` decides every probe, alpha = 0 included; for a singleton
+    model the data is sorted once (``_singleton_profile``).  A final full
+    solve at ``alpha_lower`` gives ``objective_at_alpha``.
     """
     p = counts.total
     if p < 1:
         raise ValueError("empty dataset")
     if not 0 < bisect_tol < math.inf:  # NaN fails both comparisons
         raise ValueError("bisect_tol must be finite and positive")
-    n = counts.n
 
     # Each solve warm-starts from the previous one: consecutive alphas are
     # close, so the previous optimum is a near-optimal start.  A warm start
     # changes the iterates, never the limit (joint convexity).
-    previous = None
     profile = _singleton_profile(counts, model.q0) if isinstance(model, Singleton) else None
-
-    def exceeds(alpha: float) -> bool:
-        # The solver stops as soon as the threshold comparison is settled
-        # either way: by an iterate objective below it (an upper bound on the
-        # optimum) or by a certified lower bound at or above it.  A solve cut
-        # by the iteration cap, or by a cycle in rounding, settles nothing
-        # and reads False, which can only shrink alpha_lower.
-        nonlocal previous
-        threshold = gof_threshold(p * (1.0 - alpha), n, epsilon)
-        probe = profile(alpha) if profile is not None else None
-        if probe is not None and abs(probe[0] - threshold) > probe[1]:
-            return probe[0] >= threshold
-        previous = solve(counts, model, alpha, threshold=threshold, warm_start=previous)
-        return previous.converged and previous.objective >= threshold
-
-    contaminated = exceeds(0.0)
+    contaminated, previous = _exceeds(counts, model, epsilon, p, 0.0, profile)
     lo, hi = 0.0, 1.0 if contaminated else 0.0
     while hi - lo > bisect_tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # bisect_tol is below the float spacing here
             break
-        if exceeds(mid):
-            lo = mid
-        else:
-            hi = mid
+        verdict, previous = _exceeds(counts, model, epsilon, p, mid, profile, previous)
+        lo, hi = (mid, hi) if verdict else (lo, mid)
     final = solve(counts, model, lo, warm_start=previous)
 
     kappa = separation_distance(empirical(counts), final.q_star)
@@ -155,7 +154,7 @@ def estimate_alpha_lower(
         alpha_lower=lo,
         kappa=kappa,
         c_lower=int(math.floor(p * lo)),
-        threshold_at_alpha=gof_threshold(p * (1.0 - lo), n, epsilon),
+        threshold_at_alpha=gof_threshold(p * (1.0 - lo), counts.n, epsilon),
         objective_at_alpha=final.objective,
         contaminated=contaminated,
         bisection_width=hi - lo,
@@ -194,7 +193,7 @@ def convergence_bound(p: int, n: int, epsilon: float) -> float:
         raise ValueError("p must be >= 1")
     if not (0.0 < epsilon < 1.0):
         raise ValueError("epsilon must be in (0, 1)")
-    return math.sqrt((math.log(1.0 / epsilon) + n * math.log(p + 1.0)) / p)
+    return math.sqrt((_log_inverse(epsilon) + n * math.log(p + 1.0)) / p)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from contamest.distributions import (
 from contamest.estimator import estimate_alpha_lower, is_contaminated, two_sample_test
 
 BAD_JSON = "{oops"
+POINT_MASS_A = {"kind": "singleton", "probs": {"a": 1}}
 
 
 def decode_error(text):
@@ -293,7 +294,7 @@ class TestCommands:
         )
         assert code == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema_version"] == 1
+        assert report["schema_version"] == 2
         assert report["command"] == "estimate"
         result = report["result"]
         assert result["contaminated"] is True
@@ -333,6 +334,35 @@ class TestCommands:
         out, err = capsys.readouterr()
         assert err == ""
         assert math.isfinite(json.loads(out)["result"]["objective_at_alpha"])
+
+    @pytest.mark.parametrize(
+        "command, spec, fields",
+        [
+            ("test", POINT_MASS_A, ("margin", "objective")),
+            ("estimate", {"kind": "mixture", "components": [{"a": 1}, {"a": 1}]},
+             ("objective_at_alpha",)),
+            ("oracle", POINT_MASS_A, ("divergence",)),
+        ],
+        ids=["test", "estimate", "oracle"],
+    )
+    def test_infinite_value_written_as_null(self, capsys, tmp_path, command, spec, fields):
+        # category b has no model mass, so the distance is infinite
+        files = {"d.csv": "a,5\nb,3\n", "m.json": json.dumps(spec)}
+        argv = [command, "--data", "d.csv", "--model", "m.json"]
+        code, out, err = run_in(tmp_path, capsys, files, argv)
+        assert code in (0, 2) and err == ""
+        report = json.loads(out)
+        assert report["schema_version"] == 2
+        for field in fields:
+            assert report["result"][field] is None
+
+    def test_infinite_value_stays_inf_in_csv(self, capsys, tmp_path):
+        files = {"d.csv": "a,5\nb,3\n", "m.json": json.dumps(POINT_MASS_A)}
+        argv = ["test", "--data", "d.csv", "--model", "m.json", "--format", "csv"]
+        code, out, err = run_in(tmp_path, capsys, files, argv)
+        assert code == 2 and err == ""
+        row = dict(zip(*(line.split(",") for line in out.splitlines())))
+        assert row["result.margin"] == row["result.objective"] == "inf"
 
     def test_water_level_near_overflow(self, capsys, tmp_path):
         # the level is about 1e300, so c * q_b / cap_b would overflow in the duals

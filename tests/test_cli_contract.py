@@ -98,7 +98,12 @@ def test_exit_code_and_stderr_contract(command, data, data_suffix, spec, baselin
         assert "Traceback" not in err.getvalue()
     else:
         assert err.getvalue() == ""
-        assert out.getvalue()
+        json.loads(out.getvalue(), parse_constant=reject_constant)
+
+
+def reject_constant(name):
+    """``parse_constant`` hook: strict JSON has no Infinity, -Infinity or NaN."""
+    raise ValueError(f"non-JSON constant {name} in a report")
 
 
 def mostly(valid, hostile):

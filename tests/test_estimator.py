@@ -53,6 +53,18 @@ class TestGofThreshold:
         values = [gof_threshold(p, 4, 0.05) for p in (10, 100, 1000, 10**5)]
         assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_finite_where_one_over_epsilon_overflows(self):
+        # 1 / 1e-310 is inf; the log term is 713.8
+        assert math.isfinite(gof_threshold(10, 3, 1e-310))
+        assert gof_threshold(10, 3, 1e-310) == (-math.log(1e-310) + 6 * math.log(11)) / 10
+        assert math.isfinite(klball_radius(counts(4, 6), 5e-324))
+        assert math.isfinite(convergence_bound(10, 3, 1e-310))
+
+    def test_normal_epsilon_keeps_log_of_inverse(self):
+        # log(1/0.01) and -log(0.01) differ in the last bit; reports keep the first
+        assert math.log(1 / 0.01) != -math.log(0.01)
+        assert gof_threshold(100, 3, 0.01) == (math.log(1 / 0.01) + 6 * math.log(101)) / 100
+
     def test_validation(self):
         with pytest.raises(ValueError):
             gof_threshold(0, 3, 0.05)
@@ -552,6 +564,8 @@ class TestSortOnceBisection:
 class TestProbePath:
     """The alpha = 0 verdict is a probe like the others, under its threshold."""
 
+    KINDS = ("singleton", "mixture", "klball")
+
     @staticmethod
     def random_instances(rng, model_kind):
         for _ in range(12):
@@ -569,8 +583,16 @@ class TestProbePath:
                 target[rng.integers(n)] += 0.4
             yield EmpiricalCounts(rng.multinomial(int(rng.integers(20, 2000)), target)), model
 
-    @pytest.mark.parametrize("model_kind", ["singleton", "mixture", "klball"])
-    def test_verdict_matches_is_contaminated(self, model_kind):
+    # At a loose TOLERANCE a full solve's objective sits far above the
+    # optimum; the verdict must still be the probe's.
+    @pytest.mark.parametrize(
+        "model_kind, tolerance",
+        [(kind, None) for kind in KINDS] + [(kind, 1.0) for kind in KINDS],
+        ids=KINDS + tuple(f"{kind}-tolerance-1" for kind in KINDS),
+    )
+    def test_verdict_matches_is_contaminated(self, model_kind, tolerance, monkeypatch):
+        if tolerance is not None:
+            monkeypatch.setattr(solver, "TOLERANCE", tolerance)
         rng = np.random.default_rng(83)
         verdicts = set()
         for c, model in self.random_instances(rng, model_kind):
@@ -579,6 +601,17 @@ class TestProbePath:
                 assert got == is_contaminated(c, model, epsilon)[0], (tuple(c.counts), epsilon)
                 verdicts.add(got)
         assert verdicts == {False, True}
+
+    def test_loose_full_solve_does_not_flag(self, monkeypatch):
+        # The optimum is 0 (the data is 0.9 q1 + 0.1 q2) and the threshold
+        # 4.9e-4; one iteration's objective, 0.37, is only an upper bound.
+        model = Mixture((dist(0.9, 0.1), dist(0.1, 0.9)))
+        c = counts(90000, 10000)
+        monkeypatch.setattr(solver, "TOLERANCE", 1.0)
+        verdict, margin = is_contaminated(c, model, 0.05)
+        assert not verdict
+        assert margin > 0.3  # the margin still reads the loose full solve
+        assert not estimate_alpha_lower(c, model, 0.05).contaminated
 
     @pytest.mark.parametrize(
         "model",
