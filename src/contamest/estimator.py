@@ -58,6 +58,12 @@ class EstimateResult:
     m = c_lower whole samples stays inside the feasible box at fraction
     m/p <= alpha_lower, so every m-sample remainder is still flagged;
     rounding down keeps the guarantee unconditional.
+
+    ``kappa`` is the separation distance from the empirical distribution to
+    ``q_star`` of the final full solve at ``alpha_lower``.  For mixtures and
+    KL balls that is an iterate within ``TOLERANCE`` of the optimal
+    objective, not a unique optimum, so ``kappa`` can move in its trailing
+    digits while ``alpha_lower`` and ``c_lower`` do not.
     """
 
     alpha_lower: float

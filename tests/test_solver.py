@@ -30,7 +30,9 @@ from contamest.solver import (
     _ball_linear_max,
     _ball_projection,
     _singleton_profile,
+    _stable_order,
     _water_fill,
+    _water_fill_pos,
 )
 
 
@@ -215,6 +217,116 @@ class TestSolveSingleton:
         assert res.objective == pytest.approx(expected, rel=1e-9)
 
 
+def water_fill_pos_reference(cap, qs):
+    """``_water_fill_pos`` as it was with a stable argsort, kept to compare bits."""
+    with np.errstate(over="ignore"):
+        ratios_unsorted = cap / qs
+        order = np.argsort(ratios_unsorted, kind="stable")
+        ratios = ratios_unsorted[order]
+        if ratios[-1] == math.inf:
+            return water_fill_pos_reference(cap, np.ldexp(qs, 960))[0], math.inf
+        cap_s = cap[order]
+        q_s = qs[order]
+        sat_mass = np.concatenate(([0.0], np.cumsum(cap_s)[:-1]))
+        free_q = np.cumsum(q_s[::-1])[::-1]
+        candidates = (1.0 - sat_mass) / free_q
+    valid = candidates <= ratios
+    if valid.any():
+        k = int(np.argmax(valid))
+        c = float(candidates[k])
+        if not c > 0:
+            c = float(ratios[k - 1])
+    else:
+        c = float(ratios[-1])
+    p = np.minimum(cap, c * qs)
+    p /= p.sum()
+    return p, c
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def assert_stable_order(x):
+    order, xs = _stable_order(x)
+    expected = np.argsort(x, kind="stable")
+    assert np.array_equal(order, expected)
+    assert np.array_equal(bits(xs), bits(x[expected]))
+
+
+def assert_fill_bits(cap, qs):
+    p, c = _water_fill_pos(cap, qs)
+    p_ref, c_ref = water_fill_pos_reference(cap, qs)
+    assert np.array_equal(bits(p), bits(p_ref))
+    assert c == c_ref
+
+
+# Small integers, zeros (zero counts, model-only categories) and inf (an
+# overflowed ratio) make ties common; floats add runs of distinct values.
+tied_values = st.lists(
+    st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 3.0, math.inf])
+    | st.integers(0, 4).map(float)
+    | st.floats(0.0, 1e6),
+    min_size=1,
+    max_size=300,
+)
+
+
+@st.composite
+def tied_fills(draw):
+    """Caps and positive q for ``_water_fill_pos``, with tied breakpoints."""
+    n = draw(st.integers(1, 80))
+    c = np.asarray(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=float)
+    c[0] += c.sum() == 0
+    w = st.sampled_from([1.0, 1.0, 2.0, 3.0, 1e-310]) | st.floats(1e-3, 1.0)
+    q = np.asarray(draw(st.lists(w, min_size=n, max_size=n)))
+    alpha = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9]))
+    return c / c.sum() / (1.0 - alpha), q / q.sum()
+
+
+SPREAD_Q = np.random.default_rng(3).dirichlet(np.ones(800))
+
+
+class TestWaterFillOrder:
+    @settings(max_examples=300, deadline=None)
+    @given(tied_values)
+    def test_stable_order_is_the_stable_argsort(self, values):
+        assert_stable_order(np.asarray(values))
+
+    @pytest.mark.parametrize(
+        "x",
+        [[5.0], [0.0, 0.0], [1.0, 0.0], [math.inf, math.inf], [-0.0, 0.0, -0.0, 0.0]],
+        ids=["n1", "n2-tied", "n2", "n2-inf", "signed-zeros"],
+    )
+    def test_stable_order_small(self, x):
+        assert_stable_order(np.asarray(x))
+
+    @pytest.mark.parametrize(
+        "cap, qs",
+        [
+            pytest.param(np.full(1000, 1e-3), np.full(1000, 1e-3), id="uniform-equal-counts"),
+            # Tied breakpoints 0 and 4 over unequal q: the prefix sums see the tie order.
+            pytest.param(
+                np.where(np.arange(800) % 2, 4.0, 0.0) * SPREAD_Q,
+                SPREAD_Q,
+                id="zero-caps",
+            ),
+            pytest.param(
+                np.array([0.25, 0.0, 0.125, 0.5, 0.0, 0.375, 0.0]),
+                np.array([1e-310, 2e-310, 0.5, 1e-310, 0.25, 3e-310, 0.25]),
+                id="subnormal-q",
+            ),
+        ],
+    )
+    def test_water_fill_keeps_its_bits(self, cap, qs):
+        assert_fill_bits(cap, qs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_fills())
+    def test_property_water_fill_keeps_its_bits(self, case):
+        assert_fill_bits(*case)
+
+
 def check_profile(c, q, alpha):
     """The profile's D(alpha) is within its own bound of the exact objective.
 
@@ -332,6 +444,9 @@ class TestClosedFormSingleton:
 
     def test_zero_count_at_minimizer_absent(self):
         assert closed_form_singleton(counts(0, 10, 20), uniform(3), 0.9) is None
+
+    def test_one_category_absent(self):
+        assert closed_form_singleton(counts(5), dist(1.0), 0.0) is None
 
     def test_duals_satisfy_kkt(self):
         c = counts(20, 30, 50)
