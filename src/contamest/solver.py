@@ -83,21 +83,16 @@ def _stable_order(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.argsort(x, kind="stable")`` and ``x`` in that order, for x without NaN.
 
     numpy's default quicksort is about five times faster than its stable
-    sort at n = 1e5, but it leaves ties in no set order.  A sorted
-    permutation whose ties are in index order is unique, so putting each
-    run of equal values back in index order gives the stable sort's
-    permutation: one sort of the int64 keys run << b | index, with
-    b = bit_length(n - 1), exact for n <= 2**31.
+    sort on distinct values at n = 1e5, but it leaves ties in no set order.
+    Without ties the sorted permutation is unique, so the quicksort's is the
+    stable sort's; only input with ties (0.0 == -0.0 included) pays for the
+    stable sort as well.
     """
     order = np.argsort(x)
     xs = x[order]
-    tied = xs[1:] == xs[:-1]
-    if np.count_nonzero(tied):
-        bits = (x.size - 1).bit_length()
-        run = np.zeros(x.size, dtype=np.int64)
-        np.cumsum(~tied, out=run[1:])
-        order = np.sort((run << bits) | order) & ((1 << bits) - 1)
-        xs = x[order]  # 0.0 == -0.0: the values of a run may differ in sign
+    if np.count_nonzero(xs[1:] == xs[:-1]):
+        order = np.argsort(x, kind="stable")
+        xs = x[order]
     return order, xs
 
 
@@ -242,9 +237,9 @@ def _singleton_profile(counts: EmpiricalCounts, q0: Distribution):
     if qs.min() < _SMALLEST_NORMAL:
         return None
     mass = float(ph.sum())
-    # At most 1 / _SMALLEST_NORMAL: no overflow.  The order of _water_fill_pos.
-    order, r = _stable_order(ph / qs)
-    ph, qs = ph[order], qs[order]
+    r = ph / qs  # at most 1 / _SMALLEST_NORMAL: no overflow
+    order = np.argsort(r)
+    r, ph, qs = r[order], ph[order], qs[order]
     terms = ph * np.log(r, out=np.zeros_like(r), where=ph > 0)
     sat = np.concatenate(([0.0], np.cumsum(ph)))
     ent = np.concatenate(([0.0], np.cumsum(terms)))
