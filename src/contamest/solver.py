@@ -20,10 +20,16 @@ exact solve's.  Mixture and KL-ball
 model sets share one loop of alternating exact block minimizations,
 :func:`_alternate`; the objective is jointly convex over a product of convex
 sets, so the descent converges to the global value.  Each model step also
-certifies a Frank-Wolfe lower bound on the optimum.  :func:`solve` lists
-the loop's stopping rules, which read the fixed module constants
-``TOLERANCE`` and ``MAX_ITERATIONS``; a solve stopped by the iteration cap
-returns the last water-filled pair with ``converged=False``.
+certifies a Frank-Wolfe lower bound on the optimum, returned as
+``SolveResult.lower_bound``.  :func:`solve` lists the loop's stopping
+rules, which read the fixed module constants ``TOLERANCE`` and
+``MAX_ITERATIONS``; a solve stopped by the iteration cap returns the last
+water-filled pair with ``converged=False``.  A KL-ball bisection keeps
+:class:`_KlBallCertificates`: by weak duality, the bound of a probe that
+reached its threshold, with the box duals of its pair, gives a lower bound
+affine in t = 1/(1 - alpha) at every alpha, and the model of a probe that
+fell below its threshold gives an upper bound by one water-fill.  Together
+they decide most later probes without a solve.
 """
 
 from __future__ import annotations
@@ -70,6 +76,16 @@ class Duals:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """The last water-filled pair of a solve and what it proves.
+
+    ``objective`` is D(p_star || q_star), an upper bound on the optimum.
+    ``lower_bound`` is a certified lower bound on it: the objective itself
+    for an exact singleton solve, else the bound of the last model step (0
+    before the first).  A threshold solve that stops on its bound, and only
+    such a solve, has ``lower_bound >= threshold``; its bound was then
+    certified at the returned pair.
+    """
+
     objective: float
     p_star: Distribution
     q_star: Distribution
@@ -77,6 +93,7 @@ class SolveResult:
     duals: Duals | None = None
     iterations: int = 0
     converged: bool = True
+    lower_bound: float = 0.0
 
 
 def _stable_order(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -185,24 +202,33 @@ def solve_singleton(counts: EmpiricalCounts, q0: Distribution, alpha: float) -> 
     p, objective, c = _water_fill(upper, q)
     duals = None
     if c is not None and c < math.inf:
-        # On supp(q) only: a full-length mask doubled the page faults of a
-        # singleton bisection (glibc heap trimming).
-        supp = q > 0
-        cap = upper[supp]
-        qs = q[supp]
-        lam = np.zeros(q.size)
-        lam_supp = np.zeros(cap.size)
-        pos = cap > 0
-        # log(c) apart: c * q_i overflows for a level near 1e300.
-        lam_supp[pos] = np.maximum(0.0, math.log(c) + np.log(qs[pos] / cap[pos]))
-        lam[supp] = lam_supp
-        duals = Duals(lam, -1.0 - math.log(c))
+        duals = Duals(_box_duals(upper, q, c), -1.0 - math.log(c))
     return SolveResult(
         objective=objective,
         p_star=Distribution(p),
         q_star=q0,
         duals=duals,
+        lower_bound=objective,
     )
+
+
+def _box_duals(upper: np.ndarray, q: np.ndarray, c: float) -> np.ndarray:
+    """Box multipliers of a fill at level c: lam_i = max(0, log(c) + log(q_i/upper_i)).
+
+    lam_i = 0 where q_i = 0 or upper_i = 0.
+    """
+    # On supp(q) only: a full-length mask doubled the page faults of a
+    # singleton bisection (glibc heap trimming).
+    supp = q > 0
+    cap = upper[supp]
+    qs = q[supp]
+    lam = np.zeros(q.size)
+    lam_supp = np.zeros(cap.size)
+    pos = cap > 0
+    # log(c) apart: c * q_i overflows for a level near 1e300.
+    lam_supp[pos] = np.maximum(0.0, math.log(c) + np.log(qs[pos] / cap[pos]))
+    lam[supp] = lam_supp
+    return lam
 
 
 def _singleton_profile(counts: EmpiricalCounts, q0: Distribution):
@@ -335,11 +361,13 @@ def closed_form_singleton(
     lam[l] = math.log(float(q[l]) * (1.0 - u_l) / ((1.0 - float(q[l])) * u_l))
     nu = math.log((1.0 - float(q[l])) / (1.0 - u_l)) - 1.0
     p_star = Distribution(p)
+    objective = _kl(p_star.probs, q)
     return SolveResult(
-        objective=_kl(p_star.probs, q),
+        objective=objective,
         p_star=p_star,
         q_star=q0,
         duals=Duals(lam, nu),
+        lower_bound=objective,
     )
 
 
@@ -352,8 +380,9 @@ def _alternate(upper, state, model, step, threshold):
     Before the first step the bound is 0, as D is never negative.  An
     infinite objective ends the loop after the first iteration, whose model
     may miss the data's support.  The other stopping rules are those of
-    :func:`solve`.  Returns ``(p, q, state, objective, iterations,
-    converged)``: the last water-filled pair and the state that produced q.
+    :func:`solve`.  Returns ``(p, q, state, objective, lower, iterations,
+    converged)``: the last water-filled pair, the state that produced q and
+    the last certified bound.
     """
     lower, recent = 0.0, ()  # recent: (objective, state) of the last 8 iterations
     for it in range(1, MAX_ITERATIONS + 1):
@@ -364,19 +393,19 @@ def _alternate(upper, state, model, step, threshold):
         else:
             done = obj < threshold
         if done or (math.isinf(obj) and it > 1):
-            return p, q, state, obj, it, True
+            return p, q, state, obj, lower, it, True
         # A recent state met again, after an objective that did not decrease,
         # is a cycle in rounding: the cap would replay it.
         if recent and obj >= recent[-1][0]:
             if any(o == obj and np.array_equal(state, s) for o, s in recent):
-                return p, q, state, obj, it, False
+                return p, q, state, obj, lower, it, False
         next_state, lower = step(p, q, obj, state)
         if threshold is not None and lower >= threshold:
-            return p, q, state, obj, it, True
+            return p, q, state, obj, lower, it, True
         if it < MAX_ITERATIONS:
             recent = (recent + ((obj, state),))[-8:]
             state = next_state
-    return p, q, state, obj, MAX_ITERATIONS, False
+    return p, q, state, obj, lower, MAX_ITERATIONS, False
 
 
 def solve_mixture(
@@ -426,7 +455,7 @@ def solve_mixture(
         # No mixture can carry the required mass at this alpha.
         q = w @ qmat
         p, obj, _ = _water_fill(upper, q)
-        it, converged = 0, True
+        lower, it, converged = obj, 0, True
     else:
         qmat_u = qmat[:, union]
         upper_u = upper[union]
@@ -462,7 +491,7 @@ def solve_mixture(
 
         # Set once per solve, not per step: the step checks m for overflow.
         with np.errstate(over="ignore", invalid="ignore"):
-            p_u, q_u, w, obj, it, converged = _alternate(
+            p_u, q_u, w, obj, lower, it, converged = _alternate(
                 upper_u, w, lambda w: w @ qmat_u, step, threshold
             )
         p = np.zeros(counts.n)
@@ -476,6 +505,7 @@ def solve_mixture(
         mixture_weights=w,
         iterations=it,
         converged=converged,
+        lower_bound=lower,
     )
 
 
@@ -518,14 +548,78 @@ def solve_klball(
         bound, scale = _ball_linear_max(a, c, radius, scale)
         return q_next, obj + 1.0 - bound
 
-    p, q, _, obj, it, converged = _alternate(upper, c, lambda q: q, step, threshold)
+    p, q, _, obj, lower, it, converged = _alternate(upper, c, lambda q: q, step, threshold)
     return SolveResult(
         objective=obj,
         p_star=Distribution(p),
         q_star=Distribution(q),
         iterations=it,
         converged=converged,
+        lower_bound=lower,
     )
+
+
+class _KlBallCertificates:
+    """What the solved probes of one KL-ball bisection prove about later ones.
+
+    Let V(t) be the optimum with the box P <= t * phat, t = 1/(1 - alpha).
+    For any box multipliers lam >= 0 and level c > 0, weak duality gives
+
+        V(t) >= 1 + log(c) - max <a', Q> - t * Lambda,   Lambda = sum_i phat_i lam_i,
+
+    with a'_i = c exp(-lam_i) and the maximum over the ball: a lower bound
+    affine in t, valid at every alpha.  A probe that reads True from its
+    Frank-Wolfe bound B = obj + 1 - U (:func:`solve_klball`) takes c = max a
+    and lam = :func:`_box_duals` of its pair, the box duals of its fill.
+    Then a' = a, U bounds the maximum, and obj = log(c) - t0 * Lambda, so
+    the bound reads L(t) = B - (t - t0) * Lambda.  Both identities hold up to
+    the rounding of the fill, the duals and the sums, at most
+    4 (n + 8) eps times the size of the terms; a later probe reads True when
+    L(t) less that allowance reaches its threshold.
+
+    A probe that reads False from an iterate objective below its threshold
+    leaves its model Q.  A later probe water-fills against that Q and reads
+    False when the objective, an upper bound on V, is below its threshold:
+    the solver's own rule.  Neither rule solves, and both are proofs, so no
+    verdict changes.
+    """
+
+    def __init__(self, counts: EmpiricalCounts):
+        self._phat = empirical(counts).probs
+        self._tol = 4.0 * (counts.n + 8) * _EPS
+        self._minorant = None  # (t0, B, Lambda, rounding scale) of the latest True probe
+        self._model = None  # q_star of the latest converged probe below its threshold
+
+    def decide(self, alpha: float, threshold: float) -> bool | None:
+        """The verdict at ``alpha`` if a certificate settles it, else None."""
+        if self._minorant is not None:
+            t0, bound, slope, scale = self._minorant
+            t = 1.0 / (1.0 - alpha)
+            allowance = self._tol * (scale + t * (1.0 + slope))
+            if bound - (t - t0) * slope - allowance >= threshold:
+                return True
+        if self._model is not None:
+            if _water_fill(self._phat / (1.0 - alpha), self._model)[1] < threshold:
+                return False
+        return None
+
+    def record(self, alpha: float, threshold: float, result: SolveResult) -> None:
+        """Keep what ``result``, a solve at ``alpha`` under ``threshold``, proves."""
+        if result.lower_bound >= threshold:  # certified at the returned pair
+            p, q = result.p_star.probs, result.q_star.probs
+            with np.errstate(over="ignore", divide="ignore"):
+                c = float(np.divide(p, q, out=np.zeros_like(p), where=q > 0).max())
+                if not c < math.inf:  # P_i / Q_i overflowed (subnormal Q_i)
+                    return
+                lam = _box_duals(self._phat / (1.0 - alpha), q, c)
+            u = abs(result.objective + 1.0 - result.lower_bound)
+            scale = 1.0 + abs(result.lower_bound) + (1.0 + u) * (
+                1.0 + abs(math.log(c)) + float(lam.max())
+            )
+            slope = float(self._phat @ lam)
+            self._minorant = (1.0 / (1.0 - alpha), result.lower_bound, slope, scale)
+        elif result.converged and result.objective < threshold:
+            self._model = result.q_star.probs
 
 
 def _ball_linear_max(a: np.ndarray, center: np.ndarray, radius: float, scale: float | None):

@@ -30,6 +30,8 @@ from contamest import solver
 from contamest.estimator import DEFAULT_BISECT_TOL, _sweep_target, round_to_counts
 from contamest.oracle import compositions
 
+import test_solver
+
 
 def counts(*values):
     return EmpiricalCounts(np.asarray(values, dtype=np.int64))
@@ -469,7 +471,10 @@ def reference_estimate(c, model, epsilon, bisect_tol=DEFAULT_BISECT_TOL):
 
 def assert_same_estimate(c, model, epsilon, bisect_tol=DEFAULT_BISECT_TOL):
     got = estimate_alpha_lower(c, model, epsilon, bisect_tol)
-    want = reference_estimate(c, model, epsilon, bisect_tol)
+    return assert_same_fields(got, reference_estimate(c, model, epsilon, bisect_tol), c)
+
+
+def assert_same_fields(got, want, c):
     for field in fields(EstimateResult):
         g, w = getattr(got, field.name), getattr(want, field.name)
         assert type(g) is type(w), (field.name, type(g), type(w))
@@ -614,6 +619,47 @@ class TestProbePath:
         assert not estimate_alpha_lower(c, model, 0.05).contaminated
 
     @pytest.mark.parametrize(
+        "model_kind, tolerance",
+        [(kind, None) for kind in KINDS[1:]] + [(kind, 1.0) for kind in KINDS[1:]],
+        ids=KINDS[1:] + tuple(f"{kind}-tolerance-1" for kind in KINDS[1:]),
+    )
+    def test_verdict_outside_the_band_solves_once(self, model_kind, tolerance, monkeypatch):
+        # The full solve's objective below the threshold, or its converged
+        # bound at or above it, settles the verdict; only the band between
+        # them, or a solve that did not converge, runs the threshold probe.
+        if tolerance is not None:
+            monkeypatch.setattr(solver, "TOLERANCE", tolerance)
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(kwargs.get("threshold"))
+            return solve(*args, **kwargs)
+
+        rng = np.random.default_rng(83)
+        settled, probed = set(), 0
+        for c, model in self.random_instances(rng, model_kind):
+            for epsilon in (0.01, 0.05):
+                threshold = gof_threshold(c.total, c.n, epsilon)
+                full = solve(c, model, 0.0)
+                calls.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(estimator_module, "solve", counting_solve)
+                    verdict, margin = is_contaminated(c, model, epsilon)
+                assert margin == full.objective - threshold
+                if full.objective < threshold or (
+                    full.converged and full.lower_bound >= threshold
+                ):
+                    assert calls == [None]
+                    settled.add(verdict)
+                else:
+                    assert calls == [None, threshold]
+                    probed += 1
+        if tolerance is None:  # the default TOLERANCE settles every verdict here
+            assert settled == {False, True} and probed == 0
+        else:
+            assert probed > 0
+
+    @pytest.mark.parametrize(
         "model",
         [
             pytest.param(Mixture((uniform(3), dist(0.2, 0.3, 0.5))), id="mixture"),
@@ -684,22 +730,24 @@ class TestCertifiedProbes:
     def test_never_above_tight_bisection(self, monkeypatch):
         # The reference decides every probe by a tight full solve, one whose
         # objective is within 1e-14 of the optimum (a full solve stops at a
-        # certified gap of TOLERANCE, or at a cycle in rounding).  Every
-        # certified True must survive it, so the certified endpoint, a point
-        # of the same dyadic grid, never lies above the reference's.
+        # certified gap of TOLERANCE, or at a cycle in rounding).  Every True
+        # verdict must survive it, whether a solve or a certificate left by
+        # earlier probes decided it, so the certified endpoint, a point of
+        # the same dyadic grid, never lies above the reference's.
         decided = []
+        exceeds = estimator_module._exceeds
 
-        def recording_solve(*args, **kwargs):
-            res = solve(*args, **kwargs)
-            threshold = kwargs.get("threshold")
-            if threshold is not None and res.converged and res.objective >= threshold:
-                decided.append((args[0], args[1], args[2], threshold))
-            return res
+        def recording_exceeds(c, model, epsilon, p, alpha, *args, **kwargs):
+            verdict, res = exceeds(c, model, epsilon, p, alpha, *args, **kwargs)
+            if verdict:
+                threshold = gof_threshold(p * (1.0 - alpha), c.n, epsilon)
+                decided.append((c, model, alpha, threshold))
+            return verdict, res
 
         rng = np.random.default_rng(17)
         for c, model in self.instances(rng, 20):
             with monkeypatch.context() as m:
-                m.setattr(estimator_module, "solve", recording_solve)
+                m.setattr(estimator_module, "_exceeds", recording_exceeds)
                 got = estimate_alpha_lower(c, model, 0.05)
             with monkeypatch.context() as m:
                 m.setattr(solver, "TOLERANCE", 1e-14)
@@ -731,3 +779,73 @@ class TestCertifiedKlballProbes(TestCertifiedProbes):
                 assert not capped.contaminated and capped.alpha_lower == 0.0
                 refuted += full.contaminated
         assert refuted > 0
+
+
+def uncertified_estimate(c, model, epsilon):
+    """``estimate_alpha_lower``'s bisection with a solve at every probe:
+    ``_exceeds`` without certificates."""
+    p = c.total
+    contaminated, previous = estimator_module._exceeds(c, model, epsilon, p, 0.0)
+    lo, hi = 0.0, 1.0 if contaminated else 0.0
+    while hi - lo > DEFAULT_BISECT_TOL:
+        mid = 0.5 * (lo + hi)
+        verdict, previous = estimator_module._exceeds(c, model, epsilon, p, mid, None, previous)
+        lo, hi = (mid, hi) if verdict else (lo, mid)
+    final = solve(c, model, lo, warm_start=previous)
+    return EstimateResult(
+        alpha_lower=lo,
+        kappa=separation_distance(empirical(c), final.q_star),
+        c_lower=int(math.floor(p * lo)),
+        threshold_at_alpha=gof_threshold(p * (1.0 - lo), c.n, epsilon),
+        objective_at_alpha=final.objective,
+        contaminated=contaminated,
+        bisection_width=hi - lo,
+    )
+
+
+def klball_twosample_pair(seed, n):
+    """A contaminated pair of the benchmark's klball_twosample generator:
+    p = 5,000 n on both sides, 20% of the data's mass moved onto three
+    categories."""
+    rng = np.random.default_rng(seed)
+    q = rng.dirichlet(np.full(n, 5.0))
+    baseline = EmpiricalCounts(rng.multinomial(5000 * n, q))
+    target = 0.8 * q
+    target[rng.choice(n, size=3, replace=False)] += 0.2 / 3
+    return EmpiricalCounts(rng.multinomial(5000 * n, target)), baseline
+
+
+class TestKlballProbeCertificates:
+    """KL-ball probes decided by earlier probes' certificates: the same
+    verdicts as a solve at every probe, so the same bits, with fewer solves."""
+
+    @pytest.mark.parametrize("epsilon", [0.01, 0.05, 0.3])
+    def test_same_bits_as_a_solve_at_every_probe(self, epsilon):
+        flagged = 0
+        for seed in range(5):
+            for c, model in small_klballs(np.random.default_rng(seed), 20):
+                got = estimate_alpha_lower(c, model, epsilon)
+                assert_same_fields(got, uncertified_estimate(c, model, epsilon), c)
+                flagged += got.contaminated
+        assert flagged > 0
+
+    def test_same_bits_on_tiny_balls(self):
+        for c, center, radius in test_solver.TestSolveKlball.tiny_balls():
+            for epsilon in (0.05, 0.3):
+                model = KlBall(center, radius)
+                got = estimate_alpha_lower(c, model, epsilon)
+                assert_same_fields(got, uncertified_estimate(c, model, epsilon), c)
+
+    def test_contaminated_pair_solves_at_most_twelve_probes(self, monkeypatch):
+        # A solve at every probe takes 29 threshold solves on this pair.
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(kwargs.get("threshold"))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(estimator_module, "solve", counting_solve)
+        res = two_sample_test(*klball_twosample_pair(7, 80), 0.05)
+        assert res.contaminated and res.alpha_lower > 0
+        assert calls[-1] is None  # the final full solve
+        assert len(calls) - 1 <= 12, calls

@@ -823,6 +823,55 @@ class TestSolveKlball:
             assert max(full.iterations, tight.iterations) <= 10
 
 
+class TestKlBallCertificates:
+    @staticmethod
+    def balls():
+        """Seeded KL balls around the empirical distribution of 400 baseline
+        samples, one count set to 0 in every third, against 1,000 data
+        samples from an unrelated distribution."""
+        rng = np.random.default_rng(29)
+        for i in range(30):
+            n = int(rng.integers(3, 9))
+            base = rng.multinomial(400, rng.dirichlet(np.ones(n)))
+            if i % 3 == 0:
+                base[rng.integers(n)] = 0
+            baseline = EmpiricalCounts(base)
+            data = EmpiricalCounts(rng.multinomial(1000, rng.dirichlet(np.ones(n))))
+            yield data, empirical(baseline), klball_radius(baseline, 0.05)
+
+    def test_bounds_hold_at_every_alpha(self, monkeypatch):
+        # A probe's certificates hold at every alpha, not only at those a
+        # bisection visits after it.  The True side's affine bound, less its
+        # allowance, never passes a tight solve's objective (an upper bound
+        # on the optimum); the False side's fill never drops below a tight
+        # solve's certified lower bound.
+        alphas = (0.0, 0.05, 0.1, 0.11, 0.2, 0.29, 0.3, 0.31, 0.45, 0.6, 0.8, 0.95)
+        cases = 0
+        for c, center, radius in self.balls():
+            with monkeypatch.context() as m:
+                m.setattr(solver, "TOLERANCE", 1e-14)
+                tight = [solve_klball(c, center, radius, alpha) for alpha in alphas]
+            for alpha0 in (0.1, 0.3):
+                optimum = solve_klball(c, center, radius, alpha0).objective
+                if not optimum > 1e-6:
+                    continue
+                passed = solver._KlBallCertificates(c)
+                probe = solve_klball(c, center, radius, alpha0, threshold=0.5 * optimum)
+                assert probe.lower_bound >= 0.5 * optimum
+                passed.record(alpha0, 0.5 * optimum, probe)
+                assert passed.decide(alpha0, 0.25 * optimum) is True
+                failed = solver._KlBallCertificates(c)
+                probe = solve_klball(c, center, radius, alpha0, threshold=2.0 * optimum)
+                assert probe.converged and probe.objective < 2.0 * optimum
+                failed.record(alpha0, 2.0 * optimum, probe)
+                assert failed.decide(alpha0, 3.0 * optimum) is False
+                for alpha, res in zip(alphas, tight):
+                    assert passed.decide(alpha, res.objective + 1e-12) is None, alpha
+                    assert failed.decide(alpha, res.lower_bound - 1e-12) is None, alpha
+                cases += 1
+        assert cases > 40
+
+
 class TestSolveDispatch:
     def test_dispatches_and_validates(self):
         c = counts(8, 2)
