@@ -96,10 +96,10 @@ def _read_text(path: Path) -> str:
 
 
 def _read_json(path: Path):
-    """Decoded JSON of an input file."""
+    """Decoded JSON of an input file; nesting too deep to decode is unparseable."""
     try:
         return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"unparseable file: {path}: {exc}") from exc
 
 

@@ -34,7 +34,7 @@ from .distributions import (
     separation_distance,
     uniform,
 )
-from .solver import _KlBallCertificates, _singleton_profile, solve
+from .solver import _probes, solve
 
 DEFAULT_BISECT_TOL = 2.0**-28
 
@@ -75,35 +75,25 @@ class EstimateResult:
     bisection_width: float
 
 
-def _exceeds(counts, model, epsilon, p, alpha, profile=None, warm_start=None, certificates=None):
+def _exceeds(counts, model, epsilon, p, alpha, probes) -> bool:
     """Whether the distance to ``model`` at discard fraction ``alpha``
     provably reaches its threshold; ``p`` is ``counts.total``, an O(n) sum.
 
-    Returns the verdict and the latest solve: the one that decided, or
-    ``warm_start`` when no solve ran.  A singleton ``profile``
-    (``_singleton_profile``) decides outside its rounding bound of the
-    threshold, where it agrees with the exact solve.  KL-ball
-    ``certificates`` (``_KlBallCertificates``) decide from what earlier
-    probes' solves proved: a lower bound affine in 1/(1 - alpha), or an
-    earlier model whose water-fill here is below the threshold.  Otherwise
-    ``solve`` runs under the threshold, and ``certificates`` keep what it
-    proves.  It stops once the comparison is settled: by an iterate
+    ``probes`` (``solver._probes``) decides first; otherwise ``solve`` runs
+    under the threshold from ``probes.warm_start`` and ``probes`` records
+    it.  The solve stops once the comparison is settled: by an iterate
     objective below it (an upper bound on the optimum) or by a certified
     lower bound at or above it.  A solve cut by the iteration cap or by a
     cycle in rounding settles nothing and reads False, which can only
     shrink alpha_lower.
     """
     threshold = gof_threshold(p * (1.0 - alpha), counts.n, epsilon)
-    probe = profile(alpha) if profile is not None else None
-    if probe is not None and abs(probe[0] - threshold) > probe[1]:
-        return probe[0] >= threshold, warm_start
-    verdict = certificates.decide(alpha, threshold) if certificates is not None else None
-    if verdict is not None:
-        return verdict, warm_start
-    result = solve(counts, model, alpha, threshold=threshold, warm_start=warm_start)
-    if certificates is not None:
-        certificates.record(alpha, threshold, result)
-    return result.converged and result.objective >= threshold, result
+    verdict = probes.decide(alpha, threshold)
+    if verdict is None:
+        result = solve(counts, model, alpha, threshold=threshold, warm_start=probes.warm_start)
+        probes.record(alpha, threshold, result)
+        verdict = result.converged and result.objective >= threshold
+    return verdict
 
 
 def is_contaminated(
@@ -115,28 +105,24 @@ def is_contaminated(
     that ``estimate_alpha_lower`` reports as ``contaminated``: True only when
     the model-set KL distance provably reaches the decision threshold, so
     there are no false flags beyond the significance level.  Returns
-    ``(verdict, margin)`` with margin = objective - threshold, the objective
-    of a full solve.  A singleton's exact solve gives both.  A mixture or
-    KL-ball probe starts cold like the full solve and takes the same steps,
-    so its iterates are a prefix of the full solve's: the full solve's
-    objective below the threshold, or its converged bound at or above it,
-    settles the probe's verdict, and only the band between them, or a solve
-    that did not converge, runs the probe.
+    ``(verdict, margin)`` with margin = objective - threshold, from a full
+    solve that runs first for every model kind.  The probe starts cold like
+    the full solve and takes the same steps, so the full solve's objective
+    below the threshold, or its converged bound at or above it, settles the
+    verdict; only the band between them (never an exact singleton solve,
+    whose bound is its objective) or an unconverged solve runs the probe.
     """
     p = counts.total
     if p < 1:
         raise ValueError("empty dataset")
     threshold = gof_threshold(p, counts.n, epsilon)
-    if isinstance(model, Singleton):
-        verdict, full = _exceeds(counts, model, epsilon, p, 0.0)
+    full = solve(counts, model, 0.0)
+    if full.objective < threshold:
+        verdict = False
+    elif full.converged and full.lower_bound >= threshold:
+        verdict = True
     else:
-        full = solve(counts, model, 0.0)
-        if full.objective < threshold:
-            verdict = False
-        elif full.converged and full.lower_bound >= threshold:
-            verdict = True
-        else:
-            verdict = _exceeds(counts, model, epsilon, p, 0.0)[0]
+        verdict = _exceeds(counts, model, epsilon, p, 0.0, _probes(counts, model))
     return verdict, full.objective - threshold
 
 
@@ -155,13 +141,10 @@ def estimate_alpha_lower(
     the predicate already fails at alpha = 0 the dataset shows no detectable
     contamination and the bound is 0.
 
-    :func:`_exceeds` decides every probe, alpha = 0 included.  For a
-    singleton model the data is sorted once (``_singleton_profile``); for a
-    KL ball, each solved probe leaves certificates that decide later probes
-    without a solve (``_KlBallCertificates``).  Both only skip solves whose
-    verdict they prove, so the bisection visits the same points.  A final
-    full solve at ``alpha_lower`` gives ``objective_at_alpha``; it starts
-    cold for a KL ball and from the last probe's solve for a mixture.
+    :func:`_exceeds` decides every probe, alpha = 0 included, with one probe
+    object per estimate (``solver._probes``, which lists its forms per model
+    kind).  A final full solve at ``alpha_lower`` from the object's
+    ``warm_start`` gives ``objective_at_alpha``.
     """
     p = counts.total
     if p < 1:
@@ -169,24 +152,16 @@ def estimate_alpha_lower(
     if not 0 < bisect_tol < math.inf:  # NaN fails both comparisons
         raise ValueError("bisect_tol must be finite and positive")
 
-    # Each solve warm-starts from the previous one: consecutive alphas are
-    # close, so the previous optimum is a near-optimal start.  A warm start
-    # changes the iterates, never the limit (joint convexity).
-    profile = _singleton_profile(counts, model.q0) if isinstance(model, Singleton) else None
-    certificates = _KlBallCertificates(counts) if isinstance(model, KlBall) else None
-    contaminated, previous = _exceeds(
-        counts, model, epsilon, p, 0.0, profile, certificates=certificates
-    )
+    probes = _probes(counts, model)
+    contaminated = _exceeds(counts, model, epsilon, p, 0.0, probes)
     lo, hi = 0.0, 1.0 if contaminated else 0.0
     while hi - lo > bisect_tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:  # bisect_tol is below the float spacing here
             break
-        verdict, previous = _exceeds(
-            counts, model, epsilon, p, mid, profile, previous, certificates
-        )
+        verdict = _exceeds(counts, model, epsilon, p, mid, probes)
         lo, hi = (mid, hi) if verdict else (lo, mid)
-    final = solve(counts, model, lo, warm_start=previous)
+    final = solve(counts, model, lo, warm_start=probes.warm_start)
 
     kappa = separation_distance(empirical(counts), final.q_star)
     return EstimateResult(

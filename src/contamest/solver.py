@@ -11,12 +11,7 @@ the data mass.  The solvers compute
     min  D(P || Q)   over  P in the box,  Q in the model set.
 
 For a singleton model the optimum has an exact water-filling form and is
-solved directly from the KKT conditions in O(n log n).  A bisection over
-alpha asks the same singleton question many times; :func:`_singleton_profile`
-sorts once and answers each alpha in O(log n) from prefix sums, with a bound
-on its rounding difference from :func:`solve_singleton`.  Inside that
-fallback band the caller re-solves exactly, so every decision matches the
-exact solve's.  Mixture and KL-ball
+solved directly from the KKT conditions in O(n log n).  Mixture and KL-ball
 model sets share one loop of alternating exact block minimizations,
 :func:`_alternate`; the objective is jointly convex over a product of convex
 sets, so the descent converges to the global value.  Each model step also
@@ -24,12 +19,10 @@ certifies a Frank-Wolfe lower bound on the optimum, returned as
 ``SolveResult.lower_bound``.  :func:`solve` lists the loop's stopping
 rules, which read the fixed module constants ``TOLERANCE`` and
 ``MAX_ITERATIONS``; a solve stopped by the iteration cap returns the last
-water-filled pair with ``converged=False``.  A KL-ball bisection keeps
-:class:`_KlBallCertificates`: by weak duality, the bound of a probe that
-reached its threshold, with the box duals of its pair, gives a lower bound
-affine in t = 1/(1 - alpha) at every alpha, and the model of a probe that
-fell below its threshold gives an upper bound by one water-fill.  Together
-they decide most later probes without a solve.
+water-filled pair with ``converged=False``.  A bisection over alpha keeps
+one :class:`_Probes` object from :func:`_probes`, chosen by model kind like
+:func:`solve`, which decides the probes that earlier solves or one sort of
+the data prove without a solve.
 """
 
 from __future__ import annotations
@@ -559,7 +552,43 @@ def solve_klball(
     )
 
 
-class _KlBallCertificates:
+class _Probes:
+    """The probes of one bisection over alpha, and what their solves leave.
+
+    ``decide(alpha, threshold)`` is the verdict "the optimum at ``alpha`` is
+    at or above ``threshold``" if what the object holds proves it, else None;
+    the caller then solves from ``warm_start`` and passes the result to
+    ``record``.  Each form only skips solves whose verdict it proves, so the
+    bisection visits the same points.  This base form, for mixtures, keeps
+    the latest solve as the next warm start: consecutive alphas are close,
+    and a warm start changes the iterates, never the limit (joint
+    convexity).  Singleton and KL-ball solves ignore it.
+    """
+
+    warm_start: SolveResult | None = None
+
+    def decide(self, alpha: float, threshold: float) -> bool | None:
+        return None
+
+    def record(self, alpha: float, threshold: float, result: SolveResult) -> None:
+        self.warm_start = result
+
+
+class _SingletonProbes(_Probes):
+    """Singleton probes answered by :func:`_singleton_profile`, which sorts once;
+    only a probe within its rounding bound of the threshold runs a solve."""
+
+    def __init__(self, counts: EmpiricalCounts, q0: Distribution):
+        self._profile = _singleton_profile(counts, q0)
+
+    def decide(self, alpha: float, threshold: float) -> bool | None:
+        probe = self._profile(alpha) if self._profile is not None else None
+        if probe is not None and abs(probe[0] - threshold) > probe[1]:
+            return probe[0] >= threshold
+        return None
+
+
+class _KlBallCertificates(_Probes):
     """What the solved probes of one KL-ball bisection prove about later ones.
 
     Let V(t) be the optimum with the box P <= t * phat, t = 1/(1 - alpha).
@@ -580,8 +609,7 @@ class _KlBallCertificates:
     A probe that reads False from an iterate objective below its threshold
     leaves its model Q.  A later probe water-fills against that Q and reads
     False when the objective, an upper bound on V, is below its threshold:
-    the solver's own rule.  Neither rule solves, and both are proofs, so no
-    verdict changes.
+    the solver's own rule.
     """
 
     def __init__(self, counts: EmpiricalCounts):
@@ -788,3 +816,12 @@ def solve(
     if isinstance(model, KlBall):
         return solve_klball(counts, model.center, model.radius, alpha, threshold=threshold)
     raise TypeError(f"unknown model set: {type(model).__name__}")
+
+
+def _probes(counts: EmpiricalCounts, model: ModelSet) -> _Probes:
+    """The probe object of one bisection of ``counts`` against ``model``."""
+    if isinstance(model, Singleton):
+        return _SingletonProbes(counts, model.q0)
+    if isinstance(model, KlBall):
+        return _KlBallCertificates(counts)
+    return _Probes()

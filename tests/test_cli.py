@@ -23,6 +23,7 @@ from contamest.distributions import (
 from contamest.estimator import estimate_alpha_lower, is_contaminated, two_sample_test
 
 BAD_JSON = "{oops"
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
 POINT_MASS_A = {"kind": "singleton", "probs": {"a": 1}}
 
 
@@ -30,6 +31,13 @@ def decode_error(text):
     try:
         json.loads(text)
     except json.JSONDecodeError as exc:
+        return str(exc)
+
+
+def recursion_error(text):
+    try:
+        json.loads(text)
+    except RecursionError as exc:
         return str(exc)
 
 
@@ -523,6 +531,20 @@ class TestCommands:
                 {"m.json": json.dumps({"kind": "singleton", "probs": "q.json"}),
                  "q.json": BAD_JSON},
                 "d.csv", "q.json", decode_error(BAD_JSON), id="probs-file-json",
+            ),
+            # Nesting that json.dumps cannot build: the decoder hits the recursion limit.
+            pytest.param(
+                {"m.json": DEEP_JSON}, "d.csv", "m.json", recursion_error(DEEP_JSON),
+                id="spec-deep-json",
+            ),
+            pytest.param(
+                {"d.json": DEEP_JSON}, "d.json", "d.json", recursion_error(DEEP_JSON),
+                id="count-file-deep-json",
+            ),
+            pytest.param(
+                {"m.json": json.dumps({"kind": "singleton", "probs": "q.json"}),
+                 "q.json": DEEP_JSON},
+                "d.csv", "q.json", recursion_error(DEEP_JSON), id="probs-file-deep-json",
             ),
             pytest.param(
                 {"m.json": json.dumps({"kind": "singleton", "probs": [0.5, 0.5]})},

@@ -620,13 +620,14 @@ class TestProbePath:
 
     @pytest.mark.parametrize(
         "model_kind, tolerance",
-        [(kind, None) for kind in KINDS[1:]] + [(kind, 1.0) for kind in KINDS[1:]],
-        ids=KINDS[1:] + tuple(f"{kind}-tolerance-1" for kind in KINDS[1:]),
+        [(kind, None) for kind in KINDS] + [(kind, 1.0) for kind in KINDS],
+        ids=KINDS + tuple(f"{kind}-tolerance-1" for kind in KINDS),
     )
     def test_verdict_outside_the_band_solves_once(self, model_kind, tolerance, monkeypatch):
         # The full solve's objective below the threshold, or its converged
         # bound at or above it, settles the verdict; only the band between
         # them, or a solve that did not converge, runs the threshold probe.
+        # An exact singleton solve, whose bound is its objective, settles it.
         if tolerance is not None:
             monkeypatch.setattr(solver, "TOLERANCE", tolerance)
         calls = []
@@ -654,7 +655,8 @@ class TestProbePath:
                 else:
                     assert calls == [None, threshold]
                     probed += 1
-        if tolerance is None:  # the default TOLERANCE settles every verdict here
+        if tolerance is None or model_kind == "singleton":
+            # The default TOLERANCE, or an exact solve, settles every verdict here.
             assert settled == {False, True} and probed == 0
         else:
             assert probed > 0
@@ -737,12 +739,12 @@ class TestCertifiedProbes:
         decided = []
         exceeds = estimator_module._exceeds
 
-        def recording_exceeds(c, model, epsilon, p, alpha, *args, **kwargs):
-            verdict, res = exceeds(c, model, epsilon, p, alpha, *args, **kwargs)
+        def recording_exceeds(c, model, epsilon, p, alpha, probes):
+            verdict = exceeds(c, model, epsilon, p, alpha, probes)
             if verdict:
                 threshold = gof_threshold(p * (1.0 - alpha), c.n, epsilon)
                 decided.append((c, model, alpha, threshold))
-            return verdict, res
+            return verdict
 
         rng = np.random.default_rng(17)
         for c, model in self.instances(rng, 20):
@@ -782,25 +784,11 @@ class TestCertifiedKlballProbes(TestCertifiedProbes):
 
 
 def uncertified_estimate(c, model, epsilon):
-    """``estimate_alpha_lower``'s bisection with a solve at every probe:
-    ``_exceeds`` without certificates."""
-    p = c.total
-    contaminated, previous = estimator_module._exceeds(c, model, epsilon, p, 0.0)
-    lo, hi = 0.0, 1.0 if contaminated else 0.0
-    while hi - lo > DEFAULT_BISECT_TOL:
-        mid = 0.5 * (lo + hi)
-        verdict, previous = estimator_module._exceeds(c, model, epsilon, p, mid, None, previous)
-        lo, hi = (mid, hi) if verdict else (lo, mid)
-    final = solve(c, model, lo, warm_start=previous)
-    return EstimateResult(
-        alpha_lower=lo,
-        kappa=separation_distance(empirical(c), final.q_star),
-        c_lower=int(math.floor(p * lo)),
-        threshold_at_alpha=gof_threshold(p * (1.0 - lo), c.n, epsilon),
-        objective_at_alpha=final.objective,
-        contaminated=contaminated,
-        bisection_width=hi - lo,
-    )
+    """``estimate_alpha_lower`` with a solve at every probe: the base probe
+    object, which decides nothing."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(estimator_module, "_probes", lambda counts, model: solver._Probes())
+        return estimate_alpha_lower(c, model, epsilon)
 
 
 def klball_twosample_pair(seed, n):
