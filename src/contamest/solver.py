@@ -16,10 +16,13 @@ model sets share one loop of alternating exact block minimizations,
 :func:`_alternate`; the objective is jointly convex over a product of convex
 sets, so the descent converges to the global value.  Each model step also
 certifies a Frank-Wolfe lower bound on the optimum, returned as
-``SolveResult.lower_bound``.  :func:`solve` lists the loop's stopping
-rules, which read the fixed module constants ``TOLERANCE`` and
-``MAX_ITERATIONS``; a solve stopped by the iteration cap returns the last
-water-filled pair with ``converged=False``.  A bisection over alpha keeps
+``SolveResult.lower_bound``.  The mixture step is SQUAREM with a
+face-restricted Newton step when its extrapolation is rejected, and it
+hands the loop the fill of the weights it returns, so no pair is filled
+twice.  :func:`solve` lists the loop's stopping rules, which read the
+fixed module constants ``TOLERANCE`` and ``MAX_ITERATIONS``; a solve
+stopped by the iteration cap returns the last water-filled pair with
+``converged=False``.  A bisection over alpha keeps
 one :class:`_Probes` object from :func:`_probes`, chosen by model kind like
 :func:`solve`, which decides the probes that earlier solves or one sort of
 the data prove without a solve.
@@ -50,6 +53,13 @@ TOLERANCE = 1e-10
 MAX_ITERATIONS = 10_000
 
 _EPS = float(np.finfo(float).eps)
+
+# The mixture step's Newton move (:func:`solve_mixture`): its face holds the
+# weights above _FACE_WEIGHT and those whose m_j exceeds 1 + _FACE_GRADIENT,
+# and a trial step is halved at most _NEWTON_HALVINGS times.
+_FACE_WEIGHT = 1e-9
+_FACE_GRADIENT = 1e-12
+_NEWTON_HALVINGS = 4
 
 
 def _caps(counts: EmpiricalCounts, alpha: float) -> np.ndarray:
@@ -369,18 +379,25 @@ def _alternate(upper, state, model, step, threshold):
 
     Each iteration water-fills the box against ``q = model(state)``; then
     ``step(p, q, objective, state)`` minimizes over the model with P fixed
-    and returns the next state and a certified lower bound on the optimum.
-    Before the first step the bound is 0, as D is never negative.  An
-    infinite objective ends the loop after the first iteration, whose model
-    may miss the data's support.  The other stopping rules are those of
-    :func:`solve`.  Returns ``(p, q, state, objective, lower, iterations,
-    converged)``: the last water-filled pair, the state that produced q and
-    the last certified bound.
+    and returns the next state, a certified lower bound on the optimum and
+    the next state's fill ``(p, q, objective)`` if it already holds it, else
+    None.  A handed-over fill takes the place of the next iteration's own,
+    so it must be the one that iteration would compute.  Before the first
+    step the bound is 0, as D is never negative.  An infinite objective ends
+    the loop after the first iteration, whose model may miss the data's
+    support.  The other stopping rules are those of :func:`solve`.  Returns
+    ``(p, q, state, objective, lower, iterations, converged)``: the last
+    water-filled pair, the state that produced q and the last certified
+    bound.
     """
     lower, recent = 0.0, ()  # recent: (objective, state) of the last 8 iterations
+    fill = None
     for it in range(1, MAX_ITERATIONS + 1):
-        q = model(state)
-        p, obj, _ = _water_fill(upper, q)
+        if fill is None:
+            q = model(state)
+            p, obj, _ = _water_fill(upper, q)
+        else:
+            p, q, obj = fill
         if threshold is None:
             done = obj - lower <= TOLERANCE
         else:
@@ -392,7 +409,7 @@ def _alternate(upper, state, model, step, threshold):
         if recent and obj >= recent[-1][0]:
             if any(o == obj and np.array_equal(state, s) for o, s in recent):
                 return p, q, state, obj, lower, it, False
-        next_state, lower = step(p, q, obj, state)
+        next_state, lower, fill = step(p, q, obj, state)
         if threshold is not None and lower >= threshold:
             return p, q, state, obj, lower, it, True
         if it < MAX_ITERATIONS:
@@ -421,10 +438,24 @@ def solve_mixture(
     bound.  The model step is SQUAREM (Varadhan & Roland, 2008) over F:
     with w1 = F(w), w2 = F(w1), r = w1 - w, v = w2 - w1 - r and
     a = min(-|r|/|v|, -1) it tries w - 2a r + a^2 v (floored at 1e-15 and
-    renormalised), kept if its objective is at most that of w1 and replaced
-    by w2 otherwise, so the objective never increases.  The step certifies
-    the larger of the bounds at w and at w1.  Weights start uniform, or from
-    the ``mixture_weights`` of ``warm_start`` (a warm start changes the
+    renormalised), kept if its objective is at most that of w1.  Otherwise
+    it water-fills at w2 and tries one Newton step from there on
+    g(w) = min over the box of D(P || w @ Q), restricted to the face
+    S = {j : w2_j > 1e-9 or m_j > 1 + 1e-12}.  H is the Hessian of g while
+    the fill keeps its active set: the sum over the capped categories of
+    P_i Q_i Q_i^T / q_i^2, plus U a a^T / T^2, with U and T the P and q mass
+    of the free categories and a_j the mass of Q_j there.  (The fixed-P
+    Hessian, that sum over every category, ignores that the free P_i follow
+    q; at large alpha it can overstate the curvature a hundredfold.)  The
+    step d solves [H 1; 1^T 0][d; mu] = [m_S; 0], by least squares if that
+    is singular (g is then flat along some direction of the face); it is
+    clipped at the simplex boundary, floored at 1e-15 and renormalised, and
+    halved at most four times until its objective is at most that of w2;
+    else the step returns w2.  So the objective never increases.  Every
+    point the step returns comes with its fill, which the next iteration
+    uses in place of its own.  The step certifies the largest of the bounds
+    at w, at w1 and, when it tries Newton, at w2.  Weights start uniform, or
+    from the ``mixture_weights`` of ``warm_start`` (a warm start changes the
     iterates, not the limit: the objective is jointly convex).
     ``mixture_weights`` are the weights of ``q_star``.
     """
@@ -453,34 +484,93 @@ def solve_mixture(
         qmat_u = qmat[:, union]
         upper_u = upper[union]
 
-        def em(p_u, q_u, obj, w):
-            """F(w) from the water-filled pair at w, and the bound at w."""
+        def fill(w):
+            """The water-filled pair ``(p, q, objective)`` at weights w."""
+            q = w @ qmat_u
+            p, obj, _ = _water_fill(upper_u, q)
+            return p, q, obj
+
+        def gradient(p_u, q_u, obj):
+            """m at the water-filled pair, and the Frank-Wolfe bound there."""
             ratio = np.where(q_u > 0, p_u / np.where(q_u > 0, q_u, 1.0), 0.0)
             m = qmat_u @ ratio
             m_max = float(m.max())
             if not math.isfinite(m_max):  # p_i / q_i overflowed (subnormal q_i)
                 m = np.divide(qmat_u, q_u, out=np.zeros_like(qmat_u), where=q_u > 0) @ p_u
                 m_max = float(m.max())
+            return m, obj - (m_max - 1.0)
+
+        def em(p_u, q_u, obj, w):
+            """F(w) from the water-filled pair at w, and the bound at w."""
+            m, lower = gradient(p_u, q_u, obj)
             w = w * m
-            return w / w.sum(), obj - (m_max - 1.0)
+            return w / w.sum(), lower
+
+        def newton(w2, lower):
+            """The face-restricted Newton step from w2, or w2 itself."""
+            q2 = w2 @ qmat_u
+            p2, obj2, level = _water_fill(upper_u, q2)
+            fill2 = p2, q2, obj2
+            m2, lower2 = gradient(p2, q2, obj2)
+            lower = max(lower, lower2)
+            face = (w2 > _FACE_WEIGHT) | (m2 > 1.0 + _FACE_GRADIENT)
+            size = int(np.count_nonzero(face))
+            if size < 2 or level is None or not level < math.inf:
+                return w2, lower, fill2
+            # The Hessian of g on the fill's active set: capped P_i stay at
+            # their caps, free ones share the free mass in proportion to q.
+            free = upper_u > level * q2
+            q_face = qmat_u[face]
+            q_safe = np.where(q2 > 0, q2, 1.0)
+            curv = np.where(free, 0.0, p2 / q_safe / q_safe)  # P_i / q_i**2 on the caps
+            kkt = np.ones((size + 1, size + 1))
+            kkt[:size, :size] = (q_face * curv) @ q_face.T
+            kkt[size, size] = 0.0
+            free_mass = float(p2[free].sum())
+            if free_mass > 0:
+                b = q_face[:, free].sum(axis=1) / float(q2[free].sum())
+                kkt[:size, :size] += free_mass * np.outer(b, b)
+            if not np.isfinite(kkt).all():  # P_i / q_i**2 overflowed
+                return w2, lower, fill2
+            rhs = np.append(m2[face], 0.0)
+            try:
+                d = np.linalg.solve(kkt, rhs)[:size]
+            except np.linalg.LinAlgError:
+                # Fewer capped categories than face weights leave g flat along
+                # some directions: take the least-norm step.
+                d = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:size]
+            if not np.isfinite(d).all():
+                return w2, lower, fill2
+            shrink = d < 0
+            t = min(1.0, float(np.min(w2[face][shrink] / -d[shrink]))) if shrink.any() else 1.0
+            for _ in range(_NEWTON_HALVINGS + 1):
+                w_try = w2.copy()
+                w_try[face] += t * d
+                w_try = np.maximum(w_try, 1e-15)
+                w_try /= w_try.sum()
+                fill_try = fill(w_try)
+                if fill_try[2] <= obj2:
+                    return w_try, lower, fill_try
+                t *= 0.5
+            return w2, lower, fill2
 
         def step(p_u, q_u, obj, w):
             w1, lower = em(p_u, q_u, obj, w)
-            q1 = w1 @ qmat_u
-            p1, obj1, _ = _water_fill(upper_u, q1)
+            p1, q1, obj1 = fill(w1)
             w2, lower1 = em(p1, q1, obj1, w1)
             lower = max(lower, lower1)
             r = w1 - w
             v = w2 - w1 - r
             v_norm = float(np.linalg.norm(v))
             if v_norm == 0:
-                return w2, lower
+                return w2, lower, None
             a = min(-float(np.linalg.norm(r)) / v_norm, -1.0)
             w_ext = np.maximum(w - 2.0 * a * r + a * a * v, 1e-15)
             w_ext /= w_ext.sum()
-            if _water_fill(upper_u, w_ext @ qmat_u)[1] <= obj1:
-                return w_ext, lower
-            return w2, lower
+            fill_ext = fill(w_ext)
+            if fill_ext[2] <= obj1:
+                return w_ext, lower, fill_ext
+            return newton(w2, lower)
 
         # Set once per solve, not per step: the step checks m for overflow.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -534,12 +624,12 @@ def solve_klball(
         nonlocal scale
         q_next = _ball_projection(p, c, radius)
         if math.isinf(obj):  # the subgradient needs a finite objective
-            return q_next, -math.inf
+            return q_next, -math.inf, None
         with np.errstate(over="ignore"):  # P_i / Q_i overflows for subnormal Q_i
             a = np.divide(p, q, out=np.zeros_like(p), where=q > 0)
         a[(q == 0) & (upper > 0)] = a.max()
         bound, scale = _ball_linear_max(a, c, radius, scale)
-        return q_next, obj + 1.0 - bound
+        return q_next, obj + 1.0 - bound, None
 
     p, q, _, obj, lower, it, converged = _alternate(upper, c, lambda q: q, step, threshold)
     return SolveResult(

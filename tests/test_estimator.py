@@ -760,6 +760,24 @@ class TestCertifiedProbes:
             assert got.alpha_lower <= want.alpha_lower
 
 
+class TestMixtureFullSolves:
+    """Full solves that the multiplicative step and SQUAREM alone leave at the cap."""
+
+    @pytest.mark.parametrize(
+        "seed, count, index, alpha",
+        [
+            (17, 20, 10, 0.8),  # the iteration cap with a gap of 9.4e-6
+            (2, 40, 36, 0.25),  # interior weights; the cap with a gap of 6.3e-6
+        ],
+    )
+    def test_converges_to_certified_gap(self, seed, count, index, alpha):
+        c, model = list(small_mixtures(np.random.default_rng(seed), count))[index]
+        res = solve(c, model, alpha)
+        assert res.converged
+        assert res.objective - res.lower_bound <= solver.TOLERANCE
+        assert res.iterations < 1_000
+
+
 class TestCertifiedKlballProbes(TestCertifiedProbes):
     """The same for KL-ball probes, centers with zero masses included."""
 

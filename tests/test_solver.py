@@ -589,6 +589,47 @@ class TestSolveMixture:
         assert solve(c, model, 0.0).objective < threshold
         assert not (probe.converged and probe.objective >= threshold)
 
+    @staticmethod
+    def criterion_5_instances(count):
+        """The first ``count`` instances of acceptance criterion 5."""
+        rng = np.random.default_rng(20240005)
+        for _ in range(count):
+            comps = tuple(Distribution(rng.dirichlet(np.ones(50))) for _ in range(10))
+            truth = rng.dirichlet(np.ones(50))
+            yield EmpiricalCounts(rng.multinomial(100_000, truth)), Mixture(comps)
+
+    def test_step_hands_over_its_fill(self, monkeypatch):
+        # The model step returns the fill of the state it returns, so no
+        # iteration water-fills the pair that the call before it filled.
+        calls = []
+
+        def recording_fill(upper, q):
+            calls.append((upper.tobytes(), q.tobytes()))
+            return _water_fill(upper, q)
+
+        monkeypatch.setattr(solver, "_water_fill", recording_fill)
+        for c, model in self.criterion_5_instances(3):
+            calls.clear()
+            estimate_alpha_lower(c, model, 0.05)
+            assert len(calls) > 100
+            assert all(a != b for a, b in zip(calls, calls[1:]))
+
+    def test_flat_valley_work_count(self, monkeypatch):
+        # Instance 24 of criterion 5 ends with weights from 0.64 down to
+        # 1e-233; the multiplicative step alone shrinks such a weight only
+        # geometrically, and SQUAREM took 7,822 iterations on it.
+        iterations = []
+
+        def counting_solve(*args, **kwargs):
+            result = solve_mixture(*args, **kwargs)
+            iterations.append(result.iterations)
+            return result
+
+        *_, (c, model) = self.criterion_5_instances(25)
+        monkeypatch.setattr(solver, "solve_mixture", counting_solve)
+        estimate_alpha_lower(c, model, 0.05)
+        assert sum(iterations) <= 1_000, iterations
+
     def test_support_deficit(self):
         # No component puts mass on category 1, so no mixture can carry the
         # data's mass there until half the sample is discarded.
