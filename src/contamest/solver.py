@@ -16,16 +16,16 @@ model sets share one loop of alternating exact block minimizations,
 :func:`_alternate`; the objective is jointly convex over a product of convex
 sets, so the descent converges to the global value.  Each model step also
 certifies a Frank-Wolfe lower bound on the optimum, returned as
-``SolveResult.lower_bound``.  The mixture step is SQUAREM with a
-face-restricted Newton step when its extrapolation is rejected, and it
-hands the loop the fill of the weights it returns, so no pair is filled
-twice.  :func:`solve` lists the loop's stopping rules, which read the
+``SolveResult.lower_bound``.  Every model step returns the fill of the
+state it returns, the next iteration's water-filled pair; the mixture step
+is SQUAREM with a face-restricted Newton step when its extrapolation is
+rejected.  :func:`solve` lists the loop's stopping rules, which read the
 fixed module constants ``TOLERANCE`` and ``MAX_ITERATIONS``; a solve
 stopped by the iteration cap returns the last water-filled pair with
-``converged=False``.  A bisection over alpha keeps
-one :class:`_Probes` object from :func:`_probes`, chosen by model kind like
-:func:`solve`, which decides the probes that earlier solves or one sort of
-the data prove without a solve.
+``converged=False``.  A bisection over alpha keeps one :class:`_Probes`
+object from :func:`_probes`, chosen by model kind like :func:`solve`,
+which decides the probes that earlier solves or one sort of the data
+prove without a solve; the singleton form decides every probe.
 """
 
 from __future__ import annotations
@@ -374,30 +374,24 @@ def closed_form_singleton(
     )
 
 
-def _alternate(upper, state, model, step, threshold):
+def _alternate(state, fill, step, threshold):
     """The alternating loop of :func:`solve_mixture` and :func:`solve_klball`.
 
-    Each iteration water-fills the box against ``q = model(state)``; then
+    ``fill`` is the fill ``(p, q, objective, level)`` of the first state:
+    the box water-filled against the state's model q.  Each iteration's
     ``step(p, q, objective, state)`` minimizes over the model with P fixed
     and returns the next state, a certified lower bound on the optimum and
-    the next state's fill ``(p, q, objective)`` if it already holds it, else
-    None.  A handed-over fill takes the place of the next iteration's own,
-    so it must be the one that iteration would compute.  Before the first
-    step the bound is 0, as D is never negative.  An infinite objective ends
-    the loop after the first iteration, whose model may miss the data's
-    support.  The other stopping rules are those of :func:`solve`.  Returns
+    the next state's fill.  Before the first step the bound is 0, as D is
+    never negative.  An infinite objective ends the loop after the first
+    iteration, whose model may miss the data's support.  The other stopping
+    rules are those of :func:`solve`.  Returns
     ``(p, q, state, objective, lower, iterations, converged)``: the last
     water-filled pair, the state that produced q and the last certified
     bound.
     """
     lower, recent = 0.0, ()  # recent: (objective, state) of the last 8 iterations
-    fill = None
     for it in range(1, MAX_ITERATIONS + 1):
-        if fill is None:
-            q = model(state)
-            p, obj, _ = _water_fill(upper, q)
-        else:
-            p, q, obj = fill
+        p, q, obj, _ = fill
         if threshold is None:
             done = obj - lower <= TOLERANCE
         else:
@@ -409,12 +403,12 @@ def _alternate(upper, state, model, step, threshold):
         if recent and obj >= recent[-1][0]:
             if any(o == obj and np.array_equal(state, s) for o, s in recent):
                 return p, q, state, obj, lower, it, False
-        next_state, lower, fill = step(p, q, obj, state)
+        next_state, lower, next_fill = step(p, q, obj, state)
         if threshold is not None and lower >= threshold:
             return p, q, state, obj, lower, it, True
         if it < MAX_ITERATIONS:
             recent = (recent + ((obj, state),))[-8:]
-            state = next_state
+            state, fill = next_state, next_fill
     return p, q, state, obj, lower, MAX_ITERATIONS, False
 
 
@@ -452,10 +446,10 @@ def solve_mixture(
     clipped at the simplex boundary, floored at 1e-15 and renormalised, and
     halved at most four times until its objective is at most that of w2;
     else the step returns w2.  So the objective never increases.  Every
-    point the step returns comes with its fill, which the next iteration
-    uses in place of its own.  The step certifies the largest of the bounds
-    at w, at w1 and, when it tries Newton, at w2.  Weights start uniform, or
-    from the ``mixture_weights`` of ``warm_start`` (a warm start changes the
+    point the step returns comes with its fill, the next iteration's pair.
+    The step certifies the largest of the bounds at w, at w1 and, when it
+    tries Newton, at w2.  Weights start uniform, or from the
+    ``mixture_weights`` of ``warm_start`` (a warm start changes the
     iterates, not the limit: the objective is jointly convex).
     ``mixture_weights`` are the weights of ``q_star``.
     """
@@ -485,10 +479,10 @@ def solve_mixture(
         upper_u = upper[union]
 
         def fill(w):
-            """The water-filled pair ``(p, q, objective)`` at weights w."""
+            """The fill ``(p, q, objective, level)`` at weights w."""
             q = w @ qmat_u
-            p, obj, _ = _water_fill(upper_u, q)
-            return p, q, obj
+            p, obj, level = _water_fill(upper_u, q)
+            return p, q, obj, level
 
         def gradient(p_u, q_u, obj):
             """m at the water-filled pair, and the Frank-Wolfe bound there."""
@@ -508,9 +502,7 @@ def solve_mixture(
 
         def newton(w2, lower):
             """The face-restricted Newton step from w2, or w2 itself."""
-            q2 = w2 @ qmat_u
-            p2, obj2, level = _water_fill(upper_u, q2)
-            fill2 = p2, q2, obj2
+            fill2 = p2, q2, obj2, level = fill(w2)
             m2, lower2 = gradient(p2, q2, obj2)
             lower = max(lower, lower2)
             face = (w2 > _FACE_WEIGHT) | (m2 > 1.0 + _FACE_GRADIENT)
@@ -556,14 +548,14 @@ def solve_mixture(
 
         def step(p_u, q_u, obj, w):
             w1, lower = em(p_u, q_u, obj, w)
-            p1, q1, obj1 = fill(w1)
+            p1, q1, obj1, _ = fill(w1)
             w2, lower1 = em(p1, q1, obj1, w1)
             lower = max(lower, lower1)
             r = w1 - w
             v = w2 - w1 - r
             v_norm = float(np.linalg.norm(v))
             if v_norm == 0:
-                return w2, lower, None
+                return w2, lower, fill(w2)
             a = min(-float(np.linalg.norm(r)) / v_norm, -1.0)
             w_ext = np.maximum(w - 2.0 * a * r + a * a * v, 1e-15)
             w_ext /= w_ext.sum()
@@ -574,9 +566,7 @@ def solve_mixture(
 
         # Set once per solve, not per step: the step checks m for overflow.
         with np.errstate(over="ignore", invalid="ignore"):
-            p_u, q_u, w, obj, lower, it, converged = _alternate(
-                upper_u, w, lambda w: w @ qmat_u, step, threshold
-            )
+            p_u, q_u, w, obj, lower, it, converged = _alternate(w, fill(w), step, threshold)
         p = np.zeros(counts.n)
         p[union] = p_u
         q = np.zeros(counts.n)
@@ -620,18 +610,23 @@ def solve_klball(
     c = center.probs
     scale = None
 
+    def fill(q):
+        """The fill ``(p, q, objective, level)`` against the model q."""
+        p, obj, level = _water_fill(upper, q)
+        return p, q, obj, level
+
     def step(p, q, obj, state):
         nonlocal scale
         q_next = _ball_projection(p, c, radius)
         if math.isinf(obj):  # the subgradient needs a finite objective
-            return q_next, -math.inf, None
+            return q_next, -math.inf, fill(q_next)
         with np.errstate(over="ignore"):  # P_i / Q_i overflows for subnormal Q_i
             a = np.divide(p, q, out=np.zeros_like(p), where=q > 0)
         a[(q == 0) & (upper > 0)] = a.max()
         bound, scale = _ball_linear_max(a, c, radius, scale)
-        return q_next, obj + 1.0 - bound, None
+        return q_next, obj + 1.0 - bound, fill(q_next)
 
-    p, q, _, obj, lower, it, converged = _alternate(upper, c, lambda q: q, step, threshold)
+    p, q, _, obj, lower, it, converged = _alternate(c, fill(c), step, threshold)
     return SolveResult(
         objective=obj,
         p_star=Distribution(p),
@@ -652,7 +647,8 @@ class _Probes:
     bisection visits the same points.  This base form, for mixtures, keeps
     the latest solve as the next warm start: consecutive alphas are close,
     and a warm start changes the iterates, never the limit (joint
-    convexity).  Singleton and KL-ball solves ignore it.
+    convexity).  KL-ball solves ignore it, and the singleton form decides
+    every probe itself.
     """
 
     warm_start: SolveResult | None = None
@@ -665,17 +661,19 @@ class _Probes:
 
 
 class _SingletonProbes(_Probes):
-    """Singleton probes answered by :func:`_singleton_profile`, which sorts once;
-    only a probe within its rounding bound of the threshold runs a solve."""
+    """Every probe against the fixed model q0 decided here: by
+    :func:`_singleton_profile`, which sorts once, or within its rounding bound
+    of the threshold by the exact :func:`solve_singleton`, so never None."""
 
     def __init__(self, counts: EmpiricalCounts, q0: Distribution):
+        self._counts, self._q0 = counts, q0
         self._profile = _singleton_profile(counts, q0)
 
-    def decide(self, alpha: float, threshold: float) -> bool | None:
+    def decide(self, alpha: float, threshold: float) -> bool:
         probe = self._profile(alpha) if self._profile is not None else None
         if probe is not None and abs(probe[0] - threshold) > probe[1]:
             return probe[0] >= threshold
-        return None
+        return solve_singleton(self._counts, self._q0, alpha).objective >= threshold
 
 
 class _KlBallCertificates(_Probes):
@@ -697,16 +695,18 @@ class _KlBallCertificates(_Probes):
     L(t) less that allowance reaches its threshold.
 
     A probe that reads False from an iterate objective below its threshold
-    leaves its model Q.  A later probe water-fills against that Q and reads
-    False when the objective, an upper bound on V, is below its threshold:
-    the solver's own rule.
+    leaves its model Q, kept as the :class:`_SingletonProbes` of Q.  A later
+    probe reads False when that object does: when the minimum over the box
+    against the fixed Q, an upper bound on V, is below its threshold, the
+    solver's own rule.
     """
 
     def __init__(self, counts: EmpiricalCounts):
+        self._counts = counts
         self._phat = empirical(counts).probs
         self._tol = 4.0 * (counts.n + 8) * _EPS
         self._minorant = None  # (t0, B, Lambda, rounding scale) of the latest True probe
-        self._model = None  # q_star of the latest converged probe below its threshold
+        self._model = None  # _SingletonProbes of the latest converged False probe's q_star
 
     def decide(self, alpha: float, threshold: float) -> bool | None:
         """The verdict at ``alpha`` if a certificate settles it, else None."""
@@ -716,9 +716,8 @@ class _KlBallCertificates(_Probes):
             allowance = self._tol * (scale + t * (1.0 + slope))
             if bound - (t - t0) * slope - allowance >= threshold:
                 return True
-        if self._model is not None:
-            if _water_fill(self._phat / (1.0 - alpha), self._model)[1] < threshold:
-                return False
+        if self._model is not None and not self._model.decide(alpha, threshold):
+            return False
         return None
 
     def record(self, alpha: float, threshold: float, result: SolveResult) -> None:
@@ -737,7 +736,7 @@ class _KlBallCertificates(_Probes):
             slope = float(self._phat @ lam)
             self._minorant = (1.0 / (1.0 - alpha), result.lower_bound, slope, scale)
         elif result.converged and result.objective < threshold:
-            self._model = result.q_star.probs
+            self._model = _SingletonProbes(self._counts, result.q_star)
 
 
 def _ball_linear_max(a: np.ndarray, center: np.ndarray, radius: float, scale: float | None):

@@ -565,6 +565,24 @@ class TestSortOnceBisection:
         assert res.contaminated and res.alpha_lower > 0
         assert len(calls) <= 2, calls
 
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_probes_in_the_band_are_decided_by_the_probe_object(self, seed, monkeypatch):
+        # A profile that bounds no probe puts every probe in its band, where
+        # the probe object runs the exact solve itself: ``estimator.solve``
+        # runs only the final solve, and every field keeps its bits.
+        c, model = wide_singleton(seed, 2000)
+        want = estimate_alpha_lower(c, model, 0.05)
+        calls = []
+
+        def counting_solve(*args, **kwargs):
+            calls.append(kwargs.get("threshold"))
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_singleton_profile", lambda c, q0: lambda a: (0.0, math.inf))
+        monkeypatch.setattr(estimator_module, "solve", counting_solve)
+        assert_same_fields(estimate_alpha_lower(c, model, 0.05), want, c)
+        assert want.contaminated and calls == [None]
+
 
 class TestProbePath:
     """The alpha = 0 verdict is a probe like the others, under its threshold."""
@@ -855,3 +873,19 @@ class TestKlballProbeCertificates:
         assert res.contaminated and res.alpha_lower > 0
         assert calls[-1] is None  # the final full solve
         assert len(calls) - 1 <= 12, calls
+
+    def test_contaminated_pair_water_fills_at_most_25_times(self, monkeypatch):
+        # With a water-fill against the stored model at every probe that
+        # reaches it, this pair takes 36 fills; the model's sorted profile
+        # leaves 21.
+        calls = []
+        water_fill = solver._water_fill
+
+        def counting_water_fill(*args):
+            calls.append(1)
+            return water_fill(*args)
+
+        monkeypatch.setattr(solver, "_water_fill", counting_water_fill)
+        res = two_sample_test(*klball_twosample_pair(7, 80), 0.05)
+        assert res.contaminated and res.alpha_lower > 0
+        assert len(calls) <= 25, len(calls)

@@ -912,6 +912,31 @@ class TestKlBallCertificates:
                 cases += 1
         assert cases > 40
 
+    def test_false_side_is_the_fixed_model_rule(self):
+        # The stored model's False verdict is the plain rule "the fill
+        # against Q is below the threshold", whether the sorted profile or,
+        # within its rounding bound, the exact solve decides it.
+        alphas = (0.0, 0.05, 0.1, 0.11, 0.2, 0.29, 0.3, 0.31, 0.45, 0.6, 0.8, 0.95)
+        cases = 0
+        for c, center, radius in self.balls():
+            phat = empirical(c).probs
+            for alpha0 in (0.1, 0.3):
+                optimum = solve_klball(c, center, radius, alpha0).objective
+                if not optimum > 1e-6:
+                    continue
+                failed = solver._KlBallCertificates(c)
+                probe = solve_klball(c, center, radius, alpha0, threshold=2.0 * optimum)
+                failed.record(alpha0, 2.0 * optimum, probe)
+                q = probe.q_star.probs
+                for alpha in alphas:
+                    objective = _water_fill(phat / (1.0 - alpha), q)[1]
+                    for factor in (1.0 - 1e-15, 1.0 + 1e-15, 0.5, 2.0):
+                        threshold = objective * factor
+                        got = failed.decide(alpha, threshold)
+                        assert got is (False if objective < threshold else None), alpha
+                    cases += 0.0 < objective < math.inf
+        assert cases > 350
+
 
 class TestSolveDispatch:
     def test_dispatches_and_validates(self):
