@@ -178,20 +178,27 @@ def kl_divergence(p: Distribution, q: Distribution) -> float:
 
 
 def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    """KL divergence on raw probability arrays (internal hot path)."""
-    mask = p > 0
-    ps = p[mask]
-    qs = q[mask]
+    """KL divergence on raw probability arrays (internal hot path).
+
+    Masked copies only where p has zeros, and one buffer for the ratio, its
+    log and the product, for the reason given in ``solver._water_fill_pos``.
+    """
+    if p.min(initial=1.0) > 0:
+        ps, qs = p, q
+    else:
+        mask = p > 0
+        ps, qs = p[mask], q[mask]
     q_min = qs.min(initial=1.0)
     if q_min <= 0:
         return math.inf
     with np.errstate(over="ignore"):
-        logs = np.log(ps / qs)
+        terms = np.divide(ps, qs)
+        np.log(terms, out=terms)
     if q_min < _SMALLEST_NORMAL:
         # p_i / q_i may have overflowed: take those logs as differences.
-        big = np.isinf(logs)
-        logs[big] = np.log(ps[big]) - np.log(qs[big])
-    val = float(np.sum(ps * logs))
+        big = np.isinf(terms)
+        terms[big] = np.log(ps[big]) - np.log(qs[big])
+    val = float(np.sum(np.multiply(ps, terms, out=terms)))
     # Mathematically >= 0; tiny negatives are pure rounding noise.
     return max(0.0, val)
 

@@ -25,7 +25,9 @@ stopped by the iteration cap returns the last water-filled pair with
 ``converged=False``.  A bisection over alpha keeps one :class:`_Probes`
 object from :func:`_probes`, chosen by model kind like :func:`solve`,
 which decides the probes that earlier solves or one sort of the data
-prove without a solve; the singleton form decides every probe.
+prove without a solve; the singleton form decides every probe.  The
+singleton path (fill, duals, KL, profile) allocates each full-length
+array once and works in it, so large solves do not re-fault their memory.
 """
 
 from __future__ import annotations
@@ -126,21 +128,27 @@ def _water_fill_pos(cap: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, float]
     S_k + c * T_k, and the candidate level (1 - S_k) / T_k is valid when it
     does not exceed the next breakpoint.  If a ratio overflows (subnormal
     qs_i), the fill runs on qs * 2**960 (exact) and reports the level as inf.
+
+    Each full-length array is allocated once and the sums, levels and p are
+    computed in place: glibc hands a freed heap top above its trim threshold
+    (about two arrays of the largest n) back to the OS, so every temporary
+    of one fill would be page-faulted in again by the next.
     """
     with np.errstate(over="ignore"):
         order, ratios = _stable_order(cap / qs)
         if ratios[-1] == math.inf:
             return _water_fill_pos(cap, np.ldexp(qs, 960))[0], math.inf
-        cap_s = cap[order]
-        q_s = qs[order]
-
-        sat_mass = np.empty(cap_s.size)  # exclusive prefix sums
+        # Exclusive prefix sums of the sorted caps, gathered straight into
+        # place: take's default mode="raise" would buffer ``out``.
+        sat_mass = np.empty(cap.size)
         sat_mass[0] = 0.0
-        np.cumsum(cap_s[:-1], out=sat_mass[1:])
+        np.cumsum(cap.take(order[:-1], out=sat_mass[1:], mode="clip"), out=sat_mass[1:])
         # Suffix sums, not total minus prefix: the difference cancels to zero
         # when a category's mass is below the rounding error of the total.
-        free_q = np.cumsum(q_s[::-1])[::-1]
-        candidates = (1.0 - sat_mass) / free_q
+        free_q = qs.take(order)
+        np.cumsum(free_q[::-1], out=free_q[::-1])
+        candidates = np.subtract(1.0, sat_mass, out=sat_mass)
+        np.divide(candidates, free_q, out=candidates)
     valid = candidates <= ratios
     k = int(np.argmax(valid))  # the first valid level, or 0 if none is
     if valid[k]:
@@ -153,7 +161,8 @@ def _water_fill_pos(cap: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, float]
         # All caps saturated (alpha ~ 0 boundary): the box pins P to the caps.
         c = float(ratios[-1])
 
-    p = np.minimum(cap, c * qs)
+    p = np.multiply(qs, c, out=candidates)  # the spent candidates' buffer
+    np.minimum(cap, p, out=p)
     p /= p.sum()
     return p, c
 
@@ -220,16 +229,21 @@ def _box_duals(upper: np.ndarray, q: np.ndarray, c: float) -> np.ndarray:
 
     lam_i = 0 where q_i = 0 or upper_i = 0.
     """
-    # On supp(q) only: a full-length mask doubled the page faults of a
-    # singleton bisection (glibc heap trimming).
+    log_c = math.log(c)  # apart: c * q_i overflows for a level near 1e300
+    if q.min() > 0 and upper.min() > 0:
+        # One array, for the reason given in _water_fill_pos.
+        lam = np.divide(q, upper)
+        np.log(lam, out=lam)
+        np.add(log_c, lam, out=lam)
+        return np.maximum(0.0, lam, out=lam)
+    # Masked where a zero q_i would take log(0) and a zero cap give lam_i = inf.
     supp = q > 0
     cap = upper[supp]
     qs = q[supp]
     lam = np.zeros(q.size)
     lam_supp = np.zeros(cap.size)
     pos = cap > 0
-    # log(c) apart: c * q_i overflows for a level near 1e300.
-    lam_supp[pos] = np.maximum(0.0, math.log(c) + np.log(qs[pos] / cap[pos]))
+    lam_supp[pos] = np.maximum(0.0, log_c + np.log(qs[pos] / cap[pos]))
     lam[supp] = lam_supp
     return lam
 
@@ -260,27 +274,36 @@ def _singleton_profile(counts: EmpiricalCounts, q0: Distribution):
     if counts.n != q0.n:
         raise ValueError("dimension mismatch")
     q = q0.probs
-    supp = q > 0
-    ph = empirical(counts).probs[supp]
-    qs = q[supp]
+    ph = empirical(counts).probs
+    if q.min() > 0:
+        qs = q
+    else:
+        supp = q > 0
+        ph, qs = ph[supp], q[supp]
     if qs.min() < _SMALLEST_NORMAL:
         return None
     mass = float(ph.sum())
+    # Each full-length array is allocated once, as in _water_fill_pos.
     r = ph / qs  # at most 1 / _SMALLEST_NORMAL: no overflow
     order = np.argsort(r)
-    r, ph, qs = r[order], ph[order], qs[order]
-    terms = ph * np.log(r, out=np.zeros_like(r), where=ph > 0)
-    sat = np.concatenate(([0.0], np.cumsum(ph)))
-    ent = np.concatenate(([0.0], np.cumsum(terms)))
-    ent_abs = np.concatenate(([0.0], np.cumsum(np.abs(terms))))
-    free_q = np.cumsum(qs[::-1])[::-1]
-    # Non-decreasing in exact arithmetic; the running max irons out rounding.
-    reach = np.maximum.accumulate(sat[:-1] + r * free_q)
+    r, ph, free_q = r[order], ph[order], qs[order]
     m = r.size
+    sat, ent, ent_abs = np.empty(m + 1), np.empty(m + 1), np.empty(m + 1)
+    sat[0] = ent[0] = ent_abs[0] = 0.0
+    np.cumsum(ph, out=sat[1:])
+    terms = np.log(r, out=np.zeros(m), where=ph > 0)
+    terms *= ph
+    np.cumsum(terms, out=ent[1:])
+    np.cumsum(np.abs(terms, out=terms), out=ent_abs[1:])
+    np.cumsum(free_q[::-1], out=free_q[::-1])
+    log_r_max = abs(math.log(float(r[-1]))) if r[-1] > 0 else math.inf
+    # Non-decreasing in exact arithmetic; the running max irons out rounding.
+    reach = np.multiply(r, free_q, out=r)
+    np.add(sat[:-1], reach, out=reach)
+    np.maximum.accumulate(reach, out=reach)
     tol = (m + 2) * _EPS  # sequential prefix sums, here and in _water_fill_pos
     # The cap total of _water_fill is a pairwise sum (blocks of 128, 8 lanes).
     edge = 2.0 * (math.log2(m) + 20.0) * _EPS
-    log_r_max = abs(math.log(float(r[-1]))) if r[-1] > 0 else math.inf
     ent_total = float(ent[-1])
     ent_abs_total = float(ent_abs[-1])
 

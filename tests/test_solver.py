@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from contamest import (
     closed_form_singleton,
     empirical,
     estimate_alpha_lower,
+    is_contaminated,
     kl_divergence,
     klball_radius,
     separation_distance,
@@ -25,10 +27,12 @@ from contamest import (
     uniform,
 )
 from contamest import solver
-from contamest.distributions import _kl
+from contamest.distributions import SIMPLEX_ATOL, _SMALLEST_NORMAL, _kl
 from contamest.solver import (
+    _EPS,
     _ball_linear_max,
     _ball_projection,
+    _box_duals,
     _singleton_profile,
     _stable_order,
     _water_fill,
@@ -411,6 +415,218 @@ class TestSingletonProfile:
     @given(profile_cases())
     def test_property_matches_exact_solve_within_bound(self, case):
         check_profile(*case)
+
+
+def kl_reference(p, q):
+    """``_kl`` as it was with masked copies throughout, kept to compare bits."""
+    mask = p > 0
+    ps = p[mask]
+    qs = q[mask]
+    q_min = qs.min(initial=1.0)
+    if q_min <= 0:
+        return math.inf
+    with np.errstate(over="ignore"):
+        logs = np.log(ps / qs)
+    if q_min < _SMALLEST_NORMAL:
+        big = np.isinf(logs)
+        logs[big] = np.log(ps[big]) - np.log(qs[big])
+    return max(0.0, float(np.sum(ps * logs)))
+
+
+def box_duals_reference(upper, q, c):
+    """``_box_duals`` as it was, masked throughout, kept to compare bits."""
+    supp = q > 0
+    cap = upper[supp]
+    qs = q[supp]
+    lam = np.zeros(q.size)
+    lam_supp = np.zeros(cap.size)
+    pos = cap > 0
+    lam_supp[pos] = np.maximum(0.0, math.log(c) + np.log(qs[pos] / cap[pos]))
+    lam[supp] = lam_supp
+    return lam
+
+
+def singleton_profile_reference(c, q0):
+    """``_singleton_profile`` as it was, with masked copies and concatenated
+    prefix sums, kept to compare bits."""
+    q = q0.probs
+    supp = q > 0
+    ph = empirical(c).probs[supp]
+    qs = q[supp]
+    if qs.min() < _SMALLEST_NORMAL:
+        return None
+    mass = float(ph.sum())
+    r = ph / qs
+    order = np.argsort(r)
+    r, ph, qs = r[order], ph[order], qs[order]
+    terms = ph * np.log(r, out=np.zeros_like(r), where=ph > 0)
+    sat = np.concatenate(([0.0], np.cumsum(ph)))
+    ent = np.concatenate(([0.0], np.cumsum(terms)))
+    ent_abs = np.concatenate(([0.0], np.cumsum(np.abs(terms))))
+    free_q = np.cumsum(qs[::-1])[::-1]
+    reach = np.maximum.accumulate(sat[:-1] + r * free_q)
+    m = r.size
+    tol = (m + 2) * _EPS
+    edge = 2.0 * (math.log2(m) + 20.0) * _EPS
+    log_r_max = abs(math.log(float(r[-1]))) if r[-1] > 0 else math.inf
+    ent_total = float(ent[-1])
+    ent_abs_total = float(ent_abs[-1])
+
+    def probe(alpha):
+        keep = 1.0 - alpha
+        total = mass / keep
+        if total < 1.0 - SIMPLEX_ATOL - edge:
+            return math.inf, 0.0
+        if total <= 1.0 - SIMPLEX_ATOL + edge:
+            return None
+        log_keep = math.log(keep)
+        if total <= 1.0 + 2.0 * tol:
+            d = max(0.0, ent_total / mass - math.log(mass))
+            scale = ent_abs_total / mass + abs(math.log(mass)) + 1.0 + abs(d)
+            slack = (abs(1.0 - total) + 2.0 * tol) * (log_r_max + abs(log_keep) + abs(d) + 2.0)
+            return d, 4.0 * tol * scale + slack
+        k = int(np.searchsorted(reach, keep))
+        if k == m:
+            return None
+        s = float(sat[k])
+        free = 1.0 - s / keep
+        if not free > 0:
+            return None
+        log_c = math.log(free / float(free_q[k]))
+        d = max(0.0, (float(ent[k]) - s * log_keep) / keep + free * log_c)
+        scale = (float(ent_abs[k]) + s * abs(log_keep)) / keep + (s / keep + 1.0) * (
+            abs(log_c) + 1.0
+        ) + abs(d)
+        return d, 4.0 * tol * scale
+
+    return probe
+
+
+def hexes(values):
+    """Values as ``float.hex`` strings, None kept: equal lists mean equal bits."""
+    return None if values is None else [float(v).hex() for v in values]
+
+
+# Zeros (zero counts, model-only categories, zero caps) and subnormal model
+# masses reach the masked and overflow branches.
+in_place_masses = st.sampled_from([0.0, 0.0, 1e-310, 1e-300, 1e-20, 0.25, 1.0]) | st.floats(
+    0.0, 4.0
+)
+
+
+@st.composite
+def in_place_cases(draw):
+    """Raw p, q and caps with zeros and subnormals, a level, and counts."""
+    n = draw(st.integers(1, 40))
+    vectors = st.lists(in_place_masses, min_size=n, max_size=n).filter(lambda v: sum(v) > 0)
+    # Half the vectors lose their zeros, for the unmasked paths.
+    p, q, upper = (
+        np.where(v > 0, v, 0.5) if draw(st.booleans()) else v
+        for v in (np.asarray(draw(vectors)) for _ in range(3))
+    )
+    p, q = p / p.sum(), q / q.sum()
+    level = draw(st.sampled_from([1e-3, 1.0, 7.5, 1e300]) | st.floats(1e-6, 1e6))
+    c = draw(st.lists(st.integers(0, 9) | st.integers(0, 10**6), min_size=n, max_size=n))
+    c[0] += sum(c) == 0
+    return p, q, upper, level, EmpiricalCounts(np.asarray(c, dtype=np.int64))
+
+
+class TestInPlaceBits:
+    """The in-place ``_kl``, ``_box_duals`` and profile keep the bits of their
+    masked, copying forms."""
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [
+            pytest.param([0.5, 0.5, 0.0], [0.25, 0.25, 0.5], id="zero-p"),
+            pytest.param([0.5, 0.25, 0.25], [0.5, 0.5, 0.0], id="zero-q"),
+            pytest.param([0.5, 0.5], [1.0, 1e-310], id="subnormal-q-overflow"),
+            pytest.param([0.0, 1.0], [1.0, 1e-310], id="subnormal-q-masked"),
+            pytest.param([0.2, 0.3, 0.5], [0.5, 0.3, 0.2], id="positive"),
+        ],
+    )
+    def test_kl_cases(self, p, q):
+        p, q = np.asarray(p), np.asarray(q)
+        assert hexes([_kl(p, q)]) == hexes([kl_reference(p, q)])
+
+    @pytest.mark.parametrize(
+        "upper, q",
+        [
+            pytest.param([0.5, 0.0, 0.75], [0.25, 0.5, 0.25], id="zero-cap"),
+            pytest.param([0.5, 0.5, 0.75], [0.5, 0.5, 0.0], id="zero-q"),
+            pytest.param([0.5, 0.5, 0.75], [1.0, 1e-310, 0.5], id="subnormal-q"),
+            pytest.param([0.5, 0.25, 0.75], [0.25, 0.5, 0.25], id="positive"),
+        ],
+    )
+    def test_box_duals_cases(self, upper, q):
+        upper, q = np.asarray(upper), np.asarray(q)
+        for level in (1e-3, 1.7, 1e300):
+            lam = _box_duals(upper, q, level)
+            assert hexes(lam) == hexes(box_duals_reference(upper, q, level))
+
+    @settings(max_examples=300, deadline=None)
+    @given(in_place_cases())
+    def test_property_kl_and_box_duals_keep_their_bits(self, case):
+        p, q, upper, level, _ = case
+        # A subnormal cap or q_i can overflow or underflow q_i / upper_i, alike in both forms.
+        with np.errstate(divide="ignore", over="ignore"):
+            assert hexes([_kl(p, q)]) == hexes([kl_reference(p, q)])
+            assert hexes([_kl(q, p)]) == hexes([kl_reference(q, p)])
+            lam = _box_duals(upper, q, level)
+            assert hexes(lam) == hexes(box_duals_reference(upper, q, level))
+
+    @settings(max_examples=200, deadline=None)
+    @given(in_place_cases())
+    def test_property_profile_keeps_its_bits(self, case):
+        _, q, _, _, c = case
+        q0 = Distribution(q)
+        profile = _singleton_profile(c, q0)
+        reference = singleton_profile_reference(c, q0)
+        assert (profile is None) == (reference is None)
+        if profile is not None:
+            for alpha in PROFILE_ALPHAS:
+                assert hexes(profile(alpha)) == hexes(reference(alpha)), alpha
+
+
+def traced_peak(fn):
+    """Peak bytes that ``tracemalloc`` sees numpy and Python allocate in ``fn()``."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+class TestSingletonMemory:
+    """A singleton verdict holds at most 6 arrays of n floats at once, and an
+    estimate at most 11: the water fill, duals and KL work in place, and the
+    profile keeps five arrays for the bisection."""
+
+    N = 100_000
+
+    @pytest.fixture(scope="class")
+    def instance(self):
+        rng = np.random.default_rng(7)
+        q = rng.dirichlet(np.full(self.N, 5.0))
+        target = 0.9 * q
+        target[rng.choice(self.N, size=5, replace=False)] += 0.02
+        return EmpiricalCounts(rng.multinomial(300 * self.N, target)), Singleton(Distribution(q))
+
+    def test_is_contaminated_peak(self, instance):
+        c, model = instance
+        peak = traced_peak(lambda: is_contaminated(c, model, 0.05))
+        assert peak <= 6 * 8 * self.N, peak / (8 * self.N)
+
+    def test_estimate_peak(self, instance):
+        c, model = instance
+        peak = traced_peak(lambda: estimate_alpha_lower(c, model, 0.05))
+        assert peak <= 11 * 8 * self.N, peak / (8 * self.N)
 
 
 class TestClosedFormSingleton:
