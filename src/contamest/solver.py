@@ -22,16 +22,18 @@ is SQUAREM with a face-restricted Newton step when its extrapolation is
 rejected.  :func:`solve` lists the loop's stopping rules, which read the
 fixed module constants ``TOLERANCE`` and ``MAX_ITERATIONS``; a solve
 stopped by the iteration cap returns the last water-filled pair with
-``converged=False``.  A bisection over alpha keeps one :class:`_Probes`
-object from :func:`_probes`, chosen by model kind like :func:`solve`,
-which decides the probes that earlier solves or one sort of the data
-prove without a solve; the singleton form decides every probe.  The
+``converged=False``.  One :class:`_Solver` per data set and model set,
+from :func:`_solver`, the module's one dispatch on model kind, answers a
+bisection's two questions: the full solve at alpha, and whether the
+optimum at alpha reaches a threshold, decided from what earlier solves or
+one sort of the data prove when they can, else by a solve under it.  The
 singleton path (fill, duals, KL, profile) allocates each full-length
 array once and works in it, so large solves do not re-fault their memory.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -654,47 +656,79 @@ def solve_klball(
     )
 
 
-class _Probes:
-    """The probes of one bisection over alpha, and what their solves leave.
+class _Solver:
+    """The two questions a bisection over alpha asks of one data set and model set.
 
-    ``decide(alpha, threshold)`` is the verdict "the optimum at ``alpha`` is
-    at or above ``threshold``" if what the object holds proves it, else None;
-    the caller then solves from ``warm_start`` and passes the result to
-    ``record``.  Each form only skips solves whose verdict it proves, so the
-    bisection visits the same points.  This base form, for mixtures, keeps
-    the latest solve as the next warm start: consecutive alphas are close,
-    and a warm start changes the iterates, never the limit (joint
-    convexity).  KL-ball solves ignore it, and the singleton form decides
-    every probe itself.
+    ``solve(alpha)`` is the full solve.  ``exceeds(alpha, threshold)`` asks
+    whether the optimum at ``alpha`` is at or above ``threshold``: from what
+    earlier probes prove (``_certified``, None if they prove nothing), else
+    from a solve under the threshold, whose result ``_record`` keeps.  Only
+    a converged objective at or above it reads True; a cap hit or a cycle in
+    rounding reads False, which can only shrink alpha_lower.  Only solves
+    whose verdict is proven are skipped, so a bisection visits the same
+    points as with a solve at every probe.
     """
 
-    warm_start: SolveResult | None = None
+    def solve(self, alpha: float) -> SolveResult:
+        return self._solve(alpha, None)
 
-    def decide(self, alpha: float, threshold: float) -> bool | None:
+    def exceeds(self, alpha: float, threshold: float) -> bool:
+        verdict = self._certified(alpha, threshold)
+        if verdict is None:
+            result = self._solve(alpha, threshold)
+            self._record(alpha, threshold, result)
+            verdict = result.converged and result.objective >= threshold
+        return verdict
+
+    def _certified(self, alpha: float, threshold: float) -> bool | None:
         return None
 
-    def record(self, alpha: float, threshold: float, result: SolveResult) -> None:
-        self.warm_start = result
+    def _record(self, alpha: float, threshold: float, result: SolveResult) -> None:
+        pass
 
 
-class _SingletonProbes(_Probes):
-    """Every probe against the fixed model q0 decided here: by
-    :func:`_singleton_profile`, which sorts once, or within its rounding bound
-    of the threshold by the exact :func:`solve_singleton`, so never None."""
+class _SingletonSolver(_Solver):
+    """The exact :func:`solve_singleton` against the fixed model q0.  Every
+    probe reads :func:`_singleton_profile`, one sort built on the first, or
+    within its rounding bound of the threshold the exact solve."""
 
     def __init__(self, counts: EmpiricalCounts, q0: Distribution):
         self._counts, self._q0 = counts, q0
-        self._profile = _singleton_profile(counts, q0)
 
-    def decide(self, alpha: float, threshold: float) -> bool:
+    @functools.cached_property
+    def _profile(self):
+        return _singleton_profile(self._counts, self._q0)
+
+    def _solve(self, alpha: float, threshold: float | None) -> SolveResult:
+        return solve_singleton(self._counts, self._q0, alpha)
+
+    def _certified(self, alpha: float, threshold: float) -> bool | None:
         probe = self._profile(alpha) if self._profile is not None else None
         if probe is not None and abs(probe[0] - threshold) > probe[1]:
             return probe[0] >= threshold
-        return solve_singleton(self._counts, self._q0, alpha).objective >= threshold
+        return None
 
 
-class _KlBallCertificates(_Probes):
-    """What the solved probes of one KL-ball bisection prove about later ones.
+class _MixtureSolver(_Solver):
+    """Mixture solves from the weights of the latest probe: consecutive
+    alphas are close, and a warm start changes the iterates, never the limit
+    (joint convexity).  Earlier probes prove nothing here."""
+
+    def __init__(self, counts: EmpiricalCounts, components: Sequence[Distribution]):
+        self._counts, self._components = counts, components
+        self._latest = None
+
+    def _solve(self, alpha: float, threshold: float | None) -> SolveResult:
+        return solve_mixture(
+            self._counts, self._components, alpha, threshold=threshold, warm_start=self._latest
+        )
+
+    def _record(self, alpha: float, threshold: float, result: SolveResult) -> None:
+        self._latest = result
+
+
+class _KlBallSolver(_Solver):
+    """KL-ball solves, which start cold, and what earlier probes prove.
 
     Let V(t) be the optimum with the box P <= t * phat, t = 1/(1 - alpha).
     For any box multipliers lam >= 0 and level c > 0, weak duality gives
@@ -712,33 +746,37 @@ class _KlBallCertificates(_Probes):
     L(t) less that allowance reaches its threshold.
 
     A probe that reads False from an iterate objective below its threshold
-    leaves its model Q, kept as the :class:`_SingletonProbes` of Q.  A later
-    probe reads False when that object does: when the minimum over the box
+    leaves its model Q, kept as the :class:`_SingletonSolver` of Q.  A later
+    probe reads False when that solver does: when the minimum over the box
     against the fixed Q, an upper bound on V, is below its threshold, the
     solver's own rule.
     """
 
-    def __init__(self, counts: EmpiricalCounts):
-        self._counts = counts
-        self._phat = empirical(counts).probs
+    def __init__(self, counts: EmpiricalCounts, center: Distribution, radius: float):
+        self._counts, self._center, self._radius = counts, center, radius
         self._tol = 4.0 * (counts.n + 8) * _EPS
         self._minorant = None  # (t0, B, Lambda, rounding scale) of the latest True probe
-        self._model = None  # _SingletonProbes of the latest converged False probe's q_star
+        self._model = None  # _SingletonSolver of the latest converged False probe's q_star
 
-    def decide(self, alpha: float, threshold: float) -> bool | None:
-        """The verdict at ``alpha`` if a certificate settles it, else None."""
+    @functools.cached_property
+    def _phat(self) -> np.ndarray:
+        return empirical(self._counts).probs
+
+    def _solve(self, alpha: float, threshold: float | None) -> SolveResult:
+        return solve_klball(self._counts, self._center, self._radius, alpha, threshold=threshold)
+
+    def _certified(self, alpha: float, threshold: float) -> bool | None:
         if self._minorant is not None:
             t0, bound, slope, scale = self._minorant
             t = 1.0 / (1.0 - alpha)
             allowance = self._tol * (scale + t * (1.0 + slope))
             if bound - (t - t0) * slope - allowance >= threshold:
                 return True
-        if self._model is not None and not self._model.decide(alpha, threshold):
+        if self._model is not None and not self._model.exceeds(alpha, threshold):
             return False
         return None
 
-    def record(self, alpha: float, threshold: float, result: SolveResult) -> None:
-        """Keep what ``result``, a solve at ``alpha`` under ``threshold``, proves."""
+    def _record(self, alpha: float, threshold: float, result: SolveResult) -> None:
         if result.lower_bound >= threshold:  # certified at the returned pair
             p, q = result.p_star.probs, result.q_star.probs
             with np.errstate(over="ignore", divide="ignore"):
@@ -753,7 +791,7 @@ class _KlBallCertificates(_Probes):
             slope = float(self._phat @ lam)
             self._minorant = (1.0 / (1.0 - alpha), result.lower_bound, slope, scale)
         elif result.converged and result.objective < threshold:
-            self._model = _SingletonProbes(self._counts, result.q_star)
+            self._model = _SingletonSolver(self._counts, result.q_star)
 
 
 def _ball_linear_max(a: np.ndarray, center: np.ndarray, radius: float, scale: float | None):
@@ -883,14 +921,7 @@ def _ball_projection(p: np.ndarray, center: np.ndarray, radius: float) -> np.nda
     return lo * p + (1.0 - lo) * center
 
 
-def solve(
-    counts: EmpiricalCounts,
-    model: ModelSet,
-    alpha: float,
-    *,
-    threshold: float | None = None,
-    warm_start: SolveResult | None = None,
-) -> SolveResult:
+def solve(counts: EmpiricalCounts, model: ModelSet, alpha: float) -> SolveResult:
     """Minimum KL divergence from the discard-feasible box to the model set.
 
     Exact for singleton models.  Mixture and KL-ball models run one
@@ -904,30 +935,20 @@ def solve(
     leave the bound's rounding, about eps times its dual nu, above
     ``TOLERANCE``).  Non-convergence is never raised.
 
-    ``threshold`` asks only whether the optimum is at or above it.  The loop
-    then stops once the objective, an upper bound on the optimum, is below
-    ``threshold``, or once the certified lower bound reaches it; the
-    returned objective is then only an upper bound on the optimum.  So a
-    converged result with an objective at or above ``threshold`` is proven.
-    The exact singleton solve ignores ``threshold``.
-    ``warm_start`` is a previous result for the same data and model; its
-    mixture weights seed the mixture solver, and other models ignore it.
+    ``solve_mixture`` and ``solve_klball`` also take a ``threshold``: the
+    loop then stops once the objective, an upper bound on the optimum, is
+    below it or the certified lower bound reaches it, so a converged
+    objective at or above it is proven.
     """
+    return _solver(counts, model).solve(alpha)
+
+
+def _solver(counts: EmpiricalCounts, model: ModelSet) -> _Solver:
+    """The solver of ``counts`` against ``model``; building it does no O(n) work."""
     if isinstance(model, Singleton):
-        return solve_singleton(counts, model.q0, alpha)
+        return _SingletonSolver(counts, model.q0)
     if isinstance(model, Mixture):
-        return solve_mixture(
-            counts, model.components, alpha, threshold=threshold, warm_start=warm_start
-        )
+        return _MixtureSolver(counts, model.components)
     if isinstance(model, KlBall):
-        return solve_klball(counts, model.center, model.radius, alpha, threshold=threshold)
+        return _KlBallSolver(counts, model.center, model.radius)
     raise TypeError(f"unknown model set: {type(model).__name__}")
-
-
-def _probes(counts: EmpiricalCounts, model: ModelSet) -> _Probes:
-    """The probe object of one bisection of ``counts`` against ``model``."""
-    if isinstance(model, Singleton):
-        return _SingletonProbes(counts, model.q0)
-    if isinstance(model, KlBall):
-        return _KlBallCertificates(counts)
-    return _Probes()

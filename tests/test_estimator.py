@@ -1,6 +1,7 @@
 import itertools
 import math
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from contamest import (
     klball_radius,
     separation_distance,
     solve,
+    solve_klball,
+    solve_mixture,
     sweep,
     two_sample_test,
     uniform,
@@ -199,6 +202,18 @@ class TestEstimateAlphaLower:
         assert res.threshold_at_alpha == pytest.approx(
             gof_threshold(1000 * (1 - res.alpha_lower), 3, 0.05), abs=1e-15
         )
+
+    def test_c_lower_is_the_exact_floor(self):
+        # p * alpha_lower is 645586792247213.95 and rounds up to the float
+        # 645586792247214.0, one sample past the exact floor: discarding
+        # that many would take a fraction above alpha_lower.
+        c = counts(509149247751360, 831943215280000, 831943215280000)
+        res = estimate_alpha_lower(c, Singleton(uniform(3)), 0.05)
+        assert res.alpha_lower == float.fromhex("0x1.303850c000000p-2")
+        assert math.floor(c.total * res.alpha_lower) == 645586792247214
+        assert res.c_lower == 645586792247213
+        assert Fraction(res.c_lower, c.total) <= Fraction(res.alpha_lower)
+        assert Fraction(res.c_lower + 1, c.total) > Fraction(res.alpha_lower)
 
     def test_predicate_monotone_for_convex_model_sets(self, monkeypatch):
         # the bisection premise holds for mixture and ball models too
@@ -419,7 +434,7 @@ class TestPinnedBounds:
         model = KlBall(empirical(baseline), klball_radius(baseline, 0.05))
         alpha = 0.0625
         threshold = gof_threshold(data.total * (1 - alpha), data.n, 0.05)
-        probe = solve(data, model, alpha, threshold=threshold)
+        probe = solve_klball(data, model.center, model.radius, alpha, threshold=threshold)
         assert probe.objective < threshold
         assert probe.iterations == 2
         assert solve(data, model, alpha).iterations == 3
@@ -458,10 +473,11 @@ def reference_estimate(c, model, epsilon, bisect_tol=DEFAULT_BISECT_TOL):
             else:
                 hi = mid
     final = solve(c, model, lo) if lo > 0 else at_zero
+    num, den = lo.as_integer_ratio()
     return EstimateResult(
         alpha_lower=lo,
         kappa=separation_distance(empirical(c), final.q_star),
-        c_lower=int(math.floor(p * lo)),
+        c_lower=p * num // den,
         threshold_at_alpha=gof_threshold(p * (1.0 - lo), n, epsilon),
         objective_at_alpha=final.objective,
         contaminated=contaminated,
@@ -483,6 +499,22 @@ def assert_same_fields(got, want, c):
         else:
             assert g == w, (field.name, g, w, tuple(c.counts)[:6])
     return got
+
+
+def record_solves(monkeypatch):
+    """``(alpha, threshold)`` of every call to ``solve_singleton``,
+    ``solve_mixture`` and ``solve_klball``, the solves that the solver
+    objects run, until ``monkeypatch`` is undone; a full solve's threshold
+    is None."""
+    calls = []
+    for name in ("solve_singleton", "solve_mixture", "solve_klball"):
+
+        def recording(*args, _solve=getattr(solver, name), **kwargs):
+            calls.append((args[-1], kwargs.get("threshold")))
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(solver, name, recording)
+    return calls
 
 
 def wide_singleton(seed, n):
@@ -554,13 +586,7 @@ class TestSortOnceBisection:
             assert_same_estimate(c, Singleton(q), epsilon)
 
     def test_contaminated_wide_estimate_solves_at_most_twice(self, monkeypatch):
-        calls = []
-
-        def counting_solve(*args, **kwargs):
-            calls.append(args[2])
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(estimator_module, "solve", counting_solve)
+        calls = record_solves(monkeypatch)
         res = estimate_alpha_lower(*wide_singleton(7, 2000), 0.05)
         assert res.contaminated and res.alpha_lower > 0
         assert len(calls) <= 2, calls
@@ -568,20 +594,22 @@ class TestSortOnceBisection:
     @pytest.mark.parametrize("seed", [7, 11])
     def test_probes_in_the_band_are_decided_by_the_probe_object(self, seed, monkeypatch):
         # A profile that bounds no probe puts every probe in its band, where
-        # the probe object runs the exact solve itself: ``estimator.solve``
-        # runs only the final solve, and every field keeps its bits.
+        # the solver object's ``exceeds`` runs the exact solve itself: its
+        # full ``solve`` runs only the final solve, and every field keeps
+        # its bits.
         c, model = wide_singleton(seed, 2000)
         want = estimate_alpha_lower(c, model, 0.05)
         calls = []
+        full_solve = solver._SingletonSolver.solve
 
-        def counting_solve(*args, **kwargs):
-            calls.append(kwargs.get("threshold"))
-            return solve(*args, **kwargs)
+        def counting_solve(self, alpha):
+            calls.append(alpha)
+            return full_solve(self, alpha)
 
         monkeypatch.setattr(solver, "_singleton_profile", lambda c, q0: lambda a: (0.0, math.inf))
-        monkeypatch.setattr(estimator_module, "solve", counting_solve)
+        monkeypatch.setattr(solver._SingletonSolver, "solve", counting_solve)
         assert_same_fields(estimate_alpha_lower(c, model, 0.05), want, c)
-        assert want.contaminated and calls == [None]
+        assert want.contaminated and calls == [want.alpha_lower]
 
 
 class TestProbePath:
@@ -648,22 +676,16 @@ class TestProbePath:
         # An exact singleton solve, whose bound is its objective, settles it.
         if tolerance is not None:
             monkeypatch.setattr(solver, "TOLERANCE", tolerance)
-        calls = []
-
-        def counting_solve(*args, **kwargs):
-            calls.append(kwargs.get("threshold"))
-            return solve(*args, **kwargs)
-
         rng = np.random.default_rng(83)
         settled, probed = set(), 0
         for c, model in self.random_instances(rng, model_kind):
             for epsilon in (0.01, 0.05):
                 threshold = gof_threshold(c.total, c.n, epsilon)
                 full = solve(c, model, 0.0)
-                calls.clear()
                 with monkeypatch.context() as m:
-                    m.setattr(estimator_module, "solve", counting_solve)
+                    solves = record_solves(m)
                     verdict, margin = is_contaminated(c, model, epsilon)
+                calls = [t for _, t in solves]
                 assert margin == full.objective - threshold
                 if full.objective < threshold or (
                     full.converged and full.lower_bound >= threshold
@@ -687,14 +709,8 @@ class TestProbePath:
         ],
     )
     def test_clean_estimate_solves_once_in_full(self, model, monkeypatch):
-        calls = []
-
-        def counting_solve(*args, **kwargs):
-            calls.append((args[2], kwargs.get("threshold")))
-            return solve(*args, **kwargs)
-
         c = counts(310, 330, 360)
-        monkeypatch.setattr(estimator_module, "solve", counting_solve)
+        calls = record_solves(monkeypatch)
         res = estimate_alpha_lower(c, model, 0.05)
         monkeypatch.undo()
         assert not res.contaminated and res.alpha_lower == 0.0
@@ -741,7 +757,7 @@ class TestCertifiedProbes:
             capped = estimate_alpha_lower(c, model, 0.05)
             assert capped.alpha_lower <= full.alpha_lower
             threshold = gof_threshold(c.total, c.n, 0.05)
-            if not solve(c, model, 0.0, threshold=threshold).converged:
+            if not solve_mixture(c, model.components, 0.0, threshold=threshold).converged:
                 assert full.contaminated
                 assert not capped.contaminated and capped.alpha_lower == 0.0
                 refuted += 1
@@ -755,19 +771,24 @@ class TestCertifiedProbes:
         # earlier probes decided it, so the certified endpoint, a point of
         # the same dyadic grid, never lies above the reference's.
         decided = []
-        exceeds = estimator_module._exceeds
 
-        def recording_exceeds(c, model, epsilon, p, alpha, probes):
-            verdict = exceeds(c, model, epsilon, p, alpha, probes)
-            if verdict:
-                threshold = gof_threshold(p * (1.0 - alpha), c.n, epsilon)
-                decided.append((c, model, alpha, threshold))
-            return verdict
+        def recording_solver(c, model):
+            probe_solver = solver._solver(c, model)
+            exceeds = probe_solver.exceeds
+
+            def recording_exceeds(alpha, threshold):
+                verdict = exceeds(alpha, threshold)
+                if verdict:
+                    decided.append((c, model, alpha, threshold))
+                return verdict
+
+            probe_solver.exceeds = recording_exceeds
+            return probe_solver
 
         rng = np.random.default_rng(17)
         for c, model in self.instances(rng, 20):
             with monkeypatch.context() as m:
-                m.setattr(estimator_module, "_exceeds", recording_exceeds)
+                m.setattr(estimator_module, "_solver", recording_solver)
                 got = estimate_alpha_lower(c, model, 0.05)
             with monkeypatch.context() as m:
                 m.setattr(solver, "TOLERANCE", 1e-14)
@@ -813,17 +834,18 @@ class TestCertifiedKlballProbes(TestCertifiedProbes):
             capped = estimate_alpha_lower(c, model, 0.05)
             assert capped.alpha_lower <= full.alpha_lower
             threshold = gof_threshold(c.total, c.n, 0.05)
-            if not solve(c, model, 0.0, threshold=threshold).converged:
+            probe = solve_klball(c, model.center, model.radius, 0.0, threshold=threshold)
+            if not probe.converged:
                 assert not capped.contaminated and capped.alpha_lower == 0.0
                 refuted += full.contaminated
         assert refuted > 0
 
 
 def uncertified_estimate(c, model, epsilon):
-    """``estimate_alpha_lower`` with a solve at every probe: the base probe
-    object, which decides nothing."""
+    """``estimate_alpha_lower`` of a KL ball with a solve at every probe: a
+    KL-ball solver whose certificates settle nothing."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(estimator_module, "_probes", lambda counts, model: solver._Probes())
+        m.setattr(solver._KlBallSolver, "_certified", lambda self, alpha, threshold: None)
         return estimate_alpha_lower(c, model, epsilon)
 
 
@@ -862,15 +884,10 @@ class TestKlballProbeCertificates:
 
     def test_contaminated_pair_solves_at_most_twelve_probes(self, monkeypatch):
         # A solve at every probe takes 29 threshold solves on this pair.
-        calls = []
-
-        def counting_solve(*args, **kwargs):
-            calls.append(kwargs.get("threshold"))
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(estimator_module, "solve", counting_solve)
+        solves = record_solves(monkeypatch)
         res = two_sample_test(*klball_twosample_pair(7, 80), 0.05)
         assert res.contaminated and res.alpha_lower > 0
+        calls = [t for _, t in solves]
         assert calls[-1] is None  # the final full solve
         assert len(calls) - 1 <= 12, calls
 

@@ -1,4 +1,4 @@
-"""The README's examples stay in step with the CLI they document."""
+"""The README's examples stay in step with the library and CLI they document."""
 
 import json
 import shlex
@@ -29,11 +29,18 @@ def fenced_blocks(language):
 
 SPEC_LINES = [line for block in fenced_blocks("json") for line in block if line]
 CLI_LINES = [line for block in fenced_blocks("") for line in block if line.startswith("contamest ")]
+PYTHON_BLOCKS = ["\n".join(block) for block in fenced_blocks("python")]
 
 
 def test_blocks_found():
     assert len(SPEC_LINES) >= 4
     assert len(CLI_LINES) >= 5
+    assert len(PYTHON_BLOCKS) >= 1
+
+
+@pytest.mark.parametrize("source", PYTHON_BLOCKS, ids=[f"python{i}" for i in range(len(PYTHON_BLOCKS))])
+def test_python_block_runs(source):
+    exec(compile(source, "README.md", "exec"), {})
 
 
 @pytest.mark.parametrize("line", SPEC_LINES, ids=[f"spec{i}" for i in range(len(SPEC_LINES))])

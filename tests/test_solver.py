@@ -800,7 +800,7 @@ class TestSolveMixture:
         threshold = 1e-11
         first = _water_fill(empirical(c).probs, np.array([0.5, 0.5]))[1]
         assert threshold <= first <= solver.TOLERANCE
-        probe = solve(c, model, 0.0, threshold=threshold)
+        probe = solve_mixture(c, model.components, 0.0, threshold=threshold)
         monkeypatch.setattr(solver, "TOLERANCE", 1e-14)
         assert solve(c, model, 0.0).objective < threshold
         assert not (probe.converged and probe.objective >= threshold)
@@ -1112,19 +1112,19 @@ class TestKlBallCertificates:
                 optimum = solve_klball(c, center, radius, alpha0).objective
                 if not optimum > 1e-6:
                     continue
-                passed = solver._KlBallCertificates(c)
+                passed = solver._KlBallSolver(c, center, radius)
                 probe = solve_klball(c, center, radius, alpha0, threshold=0.5 * optimum)
                 assert probe.lower_bound >= 0.5 * optimum
-                passed.record(alpha0, 0.5 * optimum, probe)
-                assert passed.decide(alpha0, 0.25 * optimum) is True
-                failed = solver._KlBallCertificates(c)
+                passed._record(alpha0, 0.5 * optimum, probe)
+                assert passed._certified(alpha0, 0.25 * optimum) is True
+                failed = solver._KlBallSolver(c, center, radius)
                 probe = solve_klball(c, center, radius, alpha0, threshold=2.0 * optimum)
                 assert probe.converged and probe.objective < 2.0 * optimum
-                failed.record(alpha0, 2.0 * optimum, probe)
-                assert failed.decide(alpha0, 3.0 * optimum) is False
+                failed._record(alpha0, 2.0 * optimum, probe)
+                assert failed._certified(alpha0, 3.0 * optimum) is False
                 for alpha, res in zip(alphas, tight):
-                    assert passed.decide(alpha, res.objective + 1e-12) is None, alpha
-                    assert failed.decide(alpha, res.lower_bound - 1e-12) is None, alpha
+                    assert passed._certified(alpha, res.objective + 1e-12) is None, alpha
+                    assert failed._certified(alpha, res.lower_bound - 1e-12) is None, alpha
                 cases += 1
         assert cases > 40
 
@@ -1140,18 +1140,60 @@ class TestKlBallCertificates:
                 optimum = solve_klball(c, center, radius, alpha0).objective
                 if not optimum > 1e-6:
                     continue
-                failed = solver._KlBallCertificates(c)
+                failed = solver._KlBallSolver(c, center, radius)
                 probe = solve_klball(c, center, radius, alpha0, threshold=2.0 * optimum)
-                failed.record(alpha0, 2.0 * optimum, probe)
+                failed._record(alpha0, 2.0 * optimum, probe)
                 q = probe.q_star.probs
                 for alpha in alphas:
                     objective = _water_fill(phat / (1.0 - alpha), q)[1]
                     for factor in (1.0 - 1e-15, 1.0 + 1e-15, 0.5, 2.0):
                         threshold = objective * factor
-                        got = failed.decide(alpha, threshold)
+                        got = failed._certified(alpha, threshold)
                         assert got is (False if objective < threshold else None), alpha
                     cases += 0.0 < objective < math.inf
         assert cases > 350
+
+
+class TestSolverObject:
+    """``solver._solver`` builds one object per data set and model set, with
+    no O(n) work until a question needs it."""
+
+    MODELS = (
+        Singleton(dist(0.2, 0.3, 0.5)),
+        Mixture((dist(0.2, 0.3, 0.5), dist(0.6, 0.2, 0.2))),
+        KlBall(dist(0.2, 0.3, 0.5), 0.01),
+    )
+
+    @pytest.mark.parametrize("model", MODELS, ids=("singleton", "mixture", "klball"))
+    def test_building_reads_no_data(self, model, monkeypatch):
+        monkeypatch.setattr(solver, "empirical", None)
+        solver._solver(counts(50, 20, 30), model)
+
+    def test_singleton_solve_and_verdict_build_no_profile(self, monkeypatch):
+        # A profile costs a sort of the data; one solve needs none.
+        rng = np.random.default_rng(5)
+        q = Distribution(rng.dirichlet(np.full(2000, 5.0)))
+        target = 0.9 * q.probs
+        target[:5] += 0.02
+        cases = [
+            (EmpiricalCounts(rng.multinomial(600_000, target)), Singleton(q)),
+            (EmpiricalCounts(rng.multinomial(600_000, q.probs)), Singleton(q)),
+        ]
+        want = [(solve(c, model, 0.1), is_contaminated(c, model, 0.05)) for c, model in cases]
+
+        def no_profile(*args):
+            raise AssertionError("profile built")
+
+        monkeypatch.setattr(solver, "_singleton_profile", no_profile)
+        verdicts = set()
+        for (c, model), (full, verdict) in zip(cases, want):
+            got = solve(c, model, 0.1)
+            assert got.objective.hex() == full.objective.hex()
+            assert got.p_star.probs.tobytes() == full.p_star.probs.tobytes()
+            assert got.duals.lam.tobytes() == full.duals.lam.tobytes()
+            assert is_contaminated(c, model, 0.05) == verdict
+            verdicts.add(verdict[0])
+        assert verdicts == {False, True}
 
 
 class TestSolveDispatch:
@@ -1167,7 +1209,7 @@ class TestSolveDispatch:
             solve(c, Singleton(q), 1.0)
         three = solve(c, Mixture((q, q, dist(0.9, 0.1))), 0.2)
         with pytest.raises(ValueError, match="warm_start weights"):
-            solve(c, Mixture((q, dist(0.9, 0.1))), 0.2, warm_start=three)
+            solve_mixture(c, (q, dist(0.9, 0.1)), 0.2, warm_start=three)
         with pytest.raises(TypeError, match="unknown model set"):
             solve(c, q, 0.2)
 
