@@ -124,7 +124,8 @@ def estimate_alpha_lower(
     One solver object per estimate (``solver._solver``) answers every
     probe, alpha = 0 included, with ``exceeds``: from what earlier probes
     prove, else by a solve under the probe's threshold.  Its full ``solve``
-    at ``alpha_lower`` gives ``objective_at_alpha``.
+    at ``alpha_lower`` gives ``objective_at_alpha``, and its ``phat``, the
+    one empirical distribution of the estimate, gives ``kappa``.
     """
     p = counts.total
     if p < 1:
@@ -143,7 +144,7 @@ def estimate_alpha_lower(
         lo, hi = (mid, hi) if verdict else (lo, mid)
     final = solver.solve(lo)
 
-    kappa = separation_distance(empirical(counts), final.q_star)
+    kappa = separation_distance(solver.phat, final.q_star)
     num, den = lo.as_integer_ratio()  # exact: p * lo rounds, and can round up
     return EstimateResult(
         alpha_lower=lo,

@@ -26,7 +26,10 @@ stopped by the iteration cap returns the last water-filled pair with
 from :func:`_solver`, the module's one dispatch on model kind, answers a
 bisection's two questions: the full solve at alpha, and whether the
 optimum at alpha reaches a threshold, decided from what earlier solves or
-one sort of the data prove when they can, else by a solve under it.  The
+one sort of the data prove when they can, else by a solve under it.  A
+singleton estimate builds ``phat`` once and sorts the data once: the
+profile's order serves every exact fill after the first probe, and only
+the public solves build KKT duals, which the estimator never reads.  The
 singleton path (fill, duals, KL, profile) allocates each full-length
 array once and works in it, so large solves do not re-fault their memory.
 """
@@ -66,11 +69,15 @@ _FACE_GRADIENT = 1e-12
 _NEWTON_HALVINGS = 4
 
 
-def _caps(counts: EmpiricalCounts, alpha: float) -> np.ndarray:
-    """Per-category upper bounds phat_i / (1 - alpha) of the feasible box."""
+def _caps(phat: np.ndarray, alpha: float) -> np.ndarray:
+    """Per-category upper bounds phat_i / (1 - alpha) of the feasible box.
+
+    At alpha = 0 that is phat itself, not a copy (x / 1.0 is x): no solver
+    writes to its caps.
+    """
     if not (0.0 <= alpha < 1.0):
         raise ValueError("alpha must be in [0, 1)")
-    return empirical(counts).probs / (1.0 - alpha)
+    return phat / (1.0 - alpha) if alpha else phat
 
 
 @dataclass(frozen=True)
@@ -120,7 +127,9 @@ def _stable_order(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return order, xs
 
 
-def _water_fill_pos(cap: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, float]:
+def _water_fill_pos(
+    cap: np.ndarray, qs: np.ndarray, sort: tuple[np.ndarray, np.ndarray] | None = None
+) -> tuple[np.ndarray, float]:
     """Water-fill core for strictly positive q with sum(cap) >= 1.
 
     Returns ``(p, c)`` with p_i = min(cap_i, c * qs_i) and the level c chosen
@@ -131,13 +140,27 @@ def _water_fill_pos(cap: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, float]
     does not exceed the next breakpoint.  If a ratio overflows (subnormal
     qs_i), the fill runs on qs * 2**960 (exact) and reports the level as inf.
 
+    ``sort`` is an earlier sort of the same categories, ``(order, T)`` from
+    :func:`_singleton_profile`.  Its order is taken, and its T_k with it,
+    when the breakpoints strictly increase along it: it is then the only
+    sorted order, so the sums and p keep their bits.  On a tie or an
+    inversion the fill sorts afresh.
+
     Each full-length array is allocated once and the sums, levels and p are
     computed in place: glibc hands a freed heap top above its trim threshold
     (about two arrays of the largest n) back to the OS, so every temporary
     of one fill would be page-faulted in again by the next.
     """
     with np.errstate(over="ignore"):
-        order, ratios = _stable_order(cap / qs)
+        if sort is not None:
+            ratios = np.divide(cap, qs).take(sort[0])
+            if not np.greater(ratios[1:], ratios[:-1]).all():
+                sort = None
+        if sort is None:
+            order, ratios = _stable_order(cap / qs)
+            free_q = None
+        else:
+            order, free_q = sort
         if ratios[-1] == math.inf:
             return _water_fill_pos(cap, np.ldexp(qs, 960))[0], math.inf
         # Exclusive prefix sums of the sorted caps, gathered straight into
@@ -145,10 +168,11 @@ def _water_fill_pos(cap: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, float]
         sat_mass = np.empty(cap.size)
         sat_mass[0] = 0.0
         np.cumsum(cap.take(order[:-1], out=sat_mass[1:], mode="clip"), out=sat_mass[1:])
-        # Suffix sums, not total minus prefix: the difference cancels to zero
-        # when a category's mass is below the rounding error of the total.
-        free_q = qs.take(order)
-        np.cumsum(free_q[::-1], out=free_q[::-1])
+        if free_q is None:
+            # Suffix sums, not total minus prefix: the difference cancels to zero
+            # when a category's mass is below the rounding error of the total.
+            free_q = qs.take(order)
+            np.cumsum(free_q[::-1], out=free_q[::-1])
         candidates = np.subtract(1.0, sat_mass, out=sat_mass)
         np.divide(candidates, free_q, out=candidates)
     valid = candidates <= ratios
@@ -169,19 +193,22 @@ def _water_fill_pos(cap: np.ndarray, qs: np.ndarray) -> tuple[np.ndarray, float]
     return p, c
 
 
-def _water_fill(upper: np.ndarray, q: np.ndarray):
+def _water_fill(
+    upper: np.ndarray, q: np.ndarray, sort: tuple[np.ndarray, np.ndarray] | None = None
+):
     """Exact optimizer of min D(P||q) subject to P <= upper on the simplex.
 
     Categories with q_i = 0 are forced to zero mass (any positive mass there
     makes the objective infinite); if the remaining caps cannot carry the
-    full unit mass the objective is +inf.
+    full unit mass the objective is +inf.  ``sort`` is an earlier sort of
+    supp(q), passed on to :func:`_water_fill_pos`.
 
     Returns ``(p_star, objective, level)`` with ``level`` the water level c
     of :func:`_water_fill_pos`, or None on the infinite branch.
     """
     if q.min() > 0:
         # No support to mask; the caps always carry unit mass in total.
-        p, c = _water_fill_pos(upper, q)
+        p, c = _water_fill_pos(upper, q, sort)
         return p, _kl(p, q), c
     supp = q > 0
     cap = upper[supp]
@@ -196,7 +223,7 @@ def _water_fill(upper: np.ndarray, q: np.ndarray):
         rest = upper[~supp]
         p[~supp] = deficit * rest / float(rest.sum())
         return p, math.inf, None
-    p_supp, c = _water_fill_pos(cap, q[supp])
+    p_supp, c = _water_fill_pos(cap, q[supp], sort)
     p[supp] = p_supp
     return p, _kl(p, q), c
 
@@ -209,21 +236,7 @@ def solve_singleton(counts: EmpiricalCounts, q0: Distribution, alpha: float) -> 
     nu = -1 - log(c) for the simplex constraint; None when the optimum is
     infinite or the water level c overflows.
     """
-    if counts.n != q0.n:
-        raise ValueError("dimension mismatch")
-    upper = _caps(counts, alpha)
-    q = q0.probs
-    p, objective, c = _water_fill(upper, q)
-    duals = None
-    if c is not None and c < math.inf:
-        duals = Duals(_box_duals(upper, q, c), -1.0 - math.log(c))
-    return SolveResult(
-        objective=objective,
-        p_star=Distribution(p),
-        q_star=q0,
-        duals=duals,
-        lower_bound=objective,
-    )
+    return _SingletonSolver(counts, q0).solve(alpha, duals=True)
 
 
 def _box_duals(upper: np.ndarray, q: np.ndarray, c: float) -> np.ndarray:
@@ -244,7 +257,7 @@ def _box_duals(upper: np.ndarray, q: np.ndarray, c: float) -> np.ndarray:
     return lam
 
 
-def _singleton_profile(counts: EmpiricalCounts, q0: Distribution):
+def _singleton_profile(phat: np.ndarray, q0: Distribution):
     """Sort-once form of :func:`solve_singleton`'s objective for a sweep over alpha.
 
     The caps phat_i / (1 - alpha) all scale together, so the breakpoints
@@ -256,21 +269,25 @@ def _singleton_profile(counts: EmpiricalCounts, q0: Distribution):
 
         D(alpha) = (A_k - S_k log(1-alpha)) / (1-alpha) + (1 - S_k/(1-alpha)) log c_k.
 
-    Returns ``probe(alpha) -> (D, err)`` with ``err`` a bound on
+    ``phat`` is the empirical distribution of the counts.  Returns
+    ``(probe, sort)``: ``probe(alpha) -> (D, err)`` with ``err`` a bound on
     ``|D - solve_singleton(counts, q0, alpha).objective|`` built from
     (m + 2) * eps, m = |supp(q)|, times the magnitude of the summed terms
     (both sides accumulate prefix sums in sequence); a comparison of
     D with anything farther than ``err`` away agrees with the exact solve.
     ``probe`` returns None where it cannot bound the error: within rounding
     of the support-deficit edge (the cap total at 1 - SIMPLEX_ATOL of
-    :func:`_water_fill`) and where the free mass vanishes.  The profile
-    itself is None when some q_i is subnormal: ratios and levels can then
-    overflow, and :func:`_water_fill_pos` takes its rescaled path.
+    :func:`_water_fill`) and where the free mass vanishes.  ``sort`` is
+    ``(order, T)``, the sorting permutation of supp(q) and the suffix sums
+    T_k, which the exact fills of :func:`_water_fill_pos` take in place of
+    their own sort whenever it yields their order.  The profile is None
+    when some q_i is subnormal: ratios and levels can then overflow, and
+    :func:`_water_fill_pos` takes its rescaled path.
     """
-    if counts.n != q0.n:
+    if phat.size != q0.n:
         raise ValueError("dimension mismatch")
     q = q0.probs
-    ph = empirical(counts).probs
+    ph = phat
     if q.min() > 0:
         qs = q
     else:
@@ -334,7 +351,7 @@ def _singleton_profile(counts: EmpiricalCounts, q0: Distribution):
         ) + abs(d)
         return d, 4.0 * tol * scale
 
-    return probe
+    return probe, (order, free_q)
 
 
 def closed_form_singleton(
@@ -477,7 +494,7 @@ def solve_mixture(
         raise ValueError("mixture model needs at least 2 components")
     if any(c.n != counts.n for c in comps):
         raise ValueError("dimension mismatch")
-    upper = _caps(counts, alpha)
+    upper = _caps(empirical(counts).probs, alpha)
     qmat = np.stack([c.probs for c in comps])  # (k, n)
     if warm_start is None or warm_start.mixture_weights is None:
         w = np.full(len(comps), 1.0 / len(comps))
@@ -625,7 +642,7 @@ def solve_klball(
         raise ValueError("dimension mismatch")
     if not (radius > 0):
         raise ValueError("radius must be positive")
-    upper = _caps(counts, alpha)
+    upper = _caps(empirical(counts).probs, alpha)
     c = center.probs
     scale = None
 
@@ -666,10 +683,24 @@ class _Solver:
     a converged objective at or above it reads True; a cap hit or a cycle in
     rounding reads False, which can only shrink alpha_lower.  Only solves
     whose verdict is proven are skipped, so a bisection visits the same
-    points as with a solve at every probe.
+    points as with a solve at every probe.  ``phat``, the empirical
+    distribution, is built on first use, or shared by the solver that built
+    this one.
     """
 
-    def solve(self, alpha: float) -> SolveResult:
+    def __init__(self, counts: EmpiricalCounts, phat: Distribution | None = None):
+        self._counts = counts
+        if phat is not None:
+            self.phat = phat
+
+    @functools.cached_property
+    def phat(self) -> Distribution:
+        return empirical(self._counts)
+
+    def solve(self, alpha: float, duals: bool = False) -> SolveResult:
+        """The full solve at alpha.  Only an exact singleton solve has KKT
+        duals, built when ``duals`` asks: the public solves report them, and
+        the estimator reads none."""
         return self._solve(alpha, None)
 
     def exceeds(self, alpha: float, threshold: float) -> bool:
@@ -688,22 +719,48 @@ class _Solver:
 
 
 class _SingletonSolver(_Solver):
-    """The exact :func:`solve_singleton` against the fixed model q0.  Every
-    probe reads :func:`_singleton_profile`, one sort built on the first, or
-    within its rounding bound of the threshold the exact solve."""
+    """The exact singleton solve against the fixed model q0, from one phat
+    and one sort of the data.  Every probe reads :func:`_singleton_profile`,
+    built on the first, or within its rounding bound of the threshold the
+    exact solve.  Once built, the profile's sort orders every exact fill
+    that follows (:func:`_water_fill_pos`); a lone solve, such as the
+    verdict of ``is_contaminated``, sorts in its fill and builds no profile.
+    Box duals are built only for ``solve(alpha, duals=True)``, the public
+    solves; no estimator path reads them."""
 
-    def __init__(self, counts: EmpiricalCounts, q0: Distribution):
-        self._counts, self._q0 = counts, q0
+    def __init__(
+        self, counts: EmpiricalCounts, q0: Distribution, phat: Distribution | None = None
+    ):
+        if counts.n != q0.n:
+            raise ValueError("dimension mismatch")
+        super().__init__(counts, phat)
+        self._q0 = q0
 
     @functools.cached_property
     def _profile(self):
-        return _singleton_profile(self._counts, self._q0)
+        return _singleton_profile(self.phat.probs, self._q0)
 
-    def _solve(self, alpha: float, threshold: float | None) -> SolveResult:
-        return solve_singleton(self._counts, self._q0, alpha)
+    def solve(self, alpha: float, duals: bool = False) -> SolveResult:
+        return self._solve(alpha, None, duals)
+
+    def _solve(self, alpha: float, threshold: float | None, duals: bool = False) -> SolveResult:
+        upper = _caps(self.phat.probs, alpha)
+        q = self._q0.probs
+        profile = vars(self).get("_profile")  # read, not built: a sort costs more than a fill
+        p, objective, c = _water_fill(upper, q, None if profile is None else profile[1])
+        box = None
+        if duals and c is not None and c < math.inf:
+            box = Duals(_box_duals(upper, q, c), -1.0 - math.log(c))
+        return SolveResult(
+            objective=objective,
+            p_star=Distribution(p),
+            q_star=self._q0,
+            duals=box,
+            lower_bound=objective,
+        )
 
     def _certified(self, alpha: float, threshold: float) -> bool | None:
-        probe = self._profile(alpha) if self._profile is not None else None
+        probe = self._profile[0](alpha) if self._profile is not None else None
         if probe is not None and abs(probe[0] - threshold) > probe[1]:
             return probe[0] >= threshold
         return None
@@ -715,7 +772,8 @@ class _MixtureSolver(_Solver):
     (joint convexity).  Earlier probes prove nothing here."""
 
     def __init__(self, counts: EmpiricalCounts, components: Sequence[Distribution]):
-        self._counts, self._components = counts, components
+        super().__init__(counts)
+        self._components = components
         self._latest = None
 
     def _solve(self, alpha: float, threshold: float | None) -> SolveResult:
@@ -753,14 +811,11 @@ class _KlBallSolver(_Solver):
     """
 
     def __init__(self, counts: EmpiricalCounts, center: Distribution, radius: float):
-        self._counts, self._center, self._radius = counts, center, radius
+        super().__init__(counts)
+        self._center, self._radius = center, radius
         self._tol = 4.0 * (counts.n + 8) * _EPS
         self._minorant = None  # (t0, B, Lambda, rounding scale) of the latest True probe
         self._model = None  # _SingletonSolver of the latest converged False probe's q_star
-
-    @functools.cached_property
-    def _phat(self) -> np.ndarray:
-        return empirical(self._counts).probs
 
     def _solve(self, alpha: float, threshold: float | None) -> SolveResult:
         return solve_klball(self._counts, self._center, self._radius, alpha, threshold=threshold)
@@ -783,15 +838,15 @@ class _KlBallSolver(_Solver):
                 c = float(np.divide(p, q, out=np.zeros_like(p), where=q > 0).max())
                 if not c < math.inf:  # P_i / Q_i overflowed (subnormal Q_i)
                     return
-                lam = _box_duals(self._phat / (1.0 - alpha), q, c)
+                lam = _box_duals(_caps(self.phat.probs, alpha), q, c)
             u = abs(result.objective + 1.0 - result.lower_bound)
             scale = 1.0 + abs(result.lower_bound) + (1.0 + u) * (
                 1.0 + abs(math.log(c)) + float(lam.max())
             )
-            slope = float(self._phat @ lam)
+            slope = float(self.phat.probs @ lam)
             self._minorant = (1.0 / (1.0 - alpha), result.lower_bound, slope, scale)
         elif result.converged and result.objective < threshold:
-            self._model = _SingletonSolver(self._counts, result.q_star)
+            self._model = _SingletonSolver(self._counts, result.q_star, self.phat)
 
 
 def _ball_linear_max(a: np.ndarray, center: np.ndarray, radius: float, scale: float | None):
@@ -940,7 +995,7 @@ def solve(counts: EmpiricalCounts, model: ModelSet, alpha: float) -> SolveResult
     below it or the certified lower bound reaches it, so a converged
     objective at or above it is proven.
     """
-    return _solver(counts, model).solve(alpha)
+    return _solver(counts, model).solve(alpha, duals=True)
 
 
 def _solver(counts: EmpiricalCounts, model: ModelSet) -> _Solver:

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 from dataclasses import fields
@@ -502,18 +503,25 @@ def assert_same_fields(got, want, c):
 
 
 def record_solves(monkeypatch):
-    """``(alpha, threshold)`` of every call to ``solve_singleton``,
-    ``solve_mixture`` and ``solve_klball``, the solves that the solver
-    objects run, until ``monkeypatch`` is undone; a full solve's threshold
-    is None."""
+    """``(alpha, threshold)`` of every solve that the solver objects run,
+    until ``monkeypatch`` is undone: each call to ``solve_mixture`` and
+    ``solve_klball`` and each exact fill of a ``_SingletonSolver``
+    (``_SingletonSolver._solve``); a full solve's threshold is None."""
     calls = []
-    for name in ("solve_singleton", "solve_mixture", "solve_klball"):
+    for name in ("solve_mixture", "solve_klball"):
 
         def recording(*args, _solve=getattr(solver, name), **kwargs):
             calls.append((args[-1], kwargs.get("threshold")))
             return _solve(*args, **kwargs)
 
         monkeypatch.setattr(solver, name, recording)
+    singleton_solve = solver._SingletonSolver._solve
+
+    def recording_singleton(self, alpha, threshold, *args):
+        calls.append((alpha, threshold))
+        return singleton_solve(self, alpha, threshold, *args)
+
+    monkeypatch.setattr(solver._SingletonSolver, "_solve", recording_singleton)
     return calls
 
 
@@ -592,21 +600,54 @@ class TestSortOnceBisection:
         assert len(calls) <= 2, calls
 
     @pytest.mark.parametrize("seed", [7, 11])
+    def test_one_phat_and_one_sort_per_estimate(self, seed, monkeypatch):
+        # Tie-free data: the profile's sort orders the final solve's fill,
+        # and the estimate and the verdict build phat once and no duals.
+        c, model = wide_singleton(seed, 2000)
+        work = collections.Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                work[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        counted = (
+            (solver, "empirical"),
+            (estimator_module, "empirical"),
+            (solver, "_box_duals"),
+            (np, "argsort"),
+        )
+        for module, name in counted:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        res = estimate_alpha_lower(c, model, 0.05)
+        assert res.contaminated and res.alpha_lower > 0
+        assert work == {"argsort": 1, "empirical": 1}, work
+        work.clear()
+        assert is_contaminated(c, model, 0.05)[0]
+        assert work == {"argsort": 1, "empirical": 1}, work
+
+    @pytest.mark.parametrize("seed", [7, 11])
     def test_probes_in_the_band_are_decided_by_the_probe_object(self, seed, monkeypatch):
         # A profile that bounds no probe puts every probe in its band, where
-        # the solver object's ``exceeds`` runs the exact solve itself: its
-        # full ``solve`` runs only the final solve, and every field keeps
-        # its bits.
+        # the solver object's ``exceeds`` runs the exact solve itself, in the
+        # profile's order: its full ``solve`` runs only the final solve, and
+        # every field keeps its bits.
         c, model = wide_singleton(seed, 2000)
         want = estimate_alpha_lower(c, model, 0.05)
         calls = []
         full_solve = solver._SingletonSolver.solve
+        profile = solver._singleton_profile
 
         def counting_solve(self, alpha):
             calls.append(alpha)
             return full_solve(self, alpha)
 
-        monkeypatch.setattr(solver, "_singleton_profile", lambda c, q0: lambda a: (0.0, math.inf))
+        def unbounded_profile(phat, q0):
+            return (lambda a: (0.0, math.inf)), profile(phat, q0)[1]
+
+        monkeypatch.setattr(solver, "_singleton_profile", unbounded_profile)
         monkeypatch.setattr(solver._SingletonSolver, "solve", counting_solve)
         assert_same_fields(estimate_alpha_lower(c, model, 0.05), want, c)
         assert want.contaminated and calls == [want.alpha_lower]

@@ -28,6 +28,7 @@ from contamest import (
 )
 from contamest import solver
 from contamest.distributions import SIMPLEX_ATOL, _SMALLEST_NORMAL, _kl
+from contamest.estimator import _sweep_target, round_to_counts
 from contamest.solver import (
     _EPS,
     _ball_linear_max,
@@ -331,12 +332,18 @@ class TestWaterFillOrder:
         assert_fill_bits(*case)
 
 
+def singleton_probe(c, q):
+    """The probe of ``_singleton_profile`` for counts c, or None where it declines."""
+    profile = _singleton_profile(empirical(c).probs, q)
+    return None if profile is None else profile[0]
+
+
 def check_profile(c, q, alpha):
     """The profile's D(alpha) is within its own bound of the exact objective.
 
     Returns the probe, or None where the profile declines.
     """
-    profile = _singleton_profile(c, q)
+    profile = singleton_probe(c, q)
     exact = solve_singleton(c, q, alpha).objective
     if profile is None:
         # It declines only on subnormal model masses.
@@ -403,13 +410,13 @@ class TestSingletonProfile:
 
     def test_subnormal_model_mass_declines(self):
         # phat_b / q_b overflows for the subnormal q_b; solve decides.
-        assert _singleton_profile(counts(5, 5), dist(1.0, 1e-320)) is None
+        assert singleton_probe(counts(5, 5), dist(1.0, 1e-320)) is None
         # No ratio overflows here, but 2.5 / q_a does at alpha = 0.8.
-        assert _singleton_profile(counts(1, 1), dist(2.0**-1024, 1.0)) is None
+        assert singleton_probe(counts(1, 1), dist(2.0**-1024, 1.0)) is None
 
     def test_dimension_checked(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            _singleton_profile(counts(1, 1), dist(0.5, 0.3, 0.2))
+            singleton_probe(counts(1, 1), dist(0.5, 0.3, 0.2))
 
     @settings(max_examples=200, deadline=None)
     @given(profile_cases())
@@ -580,12 +587,101 @@ class TestInPlaceBits:
     def test_property_profile_keeps_its_bits(self, case):
         _, q, _, _, c = case
         q0 = Distribution(q)
-        profile = _singleton_profile(c, q0)
+        profile = singleton_probe(c, q0)
         reference = singleton_profile_reference(c, q0)
         assert (profile is None) == (reference is None)
         if profile is not None:
             for alpha in PROFILE_ALPHAS:
                 assert hexes(profile(alpha)) == hexes(reference(alpha)), alpha
+
+
+def fills_in_profile_order(c, q0, alphas, monkeypatch):
+    """Full solves of a ``_SingletonSolver`` whose profile is built, checked
+    bit for bit (p, objective, duals) against a fresh ``solve_singleton``,
+    which sorts in its fill.  Returns the number of fresh sorts the object's
+    fills made, ``_stable_order`` calls: one where the profile's order is
+    refused, none where it is taken."""
+    obj = solver._SingletonSolver(c, q0)
+    obj._profile  # the first probe builds it
+    want = [solve_singleton(c, q0, alpha) for alpha in alphas]
+    sorts = []
+    stable_order = solver._stable_order
+
+    def counting_order(x):
+        sorts.append(1)
+        return stable_order(x)
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_stable_order", counting_order)
+        got = [obj.solve(alpha, duals=True) for alpha in alphas]
+    for alpha, g, w in zip(alphas, got, want):
+        assert hexes([g.objective]) == hexes([w.objective]), alpha
+        assert hexes(g.p_star.probs) == hexes(w.p_star.probs), alpha
+        assert (g.duals is None) == (w.duals is None), alpha
+        if w.duals is not None:
+            assert hexes(g.duals.lam) == hexes(w.duals.lam), alpha
+            assert hexes([g.duals.nu]) == hexes([w.duals.nu]), alpha
+    return len(sorts)
+
+
+class TestProfileOrder:
+    """A singleton solver object's exact fills take its profile's sort where
+    that is the fill's own order, and sort afresh where it is not; either way
+    they keep the bits of a fresh ``solve_singleton``."""
+
+    # phat_1 / q_1 < phat_0 / q_0 by one ulp, but the ratios of the caps
+    # phat_i / (1 - alpha) tie at alpha = 0.3 and invert at alpha = 0.1
+    # (found by a seeded search).
+    SCALED_TIE = (
+        counts(805, 980, 380),
+        dist(0.21261481906695406, 0.2588354319075963, 0.5285497490254496),
+    )
+
+    def test_taken_on_distinct_ratios(self, monkeypatch):
+        rng = np.random.default_rng(41)
+        q = Distribution(rng.dirichlet(np.full(500, 5.0)))
+        c = EmpiricalCounts(rng.multinomial(150_000, q.probs))
+        assert fills_in_profile_order(c, q, (0.0, 0.05, 0.3, 0.9), monkeypatch) == 0
+
+    def test_refused_on_ties_made_by_scaling(self, monkeypatch):
+        c, q = self.SCALED_TIE
+        phat = empirical(c).probs
+        r = phat / q.probs
+        assert r[1] < r[0]
+        for alpha, cmp in ((0.3, np.equal), (0.1, np.less)):
+            caps = phat / (1.0 - alpha)
+            assert cmp(caps[0] / q.probs[0], caps[1] / q.probs[1])
+            assert fills_in_profile_order(c, q, (alpha,), monkeypatch) == 1
+        assert fills_in_profile_order(c, q, (0.0, 0.5), monkeypatch) == 0
+
+    def test_zero_q_sorts_its_support(self, monkeypatch):
+        # 2 of 17 samples sit where q is zero: infinite below alpha = 2/17.
+        c, q = counts(3, 5, 2, 7), dist(0.5, 0.2, 0.0, 0.3)
+        assert fills_in_profile_order(c, q, (0.0, 0.05, 0.5, 0.8), monkeypatch) == 0
+
+    def test_subnormal_q_has_no_profile(self, monkeypatch):
+        c, q = counts(1, 3, 2), dist(1.0, 1e-310, 1e-20)
+        assert solver._SingletonSolver(c, q)._profile is None
+        assert fills_in_profile_order(c, q, (0.0, 0.5, 0.9), monkeypatch) >= 3
+
+    @pytest.mark.parametrize("family", ["dip", "spike"])
+    def test_refused_on_tied_sweep_grids(self, family, monkeypatch):
+        refused = 0
+        for n in (3, 10, 1000):
+            for pi in (0.0, 0.05, 0.3):
+                target = _sweep_target(family, n, pi)
+                for p in (7, 10**4, 2**53):
+                    c = EmpiricalCounts(round_to_counts(target, p))
+                    alphas = (0.0, 0.01, 0.2, 0.6)
+                    refused += fills_in_profile_order(c, uniform(n), alphas, monkeypatch)
+        assert refused > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(profile_cases())
+    def test_property_keeps_the_fresh_bits(self, case):
+        c, q, alpha = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            fills_in_profile_order(c, q, (0.0, alpha), monkeypatch)
 
 
 def traced_peak(fn):
@@ -605,8 +701,10 @@ def traced_peak(fn):
 
 class TestSingletonMemory:
     """A singleton verdict holds at most 6 arrays of n floats at once, and an
-    estimate at most 11: the water fill, duals and KL work in place, and the
-    profile keeps five arrays for the bisection."""
+    estimate at most 11: phat is built once per estimate, the water fill
+    and KL work in place and no duals are built, and the profile keeps five
+    arrays and its sort's permutation for the bisection and the final
+    solve."""
 
     N = 100_000
 
