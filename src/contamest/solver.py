@@ -27,9 +27,13 @@ from :func:`_solver`, the module's one dispatch on model kind, answers a
 bisection's two questions: the full solve at alpha, and whether the
 optimum at alpha reaches a threshold, decided from what earlier solves or
 one sort of the data prove when they can, else by a solve under it.  A
-singleton estimate builds ``phat`` once and sorts the data once: the
-profile's order serves every exact fill after the first probe, and only
-the public solves build KKT duals, which the estimator never reads.  The
+threshold solve whose certified bound reaches its threshold stops at that
+bound and fills no further state.  A singleton estimate builds ``phat``
+once and sorts the data once: the profile's order serves every exact fill
+after the first probe, and only the public solves build KKT duals, which
+the estimator never reads.  A mixture estimate builds ``phat``, the
+component matrix and its support once, and its probes build no result
+distributions.  The
 singleton path (fill, duals, KL, profile) allocates each full-length
 array once and works in it, so large solves do not re-fault their memory.
 """
@@ -96,8 +100,10 @@ class SolveResult:
     ``lower_bound`` is a certified lower bound on it: the objective itself
     for an exact singleton solve, else the bound of the last model step (0
     before the first).  A threshold solve that stops on its bound, and only
-    such a solve, has ``lower_bound >= threshold``; its bound was then
-    certified at the returned pair.
+    such a solve, has ``lower_bound >= threshold``.  A KL-ball step's bound
+    is certified at the returned pair; a mixture step's is the first of its
+    bounds, at the returned weights w or at the updates w1 and w2 from
+    them, that reaches the threshold (:func:`solve_mixture`).
     """
 
     objective: float
@@ -417,7 +423,9 @@ def _alternate(state, fill, step, threshold):
     the box water-filled against the state's model q.  Each iteration's
     ``step(p, q, objective, state)`` minimizes over the model with P fixed
     and returns the next state, a certified lower bound on the optimum and
-    the next state's fill.  Before the first step the bound is 0, as D is
+    the next state's fill; a step whose bound reaches the threshold returns
+    None for both, as the loop stops on that bound.  Before the first step
+    the bound is 0, as D is
     never negative.  An infinite objective ends the loop after the first
     iteration, whose model may miss the data's support.  The other stopping
     rules are those of :func:`solve`.  Returns
@@ -483,139 +491,17 @@ def solve_mixture(
     halved at most four times until its objective is at most that of w2;
     else the step returns w2.  So the objective never increases.  Every
     point the step returns comes with its fill, the next iteration's pair.
-    The step certifies the largest of the bounds at w, at w1 and, when it
-    tries Newton, at w2.  Weights start uniform, or from the
-    ``mixture_weights`` of ``warm_start`` (a warm start changes the
-    iterates, not the limit: the objective is jointly convex).
-    ``mixture_weights`` are the weights of ``q_star``.
+    A full solve's step certifies the largest of the bounds at w, at w1
+    and, when it tries Newton, at w2.  A threshold solve's step stops at
+    the first of them that reaches the threshold, and fills nothing after
+    it: its ``lower_bound`` is then that first certifying bound.  Weights
+    start uniform, or from the ``mixture_weights`` of ``warm_start`` (a
+    warm start changes the iterates, not the limit: the objective is
+    jointly convex).  ``mixture_weights`` are the weights of ``q_star``.
+    The solve is that of a fresh :class:`_MixtureSolver`.
     """
-    comps = tuple(components)
-    if len(comps) < 2:
-        raise ValueError("mixture model needs at least 2 components")
-    if any(c.n != counts.n for c in comps):
-        raise ValueError("dimension mismatch")
-    upper = _caps(empirical(counts).probs, alpha)
-    qmat = np.stack([c.probs for c in comps])  # (k, n)
-    if warm_start is None or warm_start.mixture_weights is None:
-        w = np.full(len(comps), 1.0 / len(comps))
-    else:
-        w = np.maximum(warm_start.mixture_weights, 1e-15)
-        if w.size != len(comps):
-            raise ValueError("warm_start weights must match the component count")
-        w = w / w.sum()
-
-    union = qmat.sum(axis=0) > 0
-    if float(upper[union].sum()) < 1.0 - SIMPLEX_ATOL:
-        # No mixture can carry the required mass at this alpha.
-        q = w @ qmat
-        p, obj, _ = _water_fill(upper, q)
-        lower, it, converged = obj, 0, True
-    else:
-        qmat_u = qmat[:, union]
-        upper_u = upper[union]
-
-        def fill(w):
-            """The fill ``(p, q, objective, level)`` at weights w."""
-            q = w @ qmat_u
-            p, obj, level = _water_fill(upper_u, q)
-            return p, q, obj, level
-
-        def gradient(p_u, q_u, obj):
-            """m at the water-filled pair, and the Frank-Wolfe bound there."""
-            ratio = np.where(q_u > 0, p_u / np.where(q_u > 0, q_u, 1.0), 0.0)
-            m = qmat_u @ ratio
-            m_max = float(m.max())
-            if not math.isfinite(m_max):  # p_i / q_i overflowed (subnormal q_i)
-                m = np.divide(qmat_u, q_u, out=np.zeros_like(qmat_u), where=q_u > 0) @ p_u
-                m_max = float(m.max())
-            return m, obj - (m_max - 1.0)
-
-        def em(p_u, q_u, obj, w):
-            """F(w) from the water-filled pair at w, and the bound at w."""
-            m, lower = gradient(p_u, q_u, obj)
-            w = w * m
-            return w / w.sum(), lower
-
-        def newton(w2, lower):
-            """The face-restricted Newton step from w2, or w2 itself."""
-            fill2 = p2, q2, obj2, level = fill(w2)
-            m2, lower2 = gradient(p2, q2, obj2)
-            lower = max(lower, lower2)
-            face = (w2 > _FACE_WEIGHT) | (m2 > 1.0 + _FACE_GRADIENT)
-            size = int(np.count_nonzero(face))
-            if size < 2 or level is None or not level < math.inf:
-                return w2, lower, fill2
-            # The Hessian of g on the fill's active set: capped P_i stay at
-            # their caps, free ones share the free mass in proportion to q.
-            free = upper_u > level * q2
-            q_face = qmat_u[face]
-            q_safe = np.where(q2 > 0, q2, 1.0)
-            curv = np.where(free, 0.0, p2 / q_safe / q_safe)  # P_i / q_i**2 on the caps
-            kkt = np.ones((size + 1, size + 1))
-            kkt[:size, :size] = (q_face * curv) @ q_face.T
-            kkt[size, size] = 0.0
-            free_mass = float(p2[free].sum())
-            if free_mass > 0:
-                b = q_face[:, free].sum(axis=1) / float(q2[free].sum())
-                kkt[:size, :size] += free_mass * np.outer(b, b)
-            if not np.isfinite(kkt).all():  # P_i / q_i**2 overflowed
-                return w2, lower, fill2
-            rhs = np.append(m2[face], 0.0)
-            try:
-                d = np.linalg.solve(kkt, rhs)[:size]
-            except np.linalg.LinAlgError:
-                # Fewer capped categories than face weights leave g flat along
-                # some directions: take the least-norm step.
-                d = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:size]
-            if not np.isfinite(d).all():
-                return w2, lower, fill2
-            shrink = d < 0
-            t = min(1.0, float(np.min(w2[face][shrink] / -d[shrink]))) if shrink.any() else 1.0
-            for _ in range(_NEWTON_HALVINGS + 1):
-                w_try = w2.copy()
-                w_try[face] += t * d
-                w_try = np.maximum(w_try, 1e-15)
-                w_try /= w_try.sum()
-                fill_try = fill(w_try)
-                if fill_try[2] <= obj2:
-                    return w_try, lower, fill_try
-                t *= 0.5
-            return w2, lower, fill2
-
-        def step(p_u, q_u, obj, w):
-            w1, lower = em(p_u, q_u, obj, w)
-            p1, q1, obj1, _ = fill(w1)
-            w2, lower1 = em(p1, q1, obj1, w1)
-            lower = max(lower, lower1)
-            r = w1 - w
-            v = w2 - w1 - r
-            v_norm = float(np.linalg.norm(v))
-            if v_norm == 0:
-                return w2, lower, fill(w2)
-            a = min(-float(np.linalg.norm(r)) / v_norm, -1.0)
-            w_ext = np.maximum(w - 2.0 * a * r + a * a * v, 1e-15)
-            w_ext /= w_ext.sum()
-            fill_ext = fill(w_ext)
-            if fill_ext[2] <= obj1:
-                return w_ext, lower, fill_ext
-            return newton(w2, lower)
-
-        # Set once per solve, not per step: the step checks m for overflow.
-        with np.errstate(over="ignore", invalid="ignore"):
-            p_u, q_u, w, obj, lower, it, converged = _alternate(w, fill(w), step, threshold)
-        p = np.zeros(counts.n)
-        p[union] = p_u
-        q = np.zeros(counts.n)
-        q[union] = q_u
-    return SolveResult(
-        objective=obj,
-        p_star=Distribution(p),
-        q_star=Distribution(q),
-        mixture_weights=w,
-        iterations=it,
-        converged=converged,
-        lower_bound=lower,
-    )
+    start = None if warm_start is None else warm_start.mixture_weights
+    return _MixtureSolver(counts, components)._solve(alpha, threshold, start)
 
 
 def solve_klball(
@@ -653,14 +539,18 @@ def solve_klball(
 
     def step(p, q, obj, state):
         nonlocal scale
-        q_next = _ball_projection(p, c, radius)
         if math.isinf(obj):  # the subgradient needs a finite objective
-            return q_next, -math.inf, fill(q_next)
-        with np.errstate(over="ignore"):  # P_i / Q_i overflows for subnormal Q_i
-            a = np.divide(p, q, out=np.zeros_like(p), where=q > 0)
-        a[(q == 0) & (upper > 0)] = a.max()
-        bound, scale = _ball_linear_max(a, c, radius, scale)
-        return q_next, obj + 1.0 - bound, fill(q_next)
+            lower = -math.inf
+        else:
+            with np.errstate(over="ignore"):  # P_i / Q_i overflows for subnormal Q_i
+                a = np.divide(p, q, out=np.zeros_like(p), where=q > 0)
+            a[(q == 0) & (upper > 0)] = a.max()
+            bound, scale = _ball_linear_max(a, c, radius, scale)
+            lower = obj + 1.0 - bound
+            if threshold is not None and lower >= threshold:
+                return None, lower, None  # _alternate stops on it: no next state
+        q_next = _ball_projection(p, c, radius)
+        return q_next, lower, fill(q_next)
 
     p, q, _, obj, lower, it, converged = _alternate(c, fill(c), step, threshold)
     return SolveResult(
@@ -767,22 +657,185 @@ class _SingletonSolver(_Solver):
 
 
 class _MixtureSolver(_Solver):
-    """Mixture solves from the weights of the latest probe: consecutive
-    alphas are close, and a warm start changes the iterates, never the limit
-    (joint convexity).  Earlier probes prove nothing here."""
+    """The mixture solves of :func:`solve_mixture` over one data set's box.
+
+    ``phat``, the stacked component matrix, the union of the components'
+    supports and the matrix's columns there are built once, on first use,
+    and every solve runs from them.  A probe's solve starts from the
+    weights of the latest probe: consecutive alphas are close, and a warm
+    start changes the iterates, never the limit (joint convexity).  Earlier
+    probes prove nothing here.  A probe reads only the objective, the
+    convergence flag and the weights, so it builds no ``SolveResult``.
+    """
 
     def __init__(self, counts: EmpiricalCounts, components: Sequence[Distribution]):
+        comps = tuple(components)
+        if len(comps) < 2:
+            raise ValueError("mixture model needs at least 2 components")
+        if any(c.n != counts.n for c in comps):
+            raise ValueError("dimension mismatch")
         super().__init__(counts)
-        self._components = components
-        self._latest = None
+        self._components = comps
+        self._weights = None  # the weights of the latest probe
 
-    def _solve(self, alpha: float, threshold: float | None) -> SolveResult:
-        return solve_mixture(
-            self._counts, self._components, alpha, threshold=threshold, warm_start=self._latest
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(qmat, union, qmat[:, union])``, qmat the (k, n) component matrix."""
+        qmat = np.stack([c.probs for c in self._components])
+        union = qmat.sum(axis=0) > 0
+        return qmat, union, qmat[:, union]
+
+    def exceeds(self, alpha: float, threshold: float) -> bool:
+        _, _, self._weights, obj, _, _, converged = self._run(alpha, threshold)
+        return converged and obj >= threshold
+
+    def _solve(
+        self, alpha: float, threshold: float | None, start: np.ndarray | None = None
+    ) -> SolveResult:
+        p, q, w, obj, lower, it, converged = self._run(alpha, threshold, start)
+        if p.size < self._counts.n:  # on the union: scatter into the categories
+            union = self._arrays[1]
+            p_u, q_u = p, q
+            p = np.zeros(self._counts.n)
+            p[union] = p_u
+            q = np.zeros(self._counts.n)
+            q[union] = q_u
+        return SolveResult(
+            objective=obj,
+            p_star=Distribution(p),
+            q_star=Distribution(q),
+            mixture_weights=w,
+            iterations=it,
+            converged=converged,
+            lower_bound=lower,
         )
 
-    def _record(self, alpha: float, threshold: float, result: SolveResult) -> None:
-        self._latest = result
+    def _run(self, alpha: float, threshold: float | None, start: np.ndarray | None = None):
+        """The alternating loop of :func:`solve_mixture` from ``start``
+        weights, else those of the latest probe, else uniform weights.
+        Returns :func:`_alternate`'s ``(p, q, w, objective, lower, iterations,
+        converged)``; p and q are over the union of the components' supports,
+        or over every category when the box cannot carry unit mass there."""
+        upper = _caps(self.phat.probs, alpha)
+        qmat, union, qmat_u = self._arrays
+        k = qmat.shape[0]
+        if start is None:
+            start = self._weights
+        if start is None:
+            w = np.full(k, 1.0 / k)
+        else:
+            w = np.maximum(start, 1e-15)
+            if w.size != k:
+                raise ValueError("warm_start weights must match the component count")
+            w = w / w.sum()
+
+        upper_u = upper[union]
+        if float(upper_u.sum()) < 1.0 - SIMPLEX_ATOL:
+            # No mixture can carry the required mass at this alpha.
+            q = w @ qmat
+            p, obj, _ = _water_fill(upper, q)
+            return p, q, w, obj, obj, 0, True
+
+        def fill(w):
+            """The fill ``(p, q, objective, level)`` at weights w."""
+            q = w @ qmat_u
+            p, obj, level = _water_fill(upper_u, q)
+            return p, q, obj, level
+
+        def gradient(p_u, q_u, obj):
+            """m at the water-filled pair, and the Frank-Wolfe bound there."""
+            ratio = np.where(q_u > 0, p_u / np.where(q_u > 0, q_u, 1.0), 0.0)
+            m = qmat_u @ ratio
+            m_max = float(m.max())
+            if not math.isfinite(m_max):  # p_i / q_i overflowed (subnormal q_i)
+                m = np.divide(qmat_u, q_u, out=np.zeros_like(qmat_u), where=q_u > 0) @ p_u
+                m_max = float(m.max())
+            return m, obj - (m_max - 1.0)
+
+        def em(p_u, q_u, obj, w):
+            """F(w) from the water-filled pair at w, and the bound at w."""
+            m, lower = gradient(p_u, q_u, obj)
+            w = w * m
+            return w / w.sum(), lower
+
+        def certifies(lower):
+            """Whether a threshold solve stops on ``lower``; its step then
+            returns at once, and :func:`_alternate` reads no next state."""
+            return threshold is not None and lower >= threshold
+
+        def newton(w2, lower):
+            """The face-restricted Newton step from w2, or w2 itself."""
+            fill2 = p2, q2, obj2, level = fill(w2)
+            m2, lower2 = gradient(p2, q2, obj2)
+            lower = max(lower, lower2)
+            if certifies(lower):
+                return None, lower, None
+            face = (w2 > _FACE_WEIGHT) | (m2 > 1.0 + _FACE_GRADIENT)
+            size = int(np.count_nonzero(face))
+            if size < 2 or level is None or not level < math.inf:
+                return w2, lower, fill2
+            # The Hessian of g on the fill's active set: capped P_i stay at
+            # their caps, free ones share the free mass in proportion to q.
+            free = upper_u > level * q2
+            q_face = qmat_u[face]
+            q_safe = np.where(q2 > 0, q2, 1.0)
+            curv = np.where(free, 0.0, p2 / q_safe / q_safe)  # P_i / q_i**2 on the caps
+            kkt = np.ones((size + 1, size + 1))
+            kkt[:size, :size] = (q_face * curv) @ q_face.T
+            kkt[size, size] = 0.0
+            free_mass = float(p2[free].sum())
+            if free_mass > 0:
+                b = q_face[:, free].sum(axis=1) / float(q2[free].sum())
+                kkt[:size, :size] += free_mass * np.outer(b, b)
+            if not np.isfinite(kkt).all():  # P_i / q_i**2 overflowed
+                return w2, lower, fill2
+            rhs = np.append(m2[face], 0.0)
+            try:
+                d = np.linalg.solve(kkt, rhs)[:size]
+            except np.linalg.LinAlgError:
+                # Fewer capped categories than face weights leave g flat along
+                # some directions: take the least-norm step.
+                d = np.linalg.lstsq(kkt, rhs, rcond=None)[0][:size]
+            if not np.isfinite(d).all():
+                return w2, lower, fill2
+            shrink = d < 0
+            t = min(1.0, float(np.min(w2[face][shrink] / -d[shrink]))) if shrink.any() else 1.0
+            for _ in range(_NEWTON_HALVINGS + 1):
+                w_try = w2.copy()
+                w_try[face] += t * d
+                w_try = np.maximum(w_try, 1e-15)
+                w_try /= w_try.sum()
+                fill_try = fill(w_try)
+                if fill_try[2] <= obj2:
+                    return w_try, lower, fill_try
+                t *= 0.5
+            return w2, lower, fill2
+
+        def step(p_u, q_u, obj, w):
+            w1, lower = em(p_u, q_u, obj, w)
+            if certifies(lower):
+                return None, lower, None
+            p1, q1, obj1, _ = fill(w1)
+            w2, lower1 = em(p1, q1, obj1, w1)
+            lower = max(lower, lower1)
+            if certifies(lower):
+                return None, lower, None
+            r = w1 - w
+            v = w2 - w1 - r
+            v_norm = float(np.linalg.norm(v))
+            if v_norm == 0:
+                return w2, lower, fill(w2)
+            a = min(-float(np.linalg.norm(r)) / v_norm, -1.0)
+            w_ext = np.maximum(w - 2.0 * a * r + a * a * v, 1e-15)
+            w_ext /= w_ext.sum()
+            fill_ext = fill(w_ext)
+            if fill_ext[2] <= obj1:
+                return w_ext, lower, fill_ext
+            return newton(w2, lower)
+
+        # Set once per solve, not per step: the step checks m for overflow.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _alternate(w, fill(w), step, threshold)
 
 
 class _KlBallSolver(_Solver):

@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import math
 from dataclasses import fields
@@ -413,6 +414,89 @@ class TestPinnedBounds:
             assert res.c_lower == c_lower
 
     @staticmethod
+    def pinned_fields(res):
+        return res.alpha_lower.hex(), res.c_lower, res.objective_at_alpha.hex(), res.kappa.hex()
+
+    def test_criterion_5_fields(self):
+        # alpha_lower, c_lower, objective_at_alpha and kappa of the first five
+        # instances, recorded when every mixture solve rebuilt the data's
+        # arrays and filled its whole step after a certifying bound.
+        expected = [
+            ("0x1.6eda00a000000p-1", 71650, "0x1.292023382bca5p-5", "0x1.fecdc7e1db943p-1"),
+            ("0x1.7fa5a76000000p-1", 74931, "0x1.4bfcbeb76ccbcp-5", "0x1.f7dc200dd871dp-1"),
+            ("0x1.71ceaca000000p-1", 72227, "0x1.2eb1ebd907bd1p-5", "0x1.f44f5eea927f8p-1"),
+            ("0x1.6cf8d40000000p-1", 71283, "0x1.25b1b3f8dfbb7p-5", "0x1.ec5fe940adcc0p-1"),
+            ("0x1.935165c000000p-1", 78773, "0x1.81a7c74e65dacp-5", "0x1.f1ca76e895d74p-1"),
+        ]
+        instances = test_solver.TestSolveMixture.criterion_5_instances(len(expected))
+        for (c, model), want in zip(instances, expected):
+            assert self.pinned_fields(estimate_alpha_lower(c, model, 0.05)) == want
+
+    def test_small_mixture_fields(self):
+        # Recorded as for criterion 5, on small_mixtures and on edge cases.
+        expected = [
+            ("0x1.0524560000000p-2", 510, "0x1.f294ed5998d13p-5", "0x1.7e3b52af2f84ep-1"),
+            ("0x1.09741e8000000p-3", 259, "0x1.b386b1ae347e0p-5", "0x1.bf8eff993ce52p-2"),
+            ("0x1.ed7e0d0000000p-3", 481, "0x1.ea8ea265ff0e5p-5", "0x1.06a6347aea758p-1"),
+            ("0x1.e336c90000000p-4", 235, "0x1.ae844d73f31e8p-5", "0x1.3f730d5e7da40p-1"),
+            ("0x1.6dc74f0000000p-2", 714, "0x1.1b48aa55418f0p-4", "0x1.6511787448528p-1"),
+            ("0x1.b4d3592000000p-1", 1706, "0x1.f0beb67da4c6cp-3", "0x1.fdc6d8e2784a9p-1"),
+            ("0x1.0a1105a000000p-1", 1039, "0x1.6c337850bbf34p-4", "0x1.d618b35f940b8p-1"),
+            ("0x1.085b734000000p-2", 516, "0x1.f469930822bd6p-5", "0x1.953903914cadcp-1"),
+        ]
+        instances = small_mixtures(np.random.default_rng(43), len(expected))
+        for (c, model), want in zip(instances, expected):
+            assert self.pinned_fields(estimate_alpha_lower(c, model, 0.05)) == want
+
+    @pytest.mark.parametrize(
+        "c, components, expected",
+        [
+            pytest.param(
+                counts(5, 5, 0),
+                (dist(0.7, 0.0, 0.3), dist(0.0, 0.0, 1.0)),
+                [("0x1.ffffffc000000p-2", 4, "inf", "0x1.0000000000000p+0")] * 2,
+                id="support-deficit",
+            ),
+            pytest.param(
+                counts(30, 50, 20),
+                (dist(0.5, 0.5, 0.0), dist(0.9, 0.1, 0.0)),
+                [("0x1.9999998000000p-3", 19, "inf", "0x1.2492492492492p-1")] * 2,
+                id="data-off-union",
+            ),
+            pytest.param(
+                counts(8000, 2000, 0),
+                (dist(0.5, 0.5, 0.0), dist(0.4, 0.6, 0.0)),
+                [
+                    ("0x1.0ed6e3e000000p-1", 5289, "0x1.75e0007932ce0p-7", "0x1.3333333333334p-1"),
+                    ("0x1.0f80e60000000p-1", 5302, "0x1.6a4ae4280f8a0p-7", "0x1.3333333333334p-1"),
+                ],
+                id="zero-off-data",
+            ),
+            pytest.param(
+                counts(5, 5),
+                (dist(1.0, 1e-320), dist(1.0, 1e-320)),
+                [
+                    ("0x1.fe92b10000000p-2", 4, "0x1.03ae5715144bdp+1", "0x1.0000000000000p-1"),
+                    ("0x1.fed3048000000p-2", 4, "0x1.ac014d521e417p+0", "0x1.0000000000000p-1"),
+                ],
+                id="subnormal-equal",
+            ),
+            pytest.param(
+                counts(5, 5),
+                (dist(1.0, 1e-320), dist(1.0, 0.0)),
+                [
+                    ("0x1.fe92b10000000p-2", 4, "0x1.03ae5715144bdp+1", "0x1.0000000000000p-1"),
+                    ("0x1.fed3048000000p-2", 4, "0x1.ac014d521e417p+0", "0x1.0000000000000p-1"),
+                ],
+                id="subnormal-unequal",
+            ),
+        ],
+    )
+    def test_mixture_edge_fields(self, c, components, expected):
+        for epsilon, want in zip((0.05, 0.3), expected):
+            assert self.pinned_fields(estimate_alpha_lower(c, Mixture(components), epsilon)) == want
+
+    @staticmethod
     def two_sample_pair():
         rng = np.random.default_rng(31)
         q = rng.dirichlet(np.full(40, 5.0))
@@ -504,24 +588,24 @@ def assert_same_fields(got, want, c):
 
 def record_solves(monkeypatch):
     """``(alpha, threshold)`` of every solve that the solver objects run,
-    until ``monkeypatch`` is undone: each call to ``solve_mixture`` and
-    ``solve_klball`` and each exact fill of a ``_SingletonSolver``
-    (``_SingletonSolver._solve``); a full solve's threshold is None."""
+    until ``monkeypatch`` is undone: each call to ``solve_klball``, each run
+    of a ``_MixtureSolver``'s loop (``_MixtureSolver._run``) and each exact
+    fill of a ``_SingletonSolver`` (``_SingletonSolver._solve``); a full
+    solve's threshold is None."""
     calls = []
-    for name in ("solve_mixture", "solve_klball"):
 
-        def recording(*args, _solve=getattr(solver, name), **kwargs):
-            calls.append((args[-1], kwargs.get("threshold")))
-            return _solve(*args, **kwargs)
+    def recording_klball(*args, _solve=solver.solve_klball, **kwargs):
+        calls.append((args[-1], kwargs.get("threshold")))
+        return _solve(*args, **kwargs)
 
-        monkeypatch.setattr(solver, name, recording)
-    singleton_solve = solver._SingletonSolver._solve
+    monkeypatch.setattr(solver, "solve_klball", recording_klball)
+    for cls, name in ((solver._MixtureSolver, "_run"), (solver._SingletonSolver, "_solve")):
 
-    def recording_singleton(self, alpha, threshold, *args):
-        calls.append((alpha, threshold))
-        return singleton_solve(self, alpha, threshold, *args)
+        def recording(self, alpha, threshold, *args, _solve=getattr(cls, name)):
+            calls.append((alpha, threshold))
+            return _solve(self, alpha, threshold, *args)
 
-    monkeypatch.setattr(solver._SingletonSolver, "_solve", recording_singleton)
+        monkeypatch.setattr(cls, name, recording)
     return calls
 
 
@@ -597,7 +681,7 @@ class TestSortOnceBisection:
         calls = record_solves(monkeypatch)
         res = estimate_alpha_lower(*wide_singleton(7, 2000), 0.05)
         assert res.contaminated and res.alpha_lower > 0
-        assert len(calls) <= 2, calls
+        assert 1 <= len(calls) <= 2, calls  # the final solve at least
 
     @pytest.mark.parametrize("seed", [7, 11])
     def test_one_phat_and_one_sort_per_estimate(self, seed, monkeypatch):
@@ -856,6 +940,143 @@ class TestMixtureFullSolves:
         assert res.converged
         assert res.objective - res.lower_bound <= solver.TOLERANCE
         assert res.iterations < 1_000
+
+
+class TestMixtureArraysOnce:
+    """One mixture solver object builds phat and the component matrix once
+    and runs every solve from them."""
+
+    def test_one_empirical_and_one_stack_per_estimate(self, monkeypatch):
+        work = collections.Counter()
+        for module, name in ((solver, "empirical"), (estimator_module, "empirical"), (np, "stack")):
+
+            def counted(*args, _fn=getattr(module, name), _name=name, **kwargs):
+                work[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        # A whole bisection, 30 solves here, took 31 empirical calls and 30
+        # stacks when each solve built its own arrays.
+        for c, model in test_solver.TestSolveMixture.criterion_5_instances(2):
+            work.clear()
+            assert estimate_alpha_lower(c, model, 0.05).contaminated
+            assert work == {"empirical": 1, "stack": 1}, work
+        verdicts = set()
+        for c, model in small_mixtures(np.random.default_rng(43), 8):
+            work.clear()
+            verdicts.add(is_contaminated(c, model, 0.05)[0])
+            assert work == {"empirical": 1, "stack": 1}, work
+        assert True in verdicts
+
+
+def mixture_at(c, model, alpha, threshold):
+    return solve_mixture(c, model.components, alpha, threshold=threshold)
+
+
+def klball_at(c, model, alpha, threshold):
+    return solve_klball(c, model.center, model.radius, alpha, threshold=threshold)
+
+
+def threshold_solves(instances, solve_at):
+    """``(model, threshold, result)`` of each instance's public threshold
+    solves at alpha 0 and 0.2, under 0.5 to 2 times the full solve's
+    objective."""
+    for c, model in instances:
+        for alpha in (0.0, 0.2):
+            full = solve_at(c, model, alpha, None)
+            for scale in (0.5, 0.9, 0.99, 1.01, 2.0):
+                threshold = full.objective * scale
+                yield model, threshold, solve_at(c, model, alpha, threshold)
+
+
+class TestThresholdSolveExits:
+    """A threshold solve that stops on its bound returns the pair it filled
+    last.  A mixture solve then reports the first bound of its step that
+    certifies, not the step's largest; every other field keeps its bits."""
+
+    @staticmethod
+    def digest(results, names):
+        h = hashlib.sha256()
+        for res in results:
+            for name in names:
+                value = getattr(res, name)
+                if isinstance(value, Distribution):
+                    value = value.probs
+                h.update(np.asarray(value, dtype=float).tobytes())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize(
+        "instances, solve_at, names, want",
+        [
+            pytest.param(
+                small_mixtures,
+                mixture_at,
+                ("objective", "p_star", "q_star", "mixture_weights", "iterations", "converged"),
+                "f2a1fd1847d09e8abc915cd5f3392b4b16f086c35dd8d7bb08d85de5c0e6ac79",
+                id="mixture-all-but-lower-bound",
+            ),
+            pytest.param(
+                small_klballs,
+                klball_at,
+                ("objective", "p_star", "q_star", "lower_bound", "iterations", "converged"),
+                "5dded7ab8ab3c2234cad512cf78ca57744f1da8496075ed5fc2a52ad31919071",
+                id="klball-every-field",
+            ),
+        ],
+    )
+    def test_fields_keep_their_bits(self, instances, solve_at, names, want):
+        # Digests recorded when every step filled its next state after a
+        # certifying bound and a mixture step reported its largest bound.
+        solves = list(threshold_solves(instances(np.random.default_rng(47), 14), solve_at))
+        assert self.digest([res for *_, res in solves], names) == want
+        true_exits = 0
+        for _, threshold, res in solves:
+            if res.converged and res.objective >= threshold:
+                assert res.lower_bound >= threshold
+                true_exits += 1
+        assert true_exits == 86
+
+    @staticmethod
+    def true_exits(instances, solve_at, monkeypatch):
+        """``(model, result, last)`` of each threshold solve that reads True,
+        with ``last = (p, q, objective)`` the last water fill before it
+        returned."""
+        fills = []
+        water_fill = solver._water_fill
+
+        def recording_fill(upper, q, *args):
+            p, objective, level = water_fill(upper, q, *args)
+            fills.append((p.copy(), q.copy(), objective))
+            return p, objective, level
+
+        monkeypatch.setattr(solver, "_water_fill", recording_fill)
+        solves = threshold_solves(instances(np.random.default_rng(47), 14), solve_at)
+        for model, threshold, res in solves:
+            if res.converged and res.objective >= threshold:
+                yield model, res, fills[-1]
+
+    def test_true_mixture_exit_fills_nothing_after_its_bound(self, monkeypatch):
+        # The step fills w1 (and w2) only while no bound has certified, so
+        # the last fill is the pair whose Frank-Wolfe bound the solve
+        # reports: the returned pair's, or that of w1 or w2.  Every
+        # component mass is positive here, so a fill covers every category.
+        seen = 0
+        for model, res, (p, q, objective) in self.true_exits(
+            small_mixtures, mixture_at, monkeypatch
+        ):
+            m = np.stack([d.probs for d in model.components]) @ (p / q)
+            assert objective - (m.max() - 1.0) == pytest.approx(res.lower_bound, rel=1e-12)
+            seen += 1
+        assert seen == 86
+
+    def test_true_klball_exit_fills_nothing_after_its_pair(self, monkeypatch):
+        # The ball's bound is that of the returned pair, so the step stops
+        # before it projects and fills the next model.
+        seen = 0
+        for _, res, (_, q, _) in self.true_exits(small_klballs, klball_at, monkeypatch):
+            assert np.array_equal(q, res.q_star.probs), res.iterations
+            seen += 1
+        assert seen == 86
 
 
 class TestCertifiedKlballProbes(TestCertifiedProbes):
