@@ -416,6 +416,11 @@ def closed_form_singleton(
     )
 
 
+def _certifies(lower: float, threshold: float | None) -> bool:
+    """Whether a threshold solve stops on the certified bound ``lower``."""
+    return threshold is not None and lower >= threshold
+
+
 def _alternate(state, fill, step, threshold):
     """The alternating loop of :func:`solve_mixture` and :func:`solve_klball`.
 
@@ -448,7 +453,7 @@ def _alternate(state, fill, step, threshold):
             if any(o == obj and np.array_equal(state, s) for o, s in recent):
                 return p, q, state, obj, lower, it, False
         next_state, lower, next_fill = step(p, q, obj, state)
-        if threshold is not None and lower >= threshold:
+        if _certifies(lower, threshold):
             return p, q, state, obj, lower, it, True
         if it < MAX_ITERATIONS:
             recent = (recent + ((obj, state),))[-8:]
@@ -500,8 +505,10 @@ def solve_mixture(
     jointly convex).  ``mixture_weights`` are the weights of ``q_star``.
     The solve is that of a fresh :class:`_MixtureSolver`.
     """
-    start = None if warm_start is None else warm_start.mixture_weights
-    return _MixtureSolver(counts, components)._solve(alpha, threshold, start)
+    mixture = _MixtureSolver(counts, components)
+    if warm_start is not None:
+        mixture._weights = warm_start.mixture_weights
+    return mixture._solve(alpha, threshold)
 
 
 def solve_klball(
@@ -547,7 +554,7 @@ def solve_klball(
             a[(q == 0) & (upper > 0)] = a.max()
             bound, scale = _ball_linear_max(a, c, radius, scale)
             lower = obj + 1.0 - bound
-            if threshold is not None and lower >= threshold:
+            if _certifies(lower, threshold):
                 return None, lower, None  # _alternate stops on it: no next state
         q_next = _ball_projection(p, c, radius)
         return q_next, lower, fill(q_next)
@@ -663,9 +670,14 @@ class _MixtureSolver(_Solver):
     supports and the matrix's columns there are built once, on first use,
     and every solve runs from them.  A probe's solve starts from the
     weights of the latest probe: consecutive alphas are close, and a warm
-    start changes the iterates, never the limit (joint convexity).  Earlier
-    probes prove nothing here.  A probe reads only the objective, the
-    convergence flag and the weights, so it builds no ``SolveResult``.
+    start changes the iterates, never the limit (joint convexity).  A solve
+    at the alpha of the solve before it whose first model q is that of the
+    pair that solve returned starts from the pair rather than filling it
+    again: the full solve at alpha_lower after a True probe there.  A solve
+    the public :func:`solve_mixture` runs starts from the weights of its
+    ``warm_start``, seeded into a fresh object.  Earlier probes prove
+    nothing here.  A probe reads only the objective, the convergence flag and
+    the weights, so it builds no ``SolveResult``.
     """
 
     def __init__(self, counts: EmpiricalCounts, components: Sequence[Distribution]):
@@ -676,7 +688,8 @@ class _MixtureSolver(_Solver):
             raise ValueError("dimension mismatch")
         super().__init__(counts)
         self._components = comps
-        self._weights = None  # the weights of the latest probe
+        self._weights = None  # the weights the next solve starts from
+        self._returned = None  # (alpha, fill) of the pair the latest solve returned
 
     @functools.cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -686,20 +699,15 @@ class _MixtureSolver(_Solver):
         return qmat, union, qmat[:, union]
 
     def exceeds(self, alpha: float, threshold: float) -> bool:
-        _, _, self._weights, obj, _, _, converged = self._run(alpha, threshold)
+        _, _, _, self._weights, obj, _, _, converged = self._run(alpha, threshold)
         return converged and obj >= threshold
 
-    def _solve(
-        self, alpha: float, threshold: float | None, start: np.ndarray | None = None
-    ) -> SolveResult:
-        p, q, w, obj, lower, it, converged = self._run(alpha, threshold, start)
-        if p.size < self._counts.n:  # on the union: scatter into the categories
-            union = self._arrays[1]
-            p_u, q_u = p, q
-            p = np.zeros(self._counts.n)
-            p[union] = p_u
-            q = np.zeros(self._counts.n)
-            q[union] = q_u
+    def _solve(self, alpha: float, threshold: float | None) -> SolveResult:
+        support, p_s, q_s, w, obj, lower, it, converged = self._run(alpha, threshold)
+        p = np.zeros(self._counts.n)
+        p[support] = p_s
+        q = np.zeros(self._counts.n)
+        q[support] = q_s
         return SolveResult(
             objective=obj,
             p_star=Distribution(p),
@@ -710,21 +718,20 @@ class _MixtureSolver(_Solver):
             lower_bound=lower,
         )
 
-    def _run(self, alpha: float, threshold: float | None, start: np.ndarray | None = None):
-        """The alternating loop of :func:`solve_mixture` from ``start``
-        weights, else those of the latest probe, else uniform weights.
-        Returns :func:`_alternate`'s ``(p, q, w, objective, lower, iterations,
-        converged)``; p and q are over the union of the components' supports,
-        or over every category when the box cannot carry unit mass there."""
+    def _run(self, alpha: float, threshold: float | None):
+        """The alternating loop of :func:`solve_mixture` from ``self._weights``,
+        or uniform weights.  Returns ``(support, p, q, w, objective, lower,
+        iterations, converged)``: :func:`_alternate`'s result, with p and q
+        over ``support``, the categories in the union of the components'
+        supports, or every category when the box cannot carry unit mass
+        there."""
         upper = _caps(self.phat.probs, alpha)
         qmat, union, qmat_u = self._arrays
         k = qmat.shape[0]
-        if start is None:
-            start = self._weights
-        if start is None:
+        if self._weights is None:
             w = np.full(k, 1.0 / k)
         else:
-            w = np.maximum(start, 1e-15)
+            w = np.maximum(self._weights, 1e-15)
             if w.size != k:
                 raise ValueError("warm_start weights must match the component count")
             w = w / w.sum()
@@ -734,7 +741,7 @@ class _MixtureSolver(_Solver):
             # No mixture can carry the required mass at this alpha.
             q = w @ qmat
             p, obj, _ = _water_fill(upper, q)
-            return p, q, w, obj, obj, 0, True
+            return slice(None), p, q, w, obj, obj, 0, True
 
         def fill(w):
             """The fill ``(p, q, objective, level)`` at weights w."""
@@ -758,17 +765,12 @@ class _MixtureSolver(_Solver):
             w = w * m
             return w / w.sum(), lower
 
-        def certifies(lower):
-            """Whether a threshold solve stops on ``lower``; its step then
-            returns at once, and :func:`_alternate` reads no next state."""
-            return threshold is not None and lower >= threshold
-
         def newton(w2, lower):
             """The face-restricted Newton step from w2, or w2 itself."""
             fill2 = p2, q2, obj2, level = fill(w2)
             m2, lower2 = gradient(p2, q2, obj2)
             lower = max(lower, lower2)
-            if certifies(lower):
+            if _certifies(lower, threshold):  # _alternate reads no next state
                 return None, lower, None
             face = (w2 > _FACE_WEIGHT) | (m2 > 1.0 + _FACE_GRADIENT)
             size = int(np.count_nonzero(face))
@@ -813,12 +815,12 @@ class _MixtureSolver(_Solver):
 
         def step(p_u, q_u, obj, w):
             w1, lower = em(p_u, q_u, obj, w)
-            if certifies(lower):
+            if _certifies(lower, threshold):  # _alternate reads no next state
                 return None, lower, None
             p1, q1, obj1, _ = fill(w1)
             w2, lower1 = em(p1, q1, obj1, w1)
             lower = max(lower, lower1)
-            if certifies(lower):
+            if _certifies(lower, threshold):  # _alternate reads no next state
                 return None, lower, None
             r = w1 - w
             v = w2 - w1 - r
@@ -833,9 +835,16 @@ class _MixtureSolver(_Solver):
                 return w_ext, lower, fill_ext
             return newton(w2, lower)
 
+        returned = self._returned
         # Set once per solve, not per step: the step checks m for overflow.
         with np.errstate(over="ignore", invalid="ignore"):
-            return _alternate(w, fill(w), step, threshold)
+            if returned and returned[0] == alpha and np.array_equal(returned[1][1], w @ qmat_u):
+                first = returned[1]  # the same box and model q: the same fill
+            else:
+                first = fill(w)
+            p, q, w, obj, lower, it, converged = _alternate(w, first, step, threshold)
+        self._returned = alpha, (p, q, obj, None)  # no step reads a first fill's level
+        return union, p, q, w, obj, lower, it, converged
 
 
 class _KlBallSolver(_Solver):

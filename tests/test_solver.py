@@ -915,30 +915,21 @@ class TestSolveMixture:
     def test_step_hands_over_its_fill(self, monkeypatch):
         # The model step returns the fill of the state it returns, so no
         # iteration water-fills the pair that the call before it filled.
-        # (The final solve may start by filling the pair that a True probe
-        # at the same alpha returned, and filled, last.)
-        solves = []
-        run = solver._MixtureSolver._run
-
-        def recording_run(self, *args):
-            solves.append([])
-            return run(self, *args)
+        calls = []
 
         def recording_fill(upper, q):
-            solves[-1].append((upper.tobytes(), q.tobytes()))
+            calls.append((upper.tobytes(), q.tobytes()))
             return _water_fill(upper, q)
 
-        monkeypatch.setattr(solver._MixtureSolver, "_run", recording_run)
         monkeypatch.setattr(solver, "_water_fill", recording_fill)
         # A threshold solve that stops on its bound fills nothing after the
-        # bound: 79, 74 and 184 fills, where filling the rest of the step
+        # bound: 79, 74 and 183 fills, where filling the rest of the step
         # took 106, 114 and 224.  Each of the ~30 solves fills at least once.
         for (c, model), cap in zip(self.criterion_5_instances(3), (95, 95, 205)):
-            solves.clear()
+            calls.clear()
             estimate_alpha_lower(c, model, 0.05)
-            assert 30 <= sum(map(len, solves)) <= cap, list(map(len, solves))
-            for calls in solves:
-                assert all(a != b for a, b in zip(calls, calls[1:]))
+            assert 30 <= len(calls) <= cap, len(calls)
+            assert all(a != b for a, b in zip(calls, calls[1:]))
 
     def test_flat_valley_work_count(self, monkeypatch):
         # Instance 24 of criterion 5 ends with weights from 0.64 down to
@@ -949,7 +940,7 @@ class TestSolveMixture:
 
         def counting_run(self, *args):
             loop = run(self, *args)
-            iterations.append(loop[-2])  # (p, q, w, objective, lower, iterations, converged)
+            iterations.append(loop[-2])  # (support, p, q, w, objective, lower, iterations, converged)
             return loop
 
         *_, (c, model) = self.criterion_5_instances(25)
