@@ -33,7 +33,11 @@ once and sorts the data once: the profile's order serves every exact fill
 after the first probe, and only the public solves build KKT duals, which
 the estimator never reads.  A mixture estimate builds ``phat``, the
 component matrix and its support once, and its probes build no result
-distributions.  The
+distributions.  A KL-ball estimate builds ``phat``, the center's support
+and one stable sort of phat / center there once: that sort orders the
+first fill of every solve, against the center, and its probes build no
+result distributions.  A fill's own sort puts ties in index order by
+sorting only the tied positions again (:func:`_stable_order`).  The
 singleton path (fill, duals, KL, profile) allocates each full-length
 array once and works in it, so large solves do not re-fault their memory.
 """
@@ -122,14 +126,34 @@ def _stable_order(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     numpy's default quicksort is about five times faster than its stable
     sort on distinct values at n = 1e5, but it leaves ties in no set order.
     Without ties the sorted permutation is unique, so the quicksort's is the
-    stable sort's; only input with ties (0.0 == -0.0 included) pays for the
-    stable sort as well.
+    stable sort's.  With ties (0.0 == -0.0 included) only the runs of equal
+    values are out of place: their indices are put in increasing order by
+    one sort of (run, index) keys over the tied positions, and ``xs`` is
+    gathered again there, as a run may mix 0.0 and -0.0.  When equal
+    neighbours are most of the array, the stable argsort takes the repair's
+    place: on such input (the ``sweep`` grids, count vectors with mostly
+    zero counts) it is the cheaper of the two.
     """
     order = np.argsort(x)
     xs = x[order]
-    if np.count_nonzero(xs[1:] == xs[:-1]):
+    tied = np.equal(xs[1:], xs[:-1])
+    ties = np.count_nonzero(tied)
+    if 2 * ties > x.size:
         order = np.argsort(x, kind="stable")
         xs = x[order]
+    elif ties:
+        # after[i]: xs[i] equals xs[i - 1], so i continues a run.
+        after = np.zeros(x.size, dtype=bool)
+        after[1:] = tied
+        in_run = after.copy()
+        in_run[:-1] |= tied
+        at = np.flatnonzero(in_run)
+        run = np.cumsum(~after[at])
+        run *= x.size
+        keys = np.sort(order[at] + run)  # each run keeps its positions
+        keys -= run
+        order[at] = keys
+        xs[at] = x[keys]
     return order, xs
 
 
@@ -146,11 +170,13 @@ def _water_fill_pos(
     does not exceed the next breakpoint.  If a ratio overflows (subnormal
     qs_i), the fill runs on qs * 2**960 (exact) and reports the level as inf.
 
-    ``sort`` is an earlier sort of the same categories, ``(order, T)`` from
-    :func:`_singleton_profile`.  Its order is taken, and its T_k with it,
-    when the breakpoints strictly increase along it: it is then the only
-    sorted order, so the sums and p keep their bits.  On a tie or an
-    inversion the fill sorts afresh.
+    ``sort`` is an earlier sort of the same categories, ``(order, T)``: from
+    :func:`_singleton_profile`, or the KL-ball solver's sort of its center's
+    first fill.  Its order is taken, and its T_k with it, when the
+    breakpoints increase along it and equal breakpoints sit in index order:
+    it is then the stable sort's order, the one this fill would make, so
+    the sums and p keep their bits.  On an inversion, or a tie out of index
+    order, the fill sorts afresh.
 
     Each full-length array is allocated once and the sums, levels and p are
     computed in place: glibc hands a freed heap top above its trim threshold
@@ -159,9 +185,13 @@ def _water_fill_pos(
     """
     with np.errstate(over="ignore"):
         if sort is not None:
-            ratios = np.divide(cap, qs).take(sort[0])
-            if not np.greater(ratios[1:], ratios[:-1]).all():
-                sort = None
+            order = sort[0]
+            ratios = np.divide(cap, qs).take(order)
+            rise = np.greater(ratios[1:], ratios[:-1])
+            if not rise.all():
+                i = np.flatnonzero(~rise)  # equal ratios must sit in index order
+                if not ((ratios[i + 1] == ratios[i]) & (order[i + 1] > order[i])).all():
+                    sort = None
         if sort is None:
             order, ratios = _stable_order(cap / qs)
             free_q = None
@@ -530,44 +560,9 @@ def solve_klball(
     <a, Q> = 1, the optimum is at least obj + 1 - U for any upper bound U on
     <a, Q'> over the ball: the Frank-Wolfe bound (Jaggi, 2013), with U from
     :func:`_ball_linear_max`, warm-started from the previous step's search.
+    The solve is that of a fresh :class:`_KlBallSolver`.
     """
-    if counts.n != center.n:
-        raise ValueError("dimension mismatch")
-    if not (radius > 0):
-        raise ValueError("radius must be positive")
-    upper = _caps(empirical(counts).probs, alpha)
-    c = center.probs
-    scale = None
-
-    def fill(q):
-        """The fill ``(p, q, objective, level)`` against the model q."""
-        p, obj, level = _water_fill(upper, q)
-        return p, q, obj, level
-
-    def step(p, q, obj, state):
-        nonlocal scale
-        if math.isinf(obj):  # the subgradient needs a finite objective
-            lower = -math.inf
-        else:
-            with np.errstate(over="ignore"):  # P_i / Q_i overflows for subnormal Q_i
-                a = np.divide(p, q, out=np.zeros_like(p), where=q > 0)
-            a[(q == 0) & (upper > 0)] = a.max()
-            bound, scale = _ball_linear_max(a, c, radius, scale)
-            lower = obj + 1.0 - bound
-            if _certifies(lower, threshold):
-                return None, lower, None  # _alternate stops on it: no next state
-        q_next = _ball_projection(p, c, radius)
-        return q_next, lower, fill(q_next)
-
-    p, q, _, obj, lower, it, converged = _alternate(c, fill(c), step, threshold)
-    return SolveResult(
-        objective=obj,
-        p_star=Distribution(p),
-        q_star=Distribution(q),
-        iterations=it,
-        converged=converged,
-        lower_bound=lower,
-    )
+    return _KlBallSolver(counts, center, radius)._solve(alpha, threshold)
 
 
 class _Solver:
@@ -576,13 +571,12 @@ class _Solver:
     ``solve(alpha)`` is the full solve.  ``exceeds(alpha, threshold)`` asks
     whether the optimum at ``alpha`` is at or above ``threshold``: from what
     earlier probes prove (``_certified``, None if they prove nothing), else
-    from a solve under the threshold, whose result ``_record`` keeps.  Only
-    a converged objective at or above it reads True; a cap hit or a cycle in
-    rounding reads False, which can only shrink alpha_lower.  Only solves
-    whose verdict is proven are skipped, so a bisection visits the same
-    points as with a solve at every probe.  ``phat``, the empirical
-    distribution, is built on first use, or shared by the solver that built
-    this one.
+    from a solve under the threshold.  Only a converged objective at or
+    above it reads True; a cap hit or a cycle in rounding reads False, which
+    can only shrink alpha_lower.  Only solves whose verdict is proven are
+    skipped, so a bisection visits the same points as with a solve at every
+    probe.  ``phat``, the empirical distribution, is built on first use, or
+    shared by the solver that built this one.
     """
 
     def __init__(self, counts: EmpiricalCounts, phat: Distribution | None = None):
@@ -604,15 +598,11 @@ class _Solver:
         verdict = self._certified(alpha, threshold)
         if verdict is None:
             result = self._solve(alpha, threshold)
-            self._record(alpha, threshold, result)
             verdict = result.converged and result.objective >= threshold
         return verdict
 
     def _certified(self, alpha: float, threshold: float) -> bool | None:
         return None
-
-    def _record(self, alpha: float, threshold: float, result: SolveResult) -> None:
-        pass
 
 
 class _SingletonSolver(_Solver):
@@ -848,7 +838,15 @@ class _MixtureSolver(_Solver):
 
 
 class _KlBallSolver(_Solver):
-    """KL-ball solves, which start cold, and what earlier probes prove.
+    """The KL-ball solves of :func:`solve_klball` over one data set's box,
+    which start cold, and what earlier probes prove.
+
+    ``phat``, the center's support and one stable sort of phat / center
+    there are built once, on first use, and every solve runs from them: the
+    first fill of every solve, against the center, takes that sort where it
+    is the fill's own order (:func:`_water_fill_pos`).  A probe reads only
+    the objective, the bound, the convergence flag and the returned pair, so
+    it builds no ``SolveResult``.
 
     Let V(t) be the optimum with the box P <= t * phat, t = 1/(1 - alpha).
     For any box multipliers lam >= 0 and level c > 0, weak duality gives
@@ -873,14 +871,84 @@ class _KlBallSolver(_Solver):
     """
 
     def __init__(self, counts: EmpiricalCounts, center: Distribution, radius: float):
+        if counts.n != center.n:
+            raise ValueError("dimension mismatch")
+        if not (radius > 0):
+            raise ValueError("radius must be positive")
         super().__init__(counts)
         self._center, self._radius = center, radius
         self._tol = 4.0 * (counts.n + 8) * _EPS
         self._minorant = None  # (t0, B, Lambda, rounding scale) of the latest True probe
-        self._model = None  # _SingletonSolver of the latest converged False probe's q_star
+        self._model = None  # _SingletonSolver of the latest converged False probe's q
+
+    @functools.cached_property
+    def _arrays(self):
+        """``(support, sort)``: :func:`_ball_support` of the center, and
+        ``(order, T)``, the stable order of phat / center on supp(center)
+        and the suffix sums of the center mass along it."""
+        support = _ball_support(self._center.probs)
+        pos, c = support
+        with np.errstate(over="ignore"):  # phat_i / c_i overflows for subnormal c_i
+            order, _ = _stable_order(self.phat.probs[pos] / c)
+        free_q = c.take(order)
+        np.cumsum(free_q[::-1], out=free_q[::-1])
+        return support, (order, free_q)
+
+    def exceeds(self, alpha: float, threshold: float) -> bool:
+        verdict = self._certified(alpha, threshold)
+        if verdict is None:
+            p, q, obj, lower, _, converged = self._run(alpha, threshold)
+            self._record(alpha, threshold, p, q, obj, lower, converged)
+            verdict = converged and obj >= threshold
+        return verdict
 
     def _solve(self, alpha: float, threshold: float | None) -> SolveResult:
-        return solve_klball(self._counts, self._center, self._radius, alpha, threshold=threshold)
+        p, q, obj, lower, it, converged = self._run(alpha, threshold)
+        return SolveResult(
+            objective=obj,
+            p_star=Distribution(p),
+            q_star=Distribution(q),
+            iterations=it,
+            converged=converged,
+            lower_bound=lower,
+        )
+
+    def _run(self, alpha: float, threshold: float | None):
+        """The alternating loop of :func:`solve_klball`.  Returns ``(p, q,
+        objective, lower, iterations, converged)``, :func:`_alternate`'s
+        result without the state."""
+        upper = _caps(self.phat.probs, alpha)
+        center, radius = self._center.probs, self._radius
+        support, first_sort = self._arrays
+        scale = None
+
+        def fill(q, sort=None):
+            """The fill ``(p, q, objective, level)`` against the model q."""
+            p, obj, level = _water_fill(upper, q, sort)
+            return p, q, obj, level
+
+        def step(p, q, obj, state):
+            nonlocal scale
+            if math.isinf(obj):  # the subgradient needs a finite objective
+                lower = -math.inf
+            else:
+                with np.errstate(over="ignore"):  # P_i / Q_i overflows for subnormal Q_i
+                    if q.min() > 0:
+                        a = p / q
+                    else:
+                        a = np.divide(p, q, out=np.zeros_like(p), where=q > 0)
+                        a[(q == 0) & (upper > 0)] = a.max()
+                bound, scale = _ball_linear_max(a, support, radius, scale)
+                lower = obj + 1.0 - bound
+                if _certifies(lower, threshold):
+                    return None, lower, None  # _alternate stops on it: no next state
+            q_next = _ball_projection(p, center, support, radius)
+            return q_next, lower, fill(q_next)
+
+        p, q, _, obj, lower, it, converged = _alternate(
+            center, fill(center, first_sort), step, threshold
+        )
+        return p, q, obj, lower, it, converged
 
     def _certified(self, alpha: float, threshold: float) -> bool | None:
         if self._minorant is not None:
@@ -893,26 +961,43 @@ class _KlBallSolver(_Solver):
             return False
         return None
 
-    def _record(self, alpha: float, threshold: float, result: SolveResult) -> None:
-        if result.lower_bound >= threshold:  # certified at the returned pair
-            p, q = result.p_star.probs, result.q_star.probs
+    def _record(
+        self,
+        alpha: float,
+        threshold: float,
+        p: np.ndarray,
+        q: np.ndarray,
+        objective: float,
+        lower: float,
+        converged: bool,
+    ) -> None:
+        """Keep what a probe's solve at alpha proves: its returned pair
+        ``(p, q)``, objective, certified bound and convergence flag."""
+        if lower >= threshold:  # certified at the returned pair
             with np.errstate(over="ignore", divide="ignore"):
                 c = float(np.divide(p, q, out=np.zeros_like(p), where=q > 0).max())
                 if not c < math.inf:  # P_i / Q_i overflowed (subnormal Q_i)
                     return
                 lam = _box_duals(_caps(self.phat.probs, alpha), q, c)
-            u = abs(result.objective + 1.0 - result.lower_bound)
-            scale = 1.0 + abs(result.lower_bound) + (1.0 + u) * (
-                1.0 + abs(math.log(c)) + float(lam.max())
-            )
+            u = abs(objective + 1.0 - lower)
+            scale = 1.0 + abs(lower) + (1.0 + u) * (1.0 + abs(math.log(c)) + float(lam.max()))
             slope = float(self.phat.probs @ lam)
-            self._minorant = (1.0 / (1.0 - alpha), result.lower_bound, slope, scale)
-        elif result.converged and result.objective < threshold:
-            self._model = _SingletonSolver(self._counts, result.q_star, self.phat)
+            self._minorant = (1.0 / (1.0 - alpha), lower, slope, scale)
+        elif converged and objective < threshold:
+            self._model = _SingletonSolver(self._counts, Distribution(q), self.phat)
 
 
-def _ball_linear_max(a: np.ndarray, center: np.ndarray, radius: float, scale: float | None):
+def _ball_support(center: np.ndarray):
+    """``(pos, center[pos])``: supp(center) as an index, a slice when no mass
+    is zero, so that the center's own array serves and no gather is made."""
+    pos = slice(None) if center.min() > 0 else center > 0
+    return pos, center[pos]
+
+
+def _ball_linear_max(a: np.ndarray, support, radius: float, scale: float | None):
     """Upper bound on max <a, Q> over the ball {Q : D(center || Q) <= radius}.
+
+    ``support`` is :func:`_ball_support` of the center.
 
     By weak duality
 
@@ -940,8 +1025,7 @@ def _ball_linear_max(a: np.ndarray, center: np.ndarray, radius: float, scale: fl
     a_max = float(a.max())
     if not math.isfinite(a_max):
         return math.inf, scale
-    pos = center > 0
-    c = center[pos]
+    pos, c = support
     a_c = a[pos]
     m = float(a_c.max())
     d = m - a_c
@@ -982,8 +1066,10 @@ def _ball_linear_max(a: np.ndarray, center: np.ndarray, radius: float, scale: fl
     return best, x / spread if spread > 0 else scale
 
 
-def _ball_projection(p: np.ndarray, center: np.ndarray, radius: float) -> np.ndarray:
+def _ball_projection(p: np.ndarray, center: np.ndarray, support, radius: float) -> np.ndarray:
     """Exact minimizer of D(p || Q) subject to D(center || Q) <= radius.
+
+    ``support`` is :func:`_ball_support` of the center.
 
     Q = p inside the ball.  Otherwise the minimizer is the blend
     Q(t) = t*p + (1 - t)*center whose weight t on p solves
@@ -1001,8 +1087,7 @@ def _ball_projection(p: np.ndarray, center: np.ndarray, radius: float) -> np.nda
     Numerical Recipes), and the step after a failed probe.  Once
     t <= 2**-54, 1 - t rounds to 1 and f reads 0, so ``lo`` leaves 0.
     """
-    pos = center > 0
-    c = center[pos]
+    pos, c = support
     p_c = p[pos]
     diff = c - p_c
 

@@ -512,6 +512,43 @@ class TestPinnedBounds:
         assert res.alpha_lower == float.fromhex("0x1.ae54f4p-5")
         assert res.c_lower == 2101
 
+    @staticmethod
+    def two_sample_pairs():
+        """``(name, data, baseline)``: a pair of the benchmark's generator; a
+        center whose counts take three values, against data whose counts do
+        too, so phat / center ties in every fill; and a center with zero
+        counts where the data has mass."""
+        yield ("benchmark-pair", *klball_twosample_pair(7, 80))
+        rng = np.random.default_rng(13)
+        base = rng.choice([300, 400, 500], size=400)
+        data = rng.choice([300, 400, 500], size=400)
+        data[:4] += 15_000
+        yield "tied-center", EmpiricalCounts(data), EmpiricalCounts(base)
+        rng = np.random.default_rng(19)
+        q = rng.dirichlet(np.full(60, 3.0))
+        base = rng.multinomial(20_000, q)
+        base[[5, 11, 40]] = 0
+        target = 0.85 * q
+        target[[5, 23]] += 0.075
+        yield "zero-center", EmpiricalCounts(rng.multinomial(20_000, target)), EmpiricalCounts(base)
+
+    def test_two_sample_fields(self):
+        # Recorded when every KL-ball solve built phat and sorted its first
+        # fill afresh, and a fill whose ratios tied sorted twice.
+        expected = {
+            "benchmark-pair": (
+                "0x1.4a260f0000000p-3", 64482, "0x1.8e394cdedb0eep-8", "0x1.b56b865707a34p-3"
+            ),
+            "tied-center": (
+                "0x1.123d1e8000000p-3", 28977, "0x1.a8ab3ab96464ap-5", "0x1.b0ef3eaa0dcc2p-2"
+            ),
+            "zero-center": (
+                "0x1.2275000000000p-8", 88, "0x1.e9f57c133c7a8p-5", "0x1.c9a1f250c53d4p-3"
+            ),
+        }
+        for name, data, baseline in self.two_sample_pairs():
+            assert self.pinned_fields(two_sample_test(data, baseline, 0.05)) == expected[name], name
+
     def test_klball_probe_stops_at_threshold(self):
         # An iterate below the threshold settles a probe; the full solve
         # takes one more iteration to meet its tolerance.
@@ -588,18 +625,17 @@ def assert_same_fields(got, want, c):
 
 def record_solves(monkeypatch):
     """``(alpha, threshold)`` of every solve that the solver objects run,
-    until ``monkeypatch`` is undone: each call to ``solve_klball``, each run
-    of a ``_MixtureSolver``'s loop (``_MixtureSolver._run``) and each exact
-    fill of a ``_SingletonSolver`` (``_SingletonSolver._solve``); a full
-    solve's threshold is None."""
+    until ``monkeypatch`` is undone: each run of a ``_KlBallSolver``'s or a
+    ``_MixtureSolver``'s loop (their ``_run``) and each exact fill of a
+    ``_SingletonSolver`` (``_SingletonSolver._solve``); a full solve's
+    threshold is None."""
     calls = []
-
-    def recording_klball(*args, _solve=solver.solve_klball, **kwargs):
-        calls.append((args[-1], kwargs.get("threshold")))
-        return _solve(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "solve_klball", recording_klball)
-    for cls, name in ((solver._MixtureSolver, "_run"), (solver._SingletonSolver, "_solve")):
+    hooks = (
+        (solver._KlBallSolver, "_run"),
+        (solver._MixtureSolver, "_run"),
+        (solver._SingletonSolver, "_solve"),
+    )
+    for cls, name in hooks:
 
         def recording(self, alpha, threshold, *args, _solve=getattr(cls, name)):
             calls.append((alpha, threshold))
@@ -969,6 +1005,48 @@ class TestMixtureArraysOnce:
         assert True in verdicts
 
 
+class TestKlballArraysOnce:
+    """One KL-ball solver object builds phat once, and its probes build no
+    result distributions: only a probe that leaves a model for later probes
+    builds one, of that model."""
+
+    def test_one_empirical_and_no_distribution_per_probe(self, monkeypatch):
+        work = collections.Counter()
+        for module, name in ((solver, "empirical"), (estimator_module, "empirical")):
+
+            def counted(*args, _fn=getattr(module, name), **kwargs):
+                work["empirical"] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        post_init = Distribution.__post_init__
+
+        def counted_distribution(self):
+            work["Distribution"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(Distribution, "__post_init__", counted_distribution)
+        stored = []  # per solved probe: whether it left a new model
+        record = solver._KlBallSolver._record
+
+        def recording(self, *args):
+            model = self._model
+            record(self, *args)
+            stored.append(self._model is not model)
+
+        monkeypatch.setattr(solver._KlBallSolver, "_record", recording)
+        # A whole bisection, 9 solves here, took 10 empirical calls and 28
+        # distributions when each solve built its own phat, p_star and q_star.
+        data, baseline = klball_twosample_pair(7, 80)
+        model = KlBall(empirical(baseline), klball_radius(baseline, 0.05))
+        work.clear()
+        res = estimate_alpha_lower(data, model, 0.05)
+        assert res.contaminated and len(stored) >= 5
+        # phat, the probes' stored models, and the final solve's p_star and q_star.
+        assert work == {"empirical": 1, "Distribution": 1 + sum(stored) + 2}, (work, stored)
+        assert sum(stored) < len(stored)
+
+
 def mixture_at(c, model, alpha, threshold):
     return solve_mixture(c, model.components, alpha, threshold=threshold)
 
@@ -1150,6 +1228,7 @@ class TestKlballProbeCertificates:
         res = two_sample_test(*klball_twosample_pair(7, 80), 0.05)
         assert res.contaminated and res.alpha_lower > 0
         calls = [t for _, t in solves]
+        assert len(calls) >= 2, calls  # the hook sees the object's solves
         assert calls[-1] is None  # the final full solve
         assert len(calls) - 1 <= 12, calls
 

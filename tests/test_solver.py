@@ -33,6 +33,7 @@ from contamest.solver import (
     _EPS,
     _ball_linear_max,
     _ball_projection,
+    _ball_support,
     _box_duals,
     _singleton_profile,
     _stable_order,
@@ -330,6 +331,133 @@ class TestWaterFillOrder:
     @given(tied_fills())
     def test_property_water_fill_keeps_its_bits(self, case):
         assert_fill_bits(*case)
+
+
+def counted_argsorts(fn, monkeypatch):
+    """``fn()`` and the number of ``np.argsort`` calls it made."""
+    calls = []
+    argsort = np.argsort
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("kind"))
+        return argsort(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "argsort", counting)
+        return fn(), len(calls)
+
+
+TIE_RNG = np.random.default_rng(61)
+
+
+class TestStableOrderRepair:
+    """``_stable_order`` puts the quicksort's runs of equal values into
+    index order, or takes the stable argsort where ties are most of the
+    array; either way it returns the stable argsort's permutation and the
+    bits of x in that order."""
+
+    N = 5000
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            # A few exact ties among distinct values: ratios of small counts.
+            pytest.param(np.round(TIE_RNG.random(N) * 1e6) / 7.0, id="sparse-ties"),
+            pytest.param(np.full(N, 0.25), id="all-equal"),
+            pytest.param(np.where(TIE_RNG.random(N) < 0.5, 0.0, TIE_RNG.random(N)), id="half-zeros"),
+            pytest.param(
+                np.where(
+                    TIE_RNG.random(N) < 0.3,
+                    np.where(TIE_RNG.random(N) < 0.5, 0.0, -0.0),
+                    TIE_RNG.random(N),
+                ),
+                id="signed-zeros",
+            ),
+        ],
+    )
+    def test_is_the_stable_argsort(self, x):
+        xs = np.sort(x)
+        assert np.count_nonzero(xs[1:] == xs[:-1]) > 0
+        assert_stable_order(x)
+
+    def test_sparse_ties_take_one_argsort(self, monkeypatch):
+        x = np.round(TIE_RNG.random(self.N) * 1e6) / 7.0
+        xs = np.sort(x)
+        assert 0 < np.count_nonzero(xs[1:] == xs[:-1]) < 100
+        (order, got), argsorts = counted_argsorts(lambda: _stable_order(x), monkeypatch)
+        assert argsorts == 1
+        expected = np.argsort(x, kind="stable")
+        assert np.array_equal(order, expected)
+        assert np.array_equal(bits(got), bits(x[expected]))
+
+
+def sort_of(qs, order):
+    """A ``sort`` for ``_water_fill_pos``: the order and the suffix sums of qs along it."""
+    free_q = qs[order]
+    return order, np.cumsum(free_q[::-1])[::-1]
+
+
+class TestGivenOrder:
+    """``_water_fill_pos`` takes a given order whose ratios increase, with
+    equal ratios in index order, and keeps the bits of a fresh fill; it
+    sorts afresh where equal ratios sit out of index order."""
+
+    # Breakpoints cap / q: 0.5 (twice), 1.0 (three times), 2.0, 4.0.
+    CAP = np.array([0.1, 0.05, 0.2, 0.1, 0.2, 0.15, 0.2])
+    QS = np.array([0.1, 0.1, 0.2, 0.2, 0.1, 0.15, 0.05]) / 0.9
+
+    @staticmethod
+    def fresh_sorts(cap, qs, sort, monkeypatch):
+        """``_water_fill_pos(cap, qs, sort)`` checked bit for bit against a
+        fresh fill; returns the number of sorts it made of its own."""
+        sorts = []
+        stable_order = solver._stable_order
+
+        def counting_order(x):
+            sorts.append(1)
+            return stable_order(x)
+
+        with monkeypatch.context() as m:
+            m.setattr(solver, "_stable_order", counting_order)
+            p, c = _water_fill_pos(cap, qs, sort)
+        p_ref, c_ref = water_fill_pos_reference(cap, qs)
+        assert np.array_equal(bits(p), bits(p_ref))
+        assert c == c_ref
+        return len(sorts)
+
+    def test_ties_in_index_order_are_taken(self, monkeypatch):
+        cap, qs = self.CAP, self.QS
+        ratios = cap / qs
+        order = np.argsort(ratios, kind="stable")
+        assert np.count_nonzero(np.diff(ratios[order]) == 0) == 3
+        assert self.fresh_sorts(cap, qs, sort_of(qs, order), monkeypatch) == 0
+
+    def test_ties_out_of_index_order_are_refused(self, monkeypatch):
+        cap, qs = self.CAP, self.QS
+        order = np.argsort(cap / qs, kind="stable")
+        swapped = order.copy()
+        swapped[[2, 3]] = swapped[[3, 2]]  # two of the ratios 1.0
+        assert np.array_equal((cap / qs)[swapped], (cap / qs)[order])
+        assert self.fresh_sorts(cap, qs, sort_of(qs, swapped), monkeypatch) == 1
+
+    def test_inversions_are_refused(self, monkeypatch):
+        cap, qs = self.CAP, self.QS
+        order = np.argsort(cap / qs, kind="stable")
+        inverted = order.copy()
+        inverted[[4, 5]] = inverted[[5, 4]]  # 1.0 after 2.0
+        assert self.fresh_sorts(cap, qs, sort_of(qs, inverted), monkeypatch) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(tied_fills())
+    def test_property_stable_order_is_taken(self, case):
+        cap, qs = case
+        with np.errstate(over="ignore"):
+            order = np.argsort(cap / qs, kind="stable")
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            # The overflowed-ratio path sorts its rescaled q afresh.
+            fresh = self.fresh_sorts(cap, qs, sort_of(qs, order), monkeypatch)
+        with np.errstate(over="ignore"):
+            assert fresh == int(bool(np.isinf(cap / qs).any()))
 
 
 def singleton_probe(c, q):
@@ -1089,10 +1217,11 @@ class TestSolveKlball:
             p /= p.sum()
             center /= center.sum()
             radius = 10.0 ** rng.uniform(-6.0, 0.5)
-            q = _ball_projection(p, center, radius)
+            support = _ball_support(center)
+            q = _ball_projection(p, center, support, radius)
             assert np.all(q >= 0)
             assert _kl(center, q) <= radius
-            assert _ball_projection(q, center, radius) is q
+            assert _ball_projection(q, center, support, radius) is q
             if _kl(center, p) <= radius:
                 assert q is p
                 continue
@@ -1122,7 +1251,8 @@ class TestSolveKlball:
             a = rng.exponential(size=n) * (rng.random(n) < 0.8)
             a[rng.integers(n)] *= 10.0 ** rng.uniform(0.0, 3.0)
             radius = 10.0 ** rng.uniform(-3.0, 0.0)
-            bound, scale = _ball_linear_max(a, center, radius, None)
+            support = _ball_support(center)
+            bound, scale = _ball_linear_max(a, support, radius, None)
             pos = center > 0
             m = a[pos].max()
             floor = a[~pos].max(initial=-math.inf)
@@ -1137,9 +1267,9 @@ class TestSolveKlball:
             )
             assert bound <= min(best.fun, a.max()) + 1e-9 * max(a.max(), 1.0)
             # A search warm-started from its own end finds no worse a bound.
-            assert _ball_linear_max(a, center, radius, scale)[0] <= bound + 1e-12 * a.max()
+            assert _ball_linear_max(a, support, radius, scale)[0] <= bound + 1e-12 * a.max()
             for _ in range(20):
-                q = _ball_projection(rng.dirichlet(np.full(n, 0.3)), center, radius)
+                q = _ball_projection(rng.dirichlet(np.full(n, 0.3)), center, support, radius)
                 assert a @ q <= bound + 1e-12 * max(a.max(), 1.0)
         assert 0 < floors < 200
 
@@ -1183,6 +1313,18 @@ class TestSolveKlball:
             assert max(full.iterations, tight.iterations) <= 10
 
 
+def recorded(result):
+    """What ``_KlBallSolver._record`` takes of a solve: ``(p, q, objective,
+    lower, converged)``."""
+    return (
+        result.p_star.probs,
+        result.q_star.probs,
+        result.objective,
+        result.lower_bound,
+        result.converged,
+    )
+
+
 class TestKlBallCertificates:
     @staticmethod
     def balls():
@@ -1218,12 +1360,12 @@ class TestKlBallCertificates:
                 passed = solver._KlBallSolver(c, center, radius)
                 probe = solve_klball(c, center, radius, alpha0, threshold=0.5 * optimum)
                 assert probe.lower_bound >= 0.5 * optimum
-                passed._record(alpha0, 0.5 * optimum, probe)
+                passed._record(alpha0, 0.5 * optimum, *recorded(probe))
                 assert passed._certified(alpha0, 0.25 * optimum) is True
                 failed = solver._KlBallSolver(c, center, radius)
                 probe = solve_klball(c, center, radius, alpha0, threshold=2.0 * optimum)
                 assert probe.converged and probe.objective < 2.0 * optimum
-                failed._record(alpha0, 2.0 * optimum, probe)
+                failed._record(alpha0, 2.0 * optimum, *recorded(probe))
                 assert failed._certified(alpha0, 3.0 * optimum) is False
                 for alpha, res in zip(alphas, tight):
                     assert passed._certified(alpha, res.objective + 1e-12) is None, alpha
@@ -1245,7 +1387,7 @@ class TestKlBallCertificates:
                     continue
                 failed = solver._KlBallSolver(c, center, radius)
                 probe = solve_klball(c, center, radius, alpha0, threshold=2.0 * optimum)
-                failed._record(alpha0, 2.0 * optimum, probe)
+                failed._record(alpha0, 2.0 * optimum, *recorded(probe))
                 q = probe.q_star.probs
                 for alpha in alphas:
                     objective = _water_fill(phat / (1.0 - alpha), q)[1]
