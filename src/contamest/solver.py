@@ -27,19 +27,23 @@ from :func:`_solver`, the module's one dispatch on model kind, answers a
 bisection's two questions: the full solve at alpha, and whether the
 optimum at alpha reaches a threshold, decided from what earlier solves or
 one sort of the data prove when they can, else by a solve under it.  A
-threshold solve whose certified bound reaches its threshold stops at that
-bound and fills no further state.  A singleton estimate builds ``phat``
-once and sorts the data once: the profile's order serves every exact fill
-after the first probe, and only the public solves build KKT duals, which
-the estimator never reads.  A mixture estimate builds ``phat``, the
-component matrix and its support once, and its probes build no result
-distributions.  A KL-ball estimate builds ``phat``, the center's support
-and one stable sort of phat / center there once: that sort orders the
-first fill of every solve, against the center, and its probes build no
-result distributions.  A fill's own sort puts ties in index order by
-sorting only the tied positions again (:func:`_stable_order`).  The
-singleton path (fill, duals, KL, profile) allocates each full-length
-array once and works in it, so large solves do not re-fault their memory.
+solve of every kind is one run with one result shape, so the base class
+alone answers probes and builds results; a probe's solve whose certified
+bound reaches its threshold stops at that bound and fills no further
+state.  The public solves are the full solves of fresh objects.  A
+singleton estimate builds ``phat`` once and sorts the data once: the
+profile's order serves every exact fill after the first probe, and only
+the public solves build KKT duals, which the estimator never reads.  A
+mixture estimate builds ``phat``, the component matrix and its support
+once.  A KL-ball estimate builds ``phat``, the center's support and one
+stable sort of phat / center there once: that sort orders the first fill
+of every solve, against the center.  Probes of either kind build no
+result distributions, and a solve at the alpha of the solve before it
+starts from that solve's first or returned fill when its first model is
+that pair's.  A fill's own sort puts ties in index order by sorting only
+the tied positions again (:func:`_stable_order`).  The singleton path
+(fill, duals, KL, profile) allocates each full-length array once and
+works in it, so large solves do not re-fault their memory.
 """
 
 from __future__ import annotations
@@ -103,11 +107,14 @@ class SolveResult:
     ``objective`` is D(p_star || q_star), an upper bound on the optimum.
     ``lower_bound`` is a certified lower bound on it: the objective itself
     for an exact singleton solve, else the bound of the last model step (0
-    before the first).  A threshold solve that stops on its bound, and only
-    such a solve, has ``lower_bound >= threshold``.  A KL-ball step's bound
-    is certified at the returned pair; a mixture step's is the first of its
-    bounds, at the returned weights w or at the updates w1 and w2 from
-    them, that reaches the threshold (:func:`solve_mixture`).
+    before the first).  ``mixture_weights`` are the weights of ``q_star``
+    (mixtures only), and ``duals`` the KKT multipliers of an exact
+    singleton solve.  A probe's solve under a threshold (:class:`_Solver`)
+    that stops on its bound, and only such a solve, has ``lower_bound >=
+    threshold``.  A KL-ball step's bound is certified at the returned pair;
+    a mixture step's is the first of its bounds, at the returned weights w
+    or at the updates w1 and w2 from them, that reaches the threshold
+    (:func:`solve_mixture`).
     """
 
     objective: float
@@ -492,12 +499,7 @@ def _alternate(state, fill, step, threshold):
 
 
 def solve_mixture(
-    counts: EmpiricalCounts,
-    components: Sequence[Distribution],
-    alpha: float,
-    *,
-    threshold: float | None = None,
-    warm_start: SolveResult | None = None,
+    counts: EmpiricalCounts, components: Sequence[Distribution], alpha: float
 ) -> SolveResult:
     """Alternating minimization over the feasible box and mixture weights.
 
@@ -527,27 +529,18 @@ def solve_mixture(
     else the step returns w2.  So the objective never increases.  Every
     point the step returns comes with its fill, the next iteration's pair.
     A full solve's step certifies the largest of the bounds at w, at w1
-    and, when it tries Newton, at w2.  A threshold solve's step stops at
-    the first of them that reaches the threshold, and fills nothing after
-    it: its ``lower_bound`` is then that first certifying bound.  Weights
-    start uniform, or from the ``mixture_weights`` of ``warm_start`` (a
-    warm start changes the iterates, not the limit: the objective is
-    jointly convex).  ``mixture_weights`` are the weights of ``q_star``.
-    The solve is that of a fresh :class:`_MixtureSolver`.
+    and, when it tries Newton, at w2.  A probe's step (:class:`_Solver`)
+    stops at the first of them that reaches its threshold, and fills
+    nothing after it: that first certifying bound is then its
+    ``lower_bound``.  Weights start uniform.  ``mixture_weights`` are the
+    weights of ``q_star``.  The solve is the full solve of a fresh
+    :class:`_MixtureSolver`.
     """
-    mixture = _MixtureSolver(counts, components)
-    if warm_start is not None:
-        mixture._weights = warm_start.mixture_weights
-    return mixture._solve(alpha, threshold)
+    return _MixtureSolver(counts, components).solve(alpha)
 
 
 def solve_klball(
-    counts: EmpiricalCounts,
-    center: Distribution,
-    radius: float,
-    alpha: float,
-    *,
-    threshold: float | None = None,
+    counts: EmpiricalCounts, center: Distribution, radius: float, alpha: float
 ) -> SolveResult:
     """Alternating minimization with the model ranging over a KL ball.
 
@@ -560,9 +553,9 @@ def solve_klball(
     <a, Q> = 1, the optimum is at least obj + 1 - U for any upper bound U on
     <a, Q'> over the ball: the Frank-Wolfe bound (Jaggi, 2013), with U from
     :func:`_ball_linear_max`, warm-started from the previous step's search.
-    The solve is that of a fresh :class:`_KlBallSolver`.
+    The solve is the full solve of a fresh :class:`_KlBallSolver`.
     """
-    return _KlBallSolver(counts, center, radius)._solve(alpha, threshold)
+    return _KlBallSolver(counts, center, radius).solve(alpha)
 
 
 class _Solver:
@@ -571,18 +564,36 @@ class _Solver:
     ``solve(alpha)`` is the full solve.  ``exceeds(alpha, threshold)`` asks
     whether the optimum at ``alpha`` is at or above ``threshold``: from what
     earlier probes prove (``_certified``, None if they prove nothing), else
-    from a solve under the threshold.  Only a converged objective at or
-    above it reads True; a cap hit or a cycle in rounding reads False, which
-    can only shrink alpha_lower.  Only solves whose verdict is proven are
-    skipped, so a bisection visits the same points as with a solve at every
-    probe.  ``phat``, the empirical distribution, is built on first use, or
-    shared by the solver that built this one.
+    from a solve under the threshold, whose proof ``_record`` keeps.  Only a
+    converged objective at or above it reads True; a cap hit or a cycle in
+    rounding reads False, which can only shrink alpha_lower.  Only solves
+    whose verdict is proven are skipped, so a bisection visits the same
+    points as with a solve at every probe.  ``phat``, the empirical
+    distribution, is built on first use, or shared by the solver that built
+    this one.
+
+    Every kind's solve is ``_run(alpha, threshold)`` (threshold None for a
+    full solve), which returns ``(support, p, q, state, objective, lower,
+    iterations, converged)``: the returned pair over ``support``, the state
+    that produced q, the objective, the certified lower bound, and the
+    loop's count and flag.  ``_solve`` scatters a run into a
+    :class:`SolveResult`; a probe reads the run itself and builds none.
+
+    The alternating kinds run :func:`_alternate` through ``_loop``, which
+    keeps the fills of the latest solve's first and returned pairs with its
+    alpha (``_fills``).  A solve at that alpha whose first model q is either
+    pair's q, bit for bit, starts from that pair's fill rather than filling
+    it again: a fill is a function of the box and q.
     """
+
+    # Whether a run's state is the weights a SolveResult reports.
+    _state_is_weights = False
 
     def __init__(self, counts: EmpiricalCounts, phat: Distribution | None = None):
         self._counts = counts
         if phat is not None:
             self.phat = phat
+        self._fills = None  # (alpha, first fill, returned fill) of the latest solve
 
     @functools.cached_property
     def phat(self) -> Distribution:
@@ -597,12 +608,46 @@ class _Solver:
     def exceeds(self, alpha: float, threshold: float) -> bool:
         verdict = self._certified(alpha, threshold)
         if verdict is None:
-            result = self._solve(alpha, threshold)
-            verdict = result.converged and result.objective >= threshold
+            run = self._run(alpha, threshold)
+            self._record(alpha, threshold, run)
+            _, _, _, _, objective, _, _, converged = run
+            verdict = converged and objective >= threshold
         return verdict
+
+    def _solve(self, alpha: float, threshold: float | None) -> SolveResult:
+        support, p_s, q_s, state, obj, lower, it, converged = self._run(alpha, threshold)
+        p = np.zeros(self._counts.n)
+        p[support] = p_s
+        q = np.zeros(self._counts.n)
+        q[support] = q_s
+        return SolveResult(
+            objective=obj,
+            p_star=Distribution(p),
+            q_star=Distribution(q),
+            mixture_weights=state if self._state_is_weights else None,
+            iterations=it,
+            converged=converged,
+            lower_bound=lower,
+        )
+
+    def _loop(self, alpha: float, state, q: np.ndarray, fill, step, threshold: float | None):
+        """:func:`_alternate` at alpha from ``state``, whose model is q, with
+        ``fill(state)`` its first fill unless ``_fills`` holds it."""
+        kept = self._fills
+        first = None
+        if kept is not None and kept[0] == alpha:
+            first = next((f for f in kept[1:] if np.array_equal(f[1], q)), None)
+        if first is None:
+            first = fill(state)
+        p, q, state, obj, lower, it, converged = _alternate(state, first, step, threshold)
+        self._fills = alpha, first, (p, q, obj, None)  # no step reads a first fill's level
+        return p, q, state, obj, lower, it, converged
 
     def _certified(self, alpha: float, threshold: float) -> bool | None:
         return None
+
+    def _record(self, alpha: float, threshold: float, run) -> None:
+        pass
 
 
 class _SingletonSolver(_Solver):
@@ -628,16 +673,10 @@ class _SingletonSolver(_Solver):
         return _singleton_profile(self.phat.probs, self._q0)
 
     def solve(self, alpha: float, duals: bool = False) -> SolveResult:
-        return self._solve(alpha, None, duals)
-
-    def _solve(self, alpha: float, threshold: float | None, duals: bool = False) -> SolveResult:
-        upper = _caps(self.phat.probs, alpha)
-        q = self._q0.probs
-        profile = vars(self).get("_profile")  # read, not built: a sort costs more than a fill
-        p, objective, c = _water_fill(upper, q, None if profile is None else profile[1])
+        _, p, q, c, objective, _, _, _ = self._run(alpha, None)
         box = None
         if duals and c is not None and c < math.inf:
-            box = Duals(_box_duals(upper, q, c), -1.0 - math.log(c))
+            box = Duals(_box_duals(_caps(self.phat.probs, alpha), q, c), -1.0 - math.log(c))
         return SolveResult(
             objective=objective,
             p_star=Distribution(p),
@@ -645,6 +684,15 @@ class _SingletonSolver(_Solver):
             duals=box,
             lower_bound=objective,
         )
+
+    def _run(self, alpha: float, threshold: float | None):
+        """The exact fill at alpha, a run whose state is the water level c
+        and whose bound is its objective; no threshold changes it."""
+        q = self._q0.probs
+        profile = vars(self).get("_profile")  # read, not built: a sort costs more than a fill
+        sort = None if profile is None else profile[1]
+        p, objective, c = _water_fill(_caps(self.phat.probs, alpha), q, sort)
+        return slice(None), p, q, c, objective, objective, 0, True
 
     def _certified(self, alpha: float, threshold: float) -> bool | None:
         probe = self._profile[0](alpha) if self._profile is not None else None
@@ -658,17 +706,15 @@ class _MixtureSolver(_Solver):
 
     ``phat``, the stacked component matrix, the union of the components'
     supports and the matrix's columns there are built once, on first use,
-    and every solve runs from them.  A probe's solve starts from the
-    weights of the latest probe: consecutive alphas are close, and a warm
-    start changes the iterates, never the limit (joint convexity).  A solve
-    at the alpha of the solve before it whose first model q is that of the
-    pair that solve returned starts from the pair rather than filling it
-    again: the full solve at alpha_lower after a True probe there.  A solve
-    the public :func:`solve_mixture` runs starts from the weights of its
-    ``warm_start``, seeded into a fresh object.  Earlier probes prove
-    nothing here.  A probe reads only the objective, the convergence flag and
-    the weights, so it builds no ``SolveResult``.
+    and every solve runs from them.  A solve starts from the weights of the
+    latest probe, which ``_record`` keeps: consecutive alphas are close, and
+    a warm start changes the iterates, never the limit (joint convexity).
+    So the full solve at alpha_lower, when the latest probe was there,
+    starts from the pair that probe returned (``_Solver._loop``).  Earlier
+    probes prove nothing here.
     """
+
+    _state_is_weights = True
 
     def __init__(self, counts: EmpiricalCounts, components: Sequence[Distribution]):
         comps = tuple(components)
@@ -679,7 +725,6 @@ class _MixtureSolver(_Solver):
         super().__init__(counts)
         self._components = comps
         self._weights = None  # the weights the next solve starts from
-        self._returned = None  # (alpha, fill) of the pair the latest solve returned
 
     @functools.cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -688,33 +733,14 @@ class _MixtureSolver(_Solver):
         union = qmat.sum(axis=0) > 0
         return qmat, union, qmat[:, union]
 
-    def exceeds(self, alpha: float, threshold: float) -> bool:
-        _, _, _, self._weights, obj, _, _, converged = self._run(alpha, threshold)
-        return converged and obj >= threshold
-
-    def _solve(self, alpha: float, threshold: float | None) -> SolveResult:
-        support, p_s, q_s, w, obj, lower, it, converged = self._run(alpha, threshold)
-        p = np.zeros(self._counts.n)
-        p[support] = p_s
-        q = np.zeros(self._counts.n)
-        q[support] = q_s
-        return SolveResult(
-            objective=obj,
-            p_star=Distribution(p),
-            q_star=Distribution(q),
-            mixture_weights=w,
-            iterations=it,
-            converged=converged,
-            lower_bound=lower,
-        )
+    def _record(self, alpha: float, threshold: float, run) -> None:
+        self._weights = run[3]
 
     def _run(self, alpha: float, threshold: float | None):
         """The alternating loop of :func:`solve_mixture` from ``self._weights``,
-        or uniform weights.  Returns ``(support, p, q, w, objective, lower,
-        iterations, converged)``: :func:`_alternate`'s result, with p and q
-        over ``support``, the categories in the union of the components'
-        supports, or every category when the box cannot carry unit mass
-        there."""
+        or uniform weights: a run whose state is the weights w, with p and q
+        over the union of the components' supports, or over every category
+        when the box cannot carry unit mass there."""
         upper = _caps(self.phat.probs, alpha)
         qmat, union, qmat_u = self._arrays
         k = qmat.shape[0]
@@ -722,8 +748,6 @@ class _MixtureSolver(_Solver):
             w = np.full(k, 1.0 / k)
         else:
             w = np.maximum(self._weights, 1e-15)
-            if w.size != k:
-                raise ValueError("warm_start weights must match the component count")
             w = w / w.sum()
 
         upper_u = upper[union]
@@ -825,28 +849,20 @@ class _MixtureSolver(_Solver):
                 return w_ext, lower, fill_ext
             return newton(w2, lower)
 
-        returned = self._returned
         # Set once per solve, not per step: the step checks m for overflow.
         with np.errstate(over="ignore", invalid="ignore"):
-            if returned and returned[0] == alpha and np.array_equal(returned[1][1], w @ qmat_u):
-                first = returned[1]  # the same box and model q: the same fill
-            else:
-                first = fill(w)
-            p, q, w, obj, lower, it, converged = _alternate(w, first, step, threshold)
-        self._returned = alpha, (p, q, obj, None)  # no step reads a first fill's level
-        return union, p, q, w, obj, lower, it, converged
+            return union, *self._loop(alpha, w, w @ qmat_u, fill, step, threshold)
 
 
 class _KlBallSolver(_Solver):
     """The KL-ball solves of :func:`solve_klball` over one data set's box,
-    which start cold, and what earlier probes prove.
+    which start from the center, and what earlier probes prove.
 
     ``phat``, the center's support and one stable sort of phat / center
     there are built once, on first use, and every solve runs from them: the
     first fill of every solve, against the center, takes that sort where it
-    is the fill's own order (:func:`_water_fill_pos`).  A probe reads only
-    the objective, the bound, the convergence flag and the returned pair, so
-    it builds no ``SolveResult``.
+    is the fill's own order (:func:`_water_fill_pos`), unless a solve at the
+    same alpha filled the center just before (``_Solver._loop``).
 
     Let V(t) be the optimum with the box P <= t * phat, t = 1/(1 - alpha).
     For any box multipliers lam >= 0 and level c > 0, weak duality gives
@@ -894,29 +910,9 @@ class _KlBallSolver(_Solver):
         np.cumsum(free_q[::-1], out=free_q[::-1])
         return support, (order, free_q)
 
-    def exceeds(self, alpha: float, threshold: float) -> bool:
-        verdict = self._certified(alpha, threshold)
-        if verdict is None:
-            p, q, obj, lower, _, converged = self._run(alpha, threshold)
-            self._record(alpha, threshold, p, q, obj, lower, converged)
-            verdict = converged and obj >= threshold
-        return verdict
-
-    def _solve(self, alpha: float, threshold: float | None) -> SolveResult:
-        p, q, obj, lower, it, converged = self._run(alpha, threshold)
-        return SolveResult(
-            objective=obj,
-            p_star=Distribution(p),
-            q_star=Distribution(q),
-            iterations=it,
-            converged=converged,
-            lower_bound=lower,
-        )
-
     def _run(self, alpha: float, threshold: float | None):
-        """The alternating loop of :func:`solve_klball`.  Returns ``(p, q,
-        objective, lower, iterations, converged)``, :func:`_alternate`'s
-        result without the state."""
+        """The alternating loop of :func:`solve_klball`: a run over every
+        category whose state is the model q."""
         upper = _caps(self.phat.probs, alpha)
         center, radius = self._center.probs, self._radius
         support, first_sort = self._arrays
@@ -945,10 +941,8 @@ class _KlBallSolver(_Solver):
             q_next = _ball_projection(p, center, support, radius)
             return q_next, lower, fill(q_next)
 
-        p, q, _, obj, lower, it, converged = _alternate(
-            center, fill(center, first_sort), step, threshold
-        )
-        return p, q, obj, lower, it, converged
+        first = functools.partial(fill, sort=first_sort)
+        return slice(None), *self._loop(alpha, center, center, first, step, threshold)
 
     def _certified(self, alpha: float, threshold: float) -> bool | None:
         if self._minorant is not None:
@@ -961,18 +955,10 @@ class _KlBallSolver(_Solver):
             return False
         return None
 
-    def _record(
-        self,
-        alpha: float,
-        threshold: float,
-        p: np.ndarray,
-        q: np.ndarray,
-        objective: float,
-        lower: float,
-        converged: bool,
-    ) -> None:
-        """Keep what a probe's solve at alpha proves: its returned pair
+    def _record(self, alpha: float, threshold: float, run) -> None:
+        """Keep what a probe's solve at alpha proves, from its returned pair
         ``(p, q)``, objective, certified bound and convergence flag."""
+        _, p, q, _, objective, lower, _, converged = run
         if lower >= threshold:  # certified at the returned pair
             with np.errstate(over="ignore", divide="ignore"):
                 c = float(np.divide(p, q, out=np.zeros_like(p), where=q > 0).max())
@@ -1137,10 +1123,11 @@ def solve(counts: EmpiricalCounts, model: ModelSet, alpha: float) -> SolveResult
     leave the bound's rounding, about eps times its dual nu, above
     ``TOLERANCE``).  Non-convergence is never raised.
 
-    ``solve_mixture`` and ``solve_klball`` also take a ``threshold``: the
-    loop then stops once the objective, an upper bound on the optimum, is
-    below it or the certified lower bound reaches it, so a converged
-    objective at or above it is proven.
+    The solve is the full solve of the model's solver object
+    (:class:`_Solver`).  That object's probes run the same loop under a
+    threshold: it stops once the objective, an upper bound on the optimum,
+    is below the threshold or the certified lower bound reaches it, so a
+    converged objective at or above it is proven.
     """
     return _solver(counts, model).solve(alpha, duals=True)
 

@@ -24,8 +24,6 @@ from contamest import (
     klball_radius,
     separation_distance,
     solve,
-    solve_klball,
-    solve_mixture,
     sweep,
     two_sample_test,
     uniform,
@@ -556,7 +554,7 @@ class TestPinnedBounds:
         model = KlBall(empirical(baseline), klball_radius(baseline, 0.05))
         alpha = 0.0625
         threshold = gof_threshold(data.total * (1 - alpha), data.n, 0.05)
-        probe = solve_klball(data, model.center, model.radius, alpha, threshold=threshold)
+        probe = klball_at(data, model, alpha, threshold)
         assert probe.objective < threshold
         assert probe.iterations == 2
         assert solve(data, model, alpha).iterations == 3
@@ -625,23 +623,17 @@ def assert_same_fields(got, want, c):
 
 def record_solves(monkeypatch):
     """``(alpha, threshold)`` of every solve that the solver objects run,
-    until ``monkeypatch`` is undone: each run of a ``_KlBallSolver``'s or a
-    ``_MixtureSolver``'s loop (their ``_run``) and each exact fill of a
-    ``_SingletonSolver`` (``_SingletonSolver._solve``); a full solve's
-    threshold is None."""
+    until ``monkeypatch`` is undone: each ``_run`` of a ``_KlBallSolver``, a
+    ``_MixtureSolver`` or a ``_SingletonSolver`` (its exact fill); a full
+    solve's threshold is None."""
     calls = []
-    hooks = (
-        (solver._KlBallSolver, "_run"),
-        (solver._MixtureSolver, "_run"),
-        (solver._SingletonSolver, "_solve"),
-    )
-    for cls, name in hooks:
+    for cls in (solver._KlBallSolver, solver._MixtureSolver, solver._SingletonSolver):
 
-        def recording(self, alpha, threshold, *args, _solve=getattr(cls, name)):
+        def recording(self, alpha, threshold, _run=cls._run):
             calls.append((alpha, threshold))
-            return _solve(self, alpha, threshold, *args)
+            return _run(self, alpha, threshold)
 
-        monkeypatch.setattr(cls, name, recording)
+        monkeypatch.setattr(cls, "_run", recording)
     return calls
 
 
@@ -862,6 +854,56 @@ class TestProbePath:
         else:
             assert probed > 0
 
+    @pytest.mark.parametrize("model_kind", ["mixture", "klball"])
+    def test_band_probe_starts_from_the_full_solves_first_fill(self, model_kind, monkeypatch):
+        # A full solve stopped at a loose TOLERANCE, or cut by the iteration
+        # cap after its second iteration, ends between its objective and its
+        # bound, so the verdict asks the alpha = 0 probe.  That probe's first
+        # model is the full solve's, so it takes that fill instead of filling
+        # it again, and its run keeps the bits of a fresh object's.
+        verdicts = set()
+        for setting, value in (("TOLERANCE", 1.0), ("MAX_ITERATIONS", 2)):
+            monkeypatch.setattr(solver, setting, value)
+            for c, model in self.random_instances(np.random.default_rng(83), model_kind):
+                for epsilon in (0.01, 0.05):
+                    verdicts.add(self.assert_probe_takes_the_first_fill(c, model, epsilon))
+            monkeypatch.undo()
+        assert verdicts == {False, True, None}
+
+    @staticmethod
+    def assert_probe_takes_the_first_fill(c, model, epsilon):
+        """The verdict of ``is_contaminated``, None where the full solve
+        settled it, asserting that a probe repeats no fill of the first
+        model and that its run has a fresh object's bits."""
+        threshold = gof_threshold(c.total, c.n, epsilon)
+        fresh = solver._solver(c, model)
+        want = fresh._run(0.0, threshold)
+        fills, runs = [], []
+        water_fill = solver._water_fill
+        kind = type(fresh)
+        run = kind._run
+
+        def recording_fill(upper, q, *args):
+            fills.append(upper.tobytes() + q.tobytes())
+            return water_fill(upper, q, *args)
+
+        def recording_run(self, *args):
+            runs.append(run(self, *args))
+            return runs[-1]
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(solver, "_water_fill", recording_fill)
+            m.setattr(kind, "_run", recording_run)
+            verdict, _ = is_contaminated(c, model, epsilon)
+        if len(runs) == 1:
+            return None
+        assert fills.count(fills[0]) == 1, len(fills)
+        got = [np.asarray(x, dtype=float).tobytes() for x in runs[1][1:]]
+        assert got == [np.asarray(x, dtype=float).tobytes() for x in want[1:]]
+        _, _, _, _, objective, _, _, converged = want
+        assert verdict == (converged and objective >= threshold)
+        return verdict
+
     @pytest.mark.parametrize(
         "model",
         [
@@ -918,7 +960,7 @@ class TestCertifiedProbes:
             capped = estimate_alpha_lower(c, model, 0.05)
             assert capped.alpha_lower <= full.alpha_lower
             threshold = gof_threshold(c.total, c.n, 0.05)
-            if not solve_mixture(c, model.components, 0.0, threshold=threshold).converged:
+            if not mixture_at(c, model, 0.0, threshold).converged:
                 assert full.contaminated
                 assert not capped.contaminated and capped.alpha_lower == 0.0
                 refuted += 1
@@ -1046,13 +1088,46 @@ class TestKlballArraysOnce:
         assert work == {"empirical": 1, "Distribution": 1 + sum(stored) + 2}, (work, stored)
         assert sum(stored) < len(stored)
 
+    def test_no_first_fill_repeats_an_earlier_fill(self, monkeypatch):
+        # A solve at the alpha of the solve before it takes that solve's fill
+        # of the center instead of filling it again: the final solve after a
+        # probe at alpha_lower, and a clean pair's after its alpha = 0 probe.
+        # Filling the center again took one more fill on each pair here: 16
+        # and 4 in all, where 15 and 3 remain.
+        rng = np.random.default_rng(3)
+        q = rng.dirichlet(np.full(120, 5.0))
+        clean = EmpiricalCounts(rng.multinomial(600_000, q)), EmpiricalCounts(
+            rng.multinomial(600_000, q)
+        )
+        fills = []  # (digest of the caps and q, whether q is the center)
+        water_fill = solver._water_fill
+        for data, baseline in (klball_twosample_pair(3, 80), clean):
+            center = empirical(baseline).probs
+
+            def recording_fill(upper, q, *args):
+                key = hashlib.sha256(upper.tobytes() + q.tobytes()).digest()
+                fills.append((key, np.array_equal(q, center)))
+                return water_fill(upper, q, *args)
+
+            fills.clear()
+            monkeypatch.setattr(solver, "_water_fill", recording_fill)
+            res = two_sample_test(data, baseline, 0.05)
+            monkeypatch.undo()
+            assert res.contaminated == (data is not clean[0])
+            firsts = [i for i, (_, first) in enumerate(fills) if first]
+            assert firsts, "no fill against the center seen"
+            for i in firsts:
+                assert fills[i][0] not in {key for key, _ in fills[:i]}, (i, len(fills))
+
 
 def mixture_at(c, model, alpha, threshold):
-    return solve_mixture(c, model.components, alpha, threshold=threshold)
+    """A fresh mixture solver's solve at alpha under ``threshold``, None for a full solve."""
+    return solver._MixtureSolver(c, model.components)._solve(alpha, threshold)
 
 
 def klball_at(c, model, alpha, threshold):
-    return solve_klball(c, model.center, model.radius, alpha, threshold=threshold)
+    """A fresh KL-ball solver's solve at alpha under ``threshold``, None for a full solve."""
+    return solver._KlBallSolver(c, model.center, model.radius)._solve(alpha, threshold)
 
 
 def threshold_solves(instances, solve_at):
@@ -1174,7 +1249,7 @@ class TestCertifiedKlballProbes(TestCertifiedProbes):
             capped = estimate_alpha_lower(c, model, 0.05)
             assert capped.alpha_lower <= full.alpha_lower
             threshold = gof_threshold(c.total, c.n, 0.05)
-            probe = solve_klball(c, model.center, model.radius, 0.0, threshold=threshold)
+            probe = klball_at(c, model, 0.0, threshold)
             if not probe.converged:
                 assert not capped.contaminated and capped.alpha_lower == 0.0
                 refuted += full.contaminated

@@ -931,8 +931,9 @@ class TestSolveMixture:
             assert abs(res.objective - grid) <= 1e-4
 
     def test_objective_sequence_non_increasing(self, monkeypatch):
-        # Chained two-iteration solves: each warm-starts from the weights of
-        # the previous capped result, so the chain walks the descent once.
+        # Chained two-iteration solves: each starts a fresh solver object
+        # from the weights of the previous capped result, so the chain walks
+        # the descent once.
         monkeypatch.setattr(solver, "MAX_ITERATIONS", 2)
         rng = np.random.default_rng(61)
         for _ in range(10):
@@ -941,7 +942,9 @@ class TestSolveMixture:
             res = solve_mixture(c, comps, 0.2)
             trace = [res.objective]
             while not res.converged:
-                res = solve_mixture(c, comps, 0.2, warm_start=res)
+                mixture = solver._MixtureSolver(c, comps)
+                mixture._weights = res.mixture_weights
+                res = mixture.solve(0.2)
                 trace.append(res.objective)
             assert len(trace) > 1
             assert np.all(np.diff(np.asarray(trace)) <= 1e-12)
@@ -995,7 +998,7 @@ class TestSolveMixture:
                 continue
             for scale, expected in ((1 + 1e-6, False), (1 - 1e-6, True)):
                 threshold = optimum * scale
-                res = solve_mixture(c, comps, 0.1, threshold=threshold)
+                res = solver._MixtureSolver(c, comps)._solve(0.1, threshold)
                 assert (res.converged and res.objective >= threshold) == expected
             checked += 1
         assert checked >= 6
@@ -1026,7 +1029,7 @@ class TestSolveMixture:
         threshold = 1e-11
         first = _water_fill(empirical(c).probs, np.array([0.5, 0.5]))[1]
         assert threshold <= first <= solver.TOLERANCE
-        probe = solve_mixture(c, model.components, 0.0, threshold=threshold)
+        probe = solver._MixtureSolver(c, model.components)._solve(0.0, threshold)
         monkeypatch.setattr(solver, "TOLERANCE", 1e-14)
         assert solve(c, model, 0.0).objective < threshold
         assert not (probe.converged and probe.objective >= threshold)
@@ -1314,15 +1317,24 @@ class TestSolveKlball:
 
 
 def recorded(result):
-    """What ``_KlBallSolver._record`` takes of a solve: ``(p, q, objective,
-    lower, converged)``."""
+    """The run of a KL-ball solve, as ``_KlBallSolver._record`` takes it:
+    ``(support, p, q, state, objective, lower, iterations, converged)``."""
+    q = result.q_star.probs
     return (
+        slice(None),
         result.p_star.probs,
-        result.q_star.probs,
+        q,
+        q,
         result.objective,
         result.lower_bound,
+        result.iterations,
         result.converged,
     )
+
+
+def klball_probe(c, center, radius, alpha, threshold):
+    """A fresh KL-ball solver's solve at alpha under ``threshold``."""
+    return solver._KlBallSolver(c, center, radius)._solve(alpha, threshold)
 
 
 class TestKlBallCertificates:
@@ -1358,14 +1370,14 @@ class TestKlBallCertificates:
                 if not optimum > 1e-6:
                     continue
                 passed = solver._KlBallSolver(c, center, radius)
-                probe = solve_klball(c, center, radius, alpha0, threshold=0.5 * optimum)
+                probe = klball_probe(c, center, radius, alpha0, 0.5 * optimum)
                 assert probe.lower_bound >= 0.5 * optimum
-                passed._record(alpha0, 0.5 * optimum, *recorded(probe))
+                passed._record(alpha0, 0.5 * optimum, recorded(probe))
                 assert passed._certified(alpha0, 0.25 * optimum) is True
                 failed = solver._KlBallSolver(c, center, radius)
-                probe = solve_klball(c, center, radius, alpha0, threshold=2.0 * optimum)
+                probe = klball_probe(c, center, radius, alpha0, 2.0 * optimum)
                 assert probe.converged and probe.objective < 2.0 * optimum
-                failed._record(alpha0, 2.0 * optimum, *recorded(probe))
+                failed._record(alpha0, 2.0 * optimum, recorded(probe))
                 assert failed._certified(alpha0, 3.0 * optimum) is False
                 for alpha, res in zip(alphas, tight):
                     assert passed._certified(alpha, res.objective + 1e-12) is None, alpha
@@ -1386,8 +1398,8 @@ class TestKlBallCertificates:
                 if not optimum > 1e-6:
                     continue
                 failed = solver._KlBallSolver(c, center, radius)
-                probe = solve_klball(c, center, radius, alpha0, threshold=2.0 * optimum)
-                failed._record(alpha0, 2.0 * optimum, *recorded(probe))
+                probe = klball_probe(c, center, radius, alpha0, 2.0 * optimum)
+                failed._record(alpha0, 2.0 * optimum, recorded(probe))
                 q = probe.q_star.probs
                 for alpha in alphas:
                     objective = _water_fill(phat / (1.0 - alpha), q)[1]
@@ -1452,9 +1464,6 @@ class TestSolveDispatch:
             solve(c, Singleton(q), -0.1)
         with pytest.raises(ValueError):
             solve(c, Singleton(q), 1.0)
-        three = solve(c, Mixture((q, q, dist(0.9, 0.1))), 0.2)
-        with pytest.raises(ValueError, match="warm_start weights"):
-            solve_mixture(c, (q, dist(0.9, 0.1)), 0.2, warm_start=three)
         with pytest.raises(TypeError, match="unknown model set"):
             solve(c, q, 0.2)
 
