@@ -63,7 +63,7 @@ from .estimator import (
 )
 from .oracle import exact_cstar, exact_typicality
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 _CSV_HEADER = ("category", "count")
 

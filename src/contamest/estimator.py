@@ -9,9 +9,10 @@ empirical distribution sits at KL distance at least
     gamma(p) = (1/p) log(1/eps) + (2n/p) log(p+1)
 
 from every model distribution is contaminated at significance ``eps``.
-Replacing ``p`` by the effective sample size ``p(1-alpha)`` and scanning
-``alpha`` yields the largest discard fraction that still fails the test,
-which lower-bounds the true contaminated fraction.
+Replacing ``p`` by the effective sample size ``p - m`` and scanning the
+removal count ``m`` yields the largest count of discarded samples after
+which the data still fails the test, which lower-bounds the number of
+contaminated samples.
 """
 
 from __future__ import annotations
@@ -52,12 +53,17 @@ def gof_threshold(p_eff: float, n: int, epsilon: float) -> float:
 class EstimateResult:
     """Certified contamination bound for one dataset/model pair.
 
-    ``alpha_lower`` is the largest discard fraction at which the data still
-    fails the goodness-of-fit test; ``c_lower``, the exact floor of
-    ``p * alpha_lower``, bounds the number of contaminated samples.  Discarding
-    m = c_lower whole samples stays inside the feasible box at fraction
-    m/p <= alpha_lower, so every m-sample remainder is still flagged;
-    rounding down keeps the guarantee unconditional.
+    ``c_lower`` bounds the number of contaminated samples: it is the largest
+    removal count m that the bisection probed and found still failing the
+    goodness-of-fit test at the effective sample size p - m, so every
+    m-sample remainder is still flagged.  ``alpha_lower`` is the fraction
+    that probe solved at, m/p rounded up to the next float when the
+    division rounds down: its feasible box holds every m-sample removal,
+    and ``c_lower == floor(p * alpha_lower)`` for p below 2**51.
+    ``threshold_at_alpha`` is the test's threshold at p - c_lower samples.
+    ``bisection_width`` is hi - lo of the final count bracket over p: 1/p
+    once the bracket is one count wide, wider only where ``bisect_tol``
+    stopped it first, 0 when the data is not contaminated.
 
     ``kappa`` is the separation distance from the empirical distribution to
     ``q_star`` of the final full solve at ``alpha_lower``.  For mixtures and
@@ -112,20 +118,27 @@ def estimate_alpha_lower(
     epsilon: float,
     bisect_tol: float = DEFAULT_BISECT_TOL,
 ) -> EstimateResult:
-    """Certified lower bound on the contaminated fraction by bisection.
+    """Certified lower bound on the contaminated count by bisection.
 
-    The predicate "distance-to-model at discard fraction alpha still exceeds
-    the threshold" is monotone in alpha (the distance is non-increasing, the
-    threshold strictly increasing), so a bisecting search over [0, 1)
-    isolates the largest alpha satisfying it to within ``bisect_tol``.  When
-    the predicate already fails at alpha = 0 the dataset shows no detectable
+    The predicate "distance-to-model after removing m of the p samples
+    still exceeds the threshold at p - m samples" is monotone in m (the
+    distance is non-increasing, the threshold strictly increasing), so a
+    bisection over the integer m in [0, p] isolates the largest m
+    satisfying it.  The probe of m solves at alpha = m/p, rounded up to the
+    next float when the division rounds down, so its box holds every
+    m-sample removal and a True verdict holds at m.  The search stops when
+    the bracket is one count wide, or at most ``bisect_tol * p`` counts
+    wide, a floor on the resolution that binds only for p > 1/bisect_tol;
+    a contaminated estimate makes at most ceil(log2 p) + 1 probes.  When
+    the predicate already fails at m = 0 the dataset shows no detectable
     contamination and the bound is 0.
 
     One solver object per estimate (``solver._solver``) answers every
     probe, alpha = 0 included, with ``exceeds``: from what earlier probes
     prove, else by a solve under the probe's threshold.  Its full ``solve``
-    at ``alpha_lower`` gives ``objective_at_alpha``, and its ``phat``, the
-    one empirical distribution of the estimate, gives ``kappa``.
+    at ``alpha_lower``, the fraction of the last True probe, gives
+    ``objective_at_alpha``, and its ``phat``, the one empirical
+    distribution of the estimate, gives ``kappa``.
     """
     p = counts.total
     if p < 1:
@@ -135,26 +148,34 @@ def estimate_alpha_lower(
 
     solver = _solver(counts, model)
     contaminated = solver.exceeds(0.0, gof_threshold(p, counts.n, epsilon))
-    lo, hi = 0.0, 1.0 if contaminated else 0.0
-    while hi - lo > bisect_tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:  # bisect_tol is below the float spacing here
-            break
-        verdict = solver.exceeds(mid, gof_threshold(p * (1.0 - mid), counts.n, epsilon))
-        lo, hi = (mid, hi) if verdict else (lo, mid)
-    final = solver.solve(lo)
+    lo, hi = 0, p if contaminated else 0
+    alpha_lo = 0.0
+    while hi - lo > max(1, bisect_tol * p):
+        mid = (lo + hi) // 2
+        alpha = _removal_fraction(mid, p)
+        # past 2**53 samples m/p can round to 1.0, where no box is probed
+        if alpha < 1.0 and solver.exceeds(alpha, gof_threshold(p - mid, counts.n, epsilon)):
+            lo, alpha_lo = mid, alpha
+        else:
+            hi = mid
+    final = solver.solve(alpha_lo)
 
-    kappa = separation_distance(solver.phat, final.q_star)
-    num, den = lo.as_integer_ratio()  # exact: p * lo rounds, and can round up
     return EstimateResult(
-        alpha_lower=lo,
-        kappa=kappa,
-        c_lower=p * num // den,
-        threshold_at_alpha=gof_threshold(p * (1.0 - lo), counts.n, epsilon),
+        alpha_lower=alpha_lo,
+        kappa=separation_distance(solver.phat, final.q_star),
+        c_lower=lo,
+        threshold_at_alpha=gof_threshold(p - lo, counts.n, epsilon),
         objective_at_alpha=final.objective,
         contaminated=contaminated,
-        bisection_width=hi - lo,
+        bisection_width=(hi - lo) / p,
     )
+
+
+def _removal_fraction(m: int, p: int) -> float:
+    """The least float at or above m/p: its box holds every m-sample removal."""
+    alpha = m / p
+    num, den = alpha.as_integer_ratio()
+    return math.nextafter(alpha, 1.0) if num * p < m * den else alpha
 
 
 def two_sample_test(

@@ -302,7 +302,7 @@ class TestCommands:
         )
         assert code == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["command"] == "estimate"
         result = report["result"]
         assert result["contaminated"] is True
@@ -360,7 +360,7 @@ class TestCommands:
         code, out, err = run_in(tmp_path, capsys, files, argv)
         assert code in (0, 2) and err == ""
         report = json.loads(out)
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         for field in fields:
             assert report["result"][field] is None
 

@@ -31,7 +31,7 @@ from contamest import (
 import contamest.estimator as estimator_module
 from contamest import solver
 from contamest.estimator import DEFAULT_BISECT_TOL, _sweep_target, round_to_counts
-from contamest.oracle import compositions
+from contamest.oracle import compositions, exact_cstar
 
 import test_solver
 
@@ -42,6 +42,12 @@ def counts(*values):
 
 def dist(*probs):
     return Distribution(np.asarray(probs, dtype=float))
+
+
+def removal_fraction(m, p):
+    """The least float at or above m/p, found with exact fractions."""
+    alpha = float(Fraction(m, p))  # correctly rounded
+    return alpha if Fraction(alpha) >= Fraction(m, p) else math.nextafter(alpha, 1.0)
 
 
 class TestGofThreshold:
@@ -114,19 +120,22 @@ class TestEstimateAlphaLower:
         assert res.c_lower == 0
 
     def test_bisection_brackets_the_crossing(self):
+        # the bracket ends one count wide: the predicate holds at c_lower
+        # and fails at c_lower + 1
         model = Singleton(uniform(3))
         c = counts(900, 50, 50)
         res = estimate_alpha_lower(c, model, 0.05)
         assert res.contaminated
-        assert res.bisection_width <= 2**-28
         p, n = c.total, c.n
+        assert res.bisection_width == 1 / p
 
-        def predicate(alpha):
-            obj = solve(c, model, alpha).objective
-            return obj >= gof_threshold(p * (1 - alpha), n, 0.05)
+        def predicate(m):
+            obj = solve(c, model, removal_fraction(m, p)).objective
+            return obj >= gof_threshold(p - m, n, 0.05)
 
-        assert predicate(res.alpha_lower)
-        assert not predicate(res.alpha_lower + res.bisection_width + 1e-12)
+        assert res.alpha_lower == removal_fraction(res.c_lower, p)
+        assert predicate(res.c_lower)
+        assert not predicate(res.c_lower + 1)
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, 0.0, -1e-3])
     def test_bisect_tol_must_be_finite_and_positive(self, tol):
@@ -134,13 +143,23 @@ class TestEstimateAlphaLower:
             estimate_alpha_lower(counts(900, 50, 50), Singleton(uniform(3)), 0.05, tol)
 
     def test_bisect_tol_below_float_spacing_terminates(self):
-        # the midpoint stops moving before hi - lo reaches the tolerance
+        # a bracket one count wide ends the search whatever the tolerance
         model = Singleton(uniform(3))
         coarse = estimate_alpha_lower(counts(900, 50, 50), model, 0.05)
         fine = estimate_alpha_lower(counts(900, 50, 50), model, 0.05, 1e-300)
-        assert 0 < fine.bisection_width <= 2 * np.spacing(fine.alpha_lower)
-        assert coarse.alpha_lower <= fine.alpha_lower
-        assert fine.alpha_lower <= coarse.alpha_lower + coarse.bisection_width
+        assert fine.bisection_width == 1 / 1000
+        assert fine == coarse
+
+    def test_fraction_that_rounds_to_one_is_not_probed(self):
+        # Past 2**53 samples (p - m)/p rounds to 1.0 for small p - m.  The
+        # predicate holds up to p - m of about 25 here, but no box is probed
+        # at a fraction of 1.0, so c_lower stops where m/p still rounds below.
+        p = 2**60
+        res = estimate_alpha_lower(counts(p, 0), Singleton(dist(0.5, 0.5)), 0.05, 1e-300)
+        assert res.contaminated
+        assert res.alpha_lower == 1.0 - 2**-53
+        assert res.c_lower == p - 2**7
+        assert res.bisection_width == 1 / p
 
     def test_predicate_set_is_an_interval(self):
         # dense alpha scan: once the predicate fails it never recovers
@@ -199,21 +218,27 @@ class TestEstimateAlphaLower:
         c = counts(900, 50, 50)
         res = estimate_alpha_lower(c, model, 0.05)
         assert res.c_lower == math.floor(1000 * res.alpha_lower)
+        assert res.threshold_at_alpha == gof_threshold(1000 - res.c_lower, 3, 0.05)
         assert res.threshold_at_alpha == pytest.approx(
             gof_threshold(1000 * (1 - res.alpha_lower), 3, 0.05), abs=1e-15
         )
 
     def test_c_lower_is_the_exact_floor(self):
-        # p * alpha_lower is 645586792247213.95 and rounds up to the float
-        # 645586792247214.0, one sample past the exact floor: discarding
-        # that many would take a fraction above alpha_lower.
+        # p is about 2.2e15, past 1/bisect_tol, so the resolution floor
+        # stops the search about 4e6 counts wide.  alpha_lower is the least
+        # float at or above c_lower / p (645586792247211 / p does not divide
+        # exactly); below 2**51 samples c_lower is the exact floor of
+        # p * alpha_lower.
         c = counts(509149247751360, 831943215280000, 831943215280000)
+        p = c.total
+        assert p < 2**51
         res = estimate_alpha_lower(c, Singleton(uniform(3)), 0.05)
-        assert res.alpha_lower == float.fromhex("0x1.303850c000000p-2")
-        assert math.floor(c.total * res.alpha_lower) == 645586792247214
-        assert res.c_lower == 645586792247213
-        assert Fraction(res.c_lower, c.total) <= Fraction(res.alpha_lower)
-        assert Fraction(res.c_lower + 1, c.total) > Fraction(res.alpha_lower)
+        assert res.c_lower == 645586792247211
+        assert res.alpha_lower == float.fromhex("0x1.303850bffffe8p-2")
+        assert Fraction(res.c_lower, p) < Fraction(res.alpha_lower)
+        assert Fraction(math.nextafter(res.alpha_lower, 0.0)) < Fraction(res.c_lower, p)
+        assert math.floor(p * res.alpha_lower) == res.c_lower
+        assert 1 < res.bisection_width * p <= DEFAULT_BISECT_TOL * p
 
     def test_predicate_monotone_for_convex_model_sets(self, monkeypatch):
         # the bisection premise holds for mixture and ball models too
@@ -388,19 +413,22 @@ class TestRoundToCounts:
 class TestPinnedBounds:
     """Bounds recorded from the solver as released, pinned exactly.
 
-    Bisection endpoints are dyadic, so ``alpha_lower`` compares by equality.
-    The mixture and KL-ball probes stop at the threshold exits from warm
-    starts; a change to either shows up here as a different endpoint.
+    ``alpha_lower`` is the least float at or above ``c_lower / p``, so it
+    compares by equality.  The mixture and KL-ball probes stop at the
+    threshold exits from warm starts; a change to either shows up here as a
+    different count, or as a different objective or ``kappa`` of the final
+    solve.
     """
 
     def test_criterion_5_mixture_instances(self):
-        # Certified endpoints: every True probe rests on a proven lower bound,
-        # so they depend only on the optimum.  A certified bisection with the
-        # plain multiplicative step, a different solver, gives the same two.
+        # Certified counts: every True probe rests on a proven lower bound,
+        # so they depend only on the optimum, and alpha_lower only on them.
+        # A certified bisection with the plain multiplicative step, a
+        # different solver, gave the same two counts.
         rng = np.random.default_rng(20240005)
         expected = [
-            (float.fromhex("0x1.6eda00ap-1"), 71650),
-            (float.fromhex("0x1.7fa5a76p-1"), 74931),
+            (float.fromhex("0x1.6ed916872b021p-1"), 71650),
+            (float.fromhex("0x1.7fa58f7121ab5p-1"), 74931),
         ]
         for alpha_lower, c_lower in expected:
             comps = tuple(Distribution(rng.dirichlet(np.ones(50))) for _ in range(10))
@@ -417,14 +445,13 @@ class TestPinnedBounds:
 
     def test_criterion_5_fields(self):
         # alpha_lower, c_lower, objective_at_alpha and kappa of the first five
-        # instances, recorded when every mixture solve rebuilt the data's
-        # arrays and filled its whole step after a certifying bound.
+        # instances, recorded at the first bisection over the removal count.
         expected = [
-            ("0x1.6eda00a000000p-1", 71650, "0x1.292023382bca5p-5", "0x1.fecdc7e1db943p-1"),
-            ("0x1.7fa5a76000000p-1", 74931, "0x1.4bfcbeb76ccbcp-5", "0x1.f7dc200dd871dp-1"),
-            ("0x1.71ceaca000000p-1", 72227, "0x1.2eb1ebd907bd1p-5", "0x1.f44f5eea927f8p-1"),
-            ("0x1.6cf8d40000000p-1", 71283, "0x1.25b1b3f8dfbb7p-5", "0x1.ec5fe940adcc0p-1"),
-            ("0x1.935165c000000p-1", 78773, "0x1.81a7c74e65dacp-5", "0x1.f1ca76e895d74p-1"),
+            ("0x1.6ed916872b021p-1", 71650, "0x1.2924293aebd29p-5", "0x1.fecdc7e352c07p-1"),
+            ("0x1.7fa58f7121ab5p-1", 74931, "0x1.4bfd22eb1ef4ep-5", "0x1.f7dc2111545b0p-1"),
+            ("0x1.71cd5f99c38b1p-1", 72227, "0x1.2eb6f8c74726ep-5", "0x1.f44fb517e8d15p-1"),
+            ("0x1.6cf80dc33721ep-1", 71283, "0x1.25b6325fdd2e6p-5", "0x1.ec5ff52a415afp-1"),
+            ("0x1.935158b827fa2p-1", 78773, "0x1.81a81501e2419p-5", "0x1.f1ca778122613p-1"),
         ]
         instances = test_solver.TestSolveMixture.criterion_5_instances(len(expected))
         for (c, model), want in zip(instances, expected):
@@ -433,14 +460,14 @@ class TestPinnedBounds:
     def test_small_mixture_fields(self):
         # Recorded as for criterion 5, on small_mixtures and on edge cases.
         expected = [
-            ("0x1.0524560000000p-2", 510, "0x1.f294ed5998d13p-5", "0x1.7e3b52af2f84ep-1"),
-            ("0x1.09741e8000000p-3", 259, "0x1.b386b1ae347e0p-5", "0x1.bf8eff993ce52p-2"),
-            ("0x1.ed7e0d0000000p-3", 481, "0x1.ea8ea265ff0e5p-5", "0x1.06a6347aea758p-1"),
-            ("0x1.e336c90000000p-4", 235, "0x1.ae844d73f31e8p-5", "0x1.3f730d5e7da40p-1"),
-            ("0x1.6dc74f0000000p-2", 714, "0x1.1b48aa55418f0p-4", "0x1.6511787448528p-1"),
-            ("0x1.b4d3592000000p-1", 1706, "0x1.f0beb67da4c6cp-3", "0x1.fdc6d8e2784a9p-1"),
-            ("0x1.0a1105a000000p-1", 1039, "0x1.6c337850bbf34p-4", "0x1.d618b35f940b8p-1"),
-            ("0x1.085b734000000p-2", 516, "0x1.f469930822bd6p-5", "0x1.953903914cadcp-1"),
+            ("0x1.051eb851eb852p-2", 510, "0x1.f2a48e77ad1b5p-5", "0x1.7e3b3f681851cp-1"),
+            ("0x1.09374bc6a7efap-3", 259, "0x1.b3d9013762ac8p-5", "0x1.bf8cef973f9bap-2"),
+            ("0x1.ec8b439581063p-3", 481, "0x1.ec4404149747ap-5", "0x1.069d8c089fa93p-1"),
+            ("0x1.e147ae147ae15p-4", 235, "0x1.b1a5ca72777ccp-5", "0x1.3f98415c8c9e8p-1"),
+            ("0x1.6d916872b020dp-2", 714, "0x1.1b84369b8c4f0p-4", "0x1.65117874bf3d4p-1"),
+            ("0x1.b4bc6a7ef9db3p-1", 1706, "0x1.f1057d31c3f06p-3", "0x1.fdc711b46a7f2p-1"),
+            ("0x1.09fbe76c8b43ap-1", 1039, "0x1.6c585ffa4de4ap-4", "0x1.d61a2482039adp-1"),
+            ("0x1.083126e978d50p-2", 516, "0x1.f4ab147d2825ep-5", "0x1.953aab242a990p-1"),
         ]
         instances = small_mixtures(np.random.default_rng(43), len(expected))
         for (c, model), want in zip(instances, expected):
@@ -452,40 +479,34 @@ class TestPinnedBounds:
             pytest.param(
                 counts(5, 5, 0),
                 (dist(0.7, 0.0, 0.3), dist(0.0, 0.0, 1.0)),
-                [("0x1.ffffffc000000p-2", 4, "inf", "0x1.0000000000000p+0")] * 2,
+                [("0x1.999999999999ap-2", 4, "inf", "0x1.0000000000000p+0")] * 2,
                 id="support-deficit",
             ),
             pytest.param(
                 counts(30, 50, 20),
                 (dist(0.5, 0.5, 0.0), dist(0.9, 0.1, 0.0)),
-                [("0x1.9999998000000p-3", 19, "inf", "0x1.2492492492492p-1")] * 2,
+                [("0x1.851eb851eb852p-3", 19, "inf", "0x1.2492492492492p-1")] * 2,
                 id="data-off-union",
             ),
             pytest.param(
                 counts(8000, 2000, 0),
                 (dist(0.5, 0.5, 0.0), dist(0.4, 0.6, 0.0)),
                 [
-                    ("0x1.0ed6e3e000000p-1", 5289, "0x1.75e0007932ce0p-7", "0x1.3333333333334p-1"),
-                    ("0x1.0f80e60000000p-1", 5302, "0x1.6a4ae4280f8a0p-7", "0x1.3333333333334p-1"),
+                    ("0x1.0ecbfb15b573fp-1", 5289, "0x1.769f51f534e78p-7", "0x1.3333333333334p-1"),
+                    ("0x1.0f765fd8adabap-1", 5302, "0x1.6b018af9b44a0p-7", "0x1.3333333333334p-1"),
                 ],
                 id="zero-off-data",
             ),
             pytest.param(
                 counts(5, 5),
                 (dist(1.0, 1e-320), dist(1.0, 1e-320)),
-                [
-                    ("0x1.fe92b10000000p-2", 4, "0x1.03ae5715144bdp+1", "0x1.0000000000000p-1"),
-                    ("0x1.fed3048000000p-2", 4, "0x1.ac014d521e417p+0", "0x1.0000000000000p-1"),
-                ],
+                [("0x1.999999999999ap-2", 4, "0x1.e96a797484b91p+6", "0x1.0000000000000p-1")] * 2,
                 id="subnormal-equal",
             ),
             pytest.param(
                 counts(5, 5),
                 (dist(1.0, 1e-320), dist(1.0, 0.0)),
-                [
-                    ("0x1.fe92b10000000p-2", 4, "0x1.03ae5715144bdp+1", "0x1.0000000000000p-1"),
-                    ("0x1.fed3048000000p-2", 4, "0x1.ac014d521e417p+0", "0x1.0000000000000p-1"),
-                ],
+                [("0x1.999999999999ap-2", 4, "0x1.e96a797484b91p+6", "0x1.ffffffffffffep-2")] * 2,
                 id="subnormal-unequal",
             ),
         ],
@@ -507,7 +528,7 @@ class TestPinnedBounds:
         data, baseline = self.two_sample_pair()
         res = two_sample_test(data, baseline, 0.05)
         assert res.contaminated
-        assert res.alpha_lower == float.fromhex("0x1.ae54f4p-5")
+        assert res.alpha_lower == float.fromhex("0x1.ae48e8a71de6ap-5")
         assert res.c_lower == 2101
 
     @staticmethod
@@ -531,17 +552,16 @@ class TestPinnedBounds:
         yield "zero-center", EmpiricalCounts(rng.multinomial(20_000, target)), EmpiricalCounts(base)
 
     def test_two_sample_fields(self):
-        # Recorded when every KL-ball solve built phat and sorted its first
-        # fill afresh, and a fill whose ratios tied sorted twice.
+        # Recorded at the first bisection over the removal count.
         expected = {
             "benchmark-pair": (
-                "0x1.4a260f0000000p-3", 64482, "0x1.8e394cdedb0eep-8", "0x1.b56b865707a34p-3"
+                "0x1.4a25d8d79d0a7p-3", 64482, "0x1.8e3ca3504aa5dp-8", "0x1.b56ba443e8ea0p-3"
             ),
             "tied-center": (
-                "0x1.123d1e8000000p-3", 28977, "0x1.a8ab3ab96464ap-5", "0x1.b0ef3eaa0dcc2p-2"
+                "0x1.123caed174cdep-3", 28977, "0x1.a8ac8f552285fp-5", "0x1.b0ef5d74349e4p-2"
             ),
             "zero-center": (
-                "0x1.2275000000000p-8", 88, "0x1.e9f57c133c7a8p-5", "0x1.c9a1f250c53d4p-3"
+                "0x1.205bc01a36e2fp-8", 88, "0x1.ea2e98b1028bcp-5", "0x1.c9a789c2a6abcp-3"
             ),
         }
         for name, data, baseline in self.two_sample_pairs():
@@ -567,41 +587,40 @@ class TestPinnedBounds:
         c = EmpiricalCounts(rng.multinomial(30_000, target))
         res = estimate_alpha_lower(c, Singleton(Distribution(q)), 0.05)
         assert res.contaminated
-        assert res.alpha_lower == float.fromhex("0x1.762cd8p-4")
+        assert res.alpha_lower == float.fromhex("0x1.7619f0fb38a95p-4")
         assert res.c_lower == 2740
 
 
 def reference_estimate(c, model, epsilon, bisect_tol=DEFAULT_BISECT_TOL):
-    """The bisection with a full ``solve`` at every probe, as the estimator
-    ran before singleton probes were answered from a sorted profile."""
+    """The bisection over the removal count m with a full ``solve`` at every
+    probe, at the least float at or above m/p and the threshold at p - m
+    samples: no sorted profile and no certificates."""
     p, n = c.total, c.n
 
-    def exceeds(alpha):
-        return solve(c, model, alpha).objective >= gof_threshold(p * (1 - alpha), n, epsilon)
+    def exceeds(m):
+        alpha = removal_fraction(m, p)
+        return alpha < 1.0 and solve(c, model, alpha).objective >= gof_threshold(p - m, n, epsilon)
 
     at_zero = solve(c, model, 0.0)
     contaminated = at_zero.objective >= gof_threshold(p, n, epsilon)
-    lo, hi = 0.0, 0.0
+    lo, hi = 0, 0
     if contaminated:
-        hi = 1.0
-        while hi - lo > bisect_tol:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
+        hi = p
+        while hi - lo > 1 and hi - lo > bisect_tol * p:
+            mid = lo + (hi - lo) // 2
             if exceeds(mid):
                 lo = mid
             else:
                 hi = mid
-    final = solve(c, model, lo) if lo > 0 else at_zero
-    num, den = lo.as_integer_ratio()
+    final = solve(c, model, removal_fraction(lo, p)) if lo > 0 else at_zero
     return EstimateResult(
-        alpha_lower=lo,
+        alpha_lower=removal_fraction(lo, p),
         kappa=separation_distance(empirical(c), final.q_star),
-        c_lower=p * num // den,
-        threshold_at_alpha=gof_threshold(p * (1.0 - lo), n, epsilon),
+        c_lower=lo,
+        threshold_at_alpha=gof_threshold(p - lo, n, epsilon),
         objective_at_alpha=final.objective,
         contaminated=contaminated,
-        bisection_width=hi - lo,
+        bisection_width=(hi - lo) / p,
     )
 
 
@@ -763,6 +782,143 @@ class TestSortOnceBisection:
         monkeypatch.setattr(solver._SingletonSolver, "solve", counting_solve)
         assert_same_fields(estimate_alpha_lower(c, model, 0.05), want, c)
         assert want.contaminated and calls == [want.alpha_lower]
+
+
+def float_bisection_c_lower(c, model, epsilon, bisect_tol=DEFAULT_BISECT_TOL):
+    """``c_lower`` of the bisection over the float alpha in [0, 1) that the
+    estimator ran before it bisected over the removal count: probes down to
+    ``bisect_tol`` at the threshold of p (1 - alpha) samples, and the exact
+    floor of p times the last True alpha."""
+    p, n = c.total, c.n
+    probe = solver._solver(c, model)
+    lo, hi = 0.0, 1.0 if probe.exceeds(0.0, gof_threshold(p, n, epsilon)) else 0.0
+    while hi - lo > bisect_tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if probe.exceeds(mid, gof_threshold(p * (1.0 - mid), n, epsilon)):
+            lo = mid
+        else:
+            hi = mid
+    num, den = lo.as_integer_ratio()
+    return p * num // den
+
+
+def count_probes(monkeypatch):
+    """The number of ``exceeds`` calls on each solver object that
+    ``estimate_alpha_lower`` builds, one entry per estimate, until
+    ``monkeypatch`` is undone; a KL ball's nested singleton solver is not
+    counted."""
+    probes = []
+
+    def counting_solver(c, model):
+        probe_solver = solver._solver(c, model)
+        exceeds = probe_solver.exceeds
+        probes.append(0)
+
+        def counting_exceeds(alpha, threshold):
+            probes[-1] += 1
+            return exceeds(alpha, threshold)
+
+        probe_solver.exceeds = counting_exceeds
+        return probe_solver
+
+    monkeypatch.setattr(estimator_module, "_solver", counting_solver)
+    return probes
+
+
+class TestCountBisection:
+    """The bisection runs over the removal count m, not over the fraction
+    alpha: it resolves c_lower to one count with at most ceil(log2 p) + 1
+    probes, and finds no lower c_lower than the float bisection did."""
+
+    SWEEP_P = (10, 100, 10**3, 10**4, 10**5, 10**6, 10**7, 3 * 10**7, 10**8)
+    SWEEP_PI = tuple(i / 10 for i in range(11))
+
+    @classmethod
+    def sweep_instances(cls):
+        for family in ("dip", "spike"):
+            for n in (3, 11, 50):
+                for pi in cls.SWEEP_PI:
+                    target = _sweep_target(family, n, pi)
+                    for p in cls.SWEEP_P:
+                        c = EmpiricalCounts(round_to_counts(target, p))
+                        yield (family, n, pi, p), c, Singleton(uniform(n))
+
+    def test_c_lower_never_below_the_float_bisection_on_the_sweep_grid(self):
+        """The 594 points of the grid: no c_lower is lower, and 11 are one
+        higher, all at p >= 1e7, where the float bracket, 2**-28 wide, can
+        straddle an integer of p * alpha that the count search probes:
+        dip n=3 pi=0.5 and 0.6 at p=1e8; dip n=11 pi=0.2, 0.3 and 0.5 at
+        p=1e8 and pi=0.3 at p=3e7; dip n=50 pi=0.2 at p=3e7 and pi=0.8 at
+        p=1e7; spike n=3 pi=0.9 at p=1e8; spike n=11 pi=0.8 at p=3e7; spike
+        n=50 pi=0.7 at p=1e8."""
+        higher = []
+        for point, c, model in self.sweep_instances():
+            got = estimate_alpha_lower(c, model, 0.05).c_lower
+            old = float_bisection_c_lower(c, model, 0.05)
+            assert got >= old, (point, got, old)
+            if got > old:
+                higher.append(point)
+                assert got == old + 1, (point, got, old)
+        assert higher == [
+            ("dip", 3, 0.5, 10**8),
+            ("dip", 3, 0.6, 10**8),
+            ("dip", 11, 0.2, 10**8),
+            ("dip", 11, 0.3, 3 * 10**7),
+            ("dip", 11, 0.3, 10**8),
+            ("dip", 11, 0.5, 10**8),
+            ("dip", 50, 0.2, 3 * 10**7),
+            ("dip", 50, 0.8, 10**7),
+            ("spike", 3, 0.9, 10**8),
+            ("spike", 11, 0.8, 3 * 10**7),
+            ("spike", 50, 0.7, 10**8),
+        ]
+
+    def test_c_lower_never_below_the_float_bisection_on_small_singletons(self):
+        # and never above the exact minimum removal count, where the oracle
+        # runs (p <= 30 here)
+        rng = np.random.default_rng(5)
+        epsilons = itertools.cycle((0.01, 0.05, 0.1, 0.3))
+        flagged = checked = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 4))
+            c = EmpiricalCounts(rng.multinomial(int(rng.integers(1, 60)), rng.dirichlet(np.full(n, 0.5))))
+            q = Distribution(rng.dirichlet(np.ones(n)))
+            epsilon = next(epsilons)
+            res = estimate_alpha_lower(c, Singleton(q), epsilon)
+            assert res.c_lower >= float_bisection_c_lower(c, Singleton(q), epsilon)
+            flagged += res.contaminated
+            if res.contaminated and c.total <= 30:
+                assert res.c_lower <= exact_cstar(c, q, epsilon), tuple(c.counts)
+                checked += 1
+        assert flagged > 100 and checked > 20
+
+    def test_probe_budget(self, monkeypatch):
+        # ceil(log2 p) probes after the one at m = 0, for every kind
+        instances = [c_model for _, *c_model in self.sweep_instances()]
+        instances += list(small_mixtures(np.random.default_rng(43), 8))
+        instances += list(small_klballs(np.random.default_rng(3), 8))
+        data, baseline = klball_twosample_pair(7, 80)
+        instances.append((data, KlBall(empirical(baseline), klball_radius(baseline, 0.05))))
+        probes = count_probes(monkeypatch)
+        flagged = 0
+        for c, model in instances:
+            res = estimate_alpha_lower(c, model, 0.05)
+            budget = (c.total - 1).bit_length() + 1 if res.contaminated else 1
+            assert probes[-1] <= budget, (tuple(c.counts)[:4], probes[-1], budget)
+            flagged += res.contaminated
+        assert len(probes) == len(instances) and flagged > 300
+
+    def test_mixture_threshold_solves_on_criterion_5(self, monkeypatch):
+        # 17.8 threshold solves per estimate on the first 15 instances (29.0
+        # with the bisection over the fraction); counts repeat exactly
+        calls = record_solves(monkeypatch)
+        instances = list(test_solver.TestSolveMixture.criterion_5_instances(15))
+        for c, model in instances:
+            assert estimate_alpha_lower(c, model, 0.05).contaminated
+        threshold_solves = sum(t is not None for _, t in calls)
+        assert threshold_solves / len(instances) <= 18, threshold_solves
 
 
 class TestProbePath:
@@ -971,8 +1127,8 @@ class TestCertifiedProbes:
         # objective is within 1e-14 of the optimum (a full solve stops at a
         # certified gap of TOLERANCE, or at a cycle in rounding).  Every True
         # verdict must survive it, whether a solve or a certificate left by
-        # earlier probes decided it, so the certified endpoint, a point of
-        # the same dyadic grid, never lies above the reference's.
+        # earlier probes decided it, so the certified count never lies above
+        # the reference's.
         decided = []
 
         def recording_solver(c, model):
@@ -999,6 +1155,7 @@ class TestCertifiedProbes:
                 for data, probe_model, alpha, threshold in decided:
                     assert solve(data, probe_model, alpha).objective >= threshold
             decided.clear()
+            assert got.c_lower <= want.c_lower
             assert got.alpha_lower <= want.alpha_lower
 
 
@@ -1298,7 +1455,8 @@ class TestKlballProbeCertificates:
                 assert_same_fields(got, uncertified_estimate(c, model, epsilon), c)
 
     def test_contaminated_pair_solves_at_most_twelve_probes(self, monkeypatch):
-        # A solve at every probe takes 29 threshold solves on this pair.
+        # A solve at every probe takes 19 threshold solves on this pair (29
+        # when the bisection ran over the fraction); the certificates leave 7.
         solves = record_solves(monkeypatch)
         res = two_sample_test(*klball_twosample_pair(7, 80), 0.05)
         assert res.contaminated and res.alpha_lower > 0
@@ -1310,7 +1468,7 @@ class TestKlballProbeCertificates:
     def test_contaminated_pair_water_fills_at_most_25_times(self, monkeypatch):
         # With a water-fill against the stored model at every probe that
         # reaches it, this pair takes 36 fills; the model's sorted profile
-        # leaves 21.
+        # leaves 21.  The bisection over the removal count leaves 14.
         calls = []
         water_fill = solver._water_fill
 
