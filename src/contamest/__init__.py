@@ -4,7 +4,7 @@ Given per-category counts and a convex set of model distributions, this
 package answers: how many samples must be discarded, at minimum, before the
 remainder is statistically consistent with the model?  The answer is a
 certified lower bound obtained from constrained KL minimizations inside a
-bisecting line search over the discard fraction.
+bisecting search over the removal count.
 """
 
 __version__ = "0.1.0"
@@ -43,9 +43,6 @@ from .solver import (
     SolveResult,
     closed_form_singleton,
     solve,
-    solve_klball,
-    solve_mixture,
-    solve_singleton,
 )
 
 __all__ = [
@@ -63,10 +60,7 @@ __all__ = [
     "SolveResult",
     "Duals",
     "solve",
-    "solve_singleton",
     "closed_form_singleton",
-    "solve_mixture",
-    "solve_klball",
     "EstimateResult",
     "gof_threshold",
     "is_contaminated",

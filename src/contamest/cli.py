@@ -3,7 +3,7 @@
 Commands
 --------
 test       contamination verdict for a dataset against a model
-estimate   certified lower bound on the contaminated fraction
+estimate   certified lower bound on the contaminated count
 twosample  test one dataset against another dataset as the model
 sweep      deterministic grid experiment, CSV rows
 oracle     exact brute-force values for tiny instances (debugging)
@@ -454,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_test, tol=False)
     p_test.set_defaults(func=partial(_run, compute=_test))
 
-    p_est = sub.add_parser("estimate", help="certified contaminated-fraction bound")
+    p_est = sub.add_parser("estimate", help="certified contaminated-count bound")
     common(p_est)
     p_est.set_defaults(func=partial(_run, compute=_estimate))
 
@@ -487,7 +487,7 @@ def run_command(argv: Sequence[str]) -> int:
     try:
         args = parser.parse_args(list(argv))
         return args.func(args)
-    except (ValueError, OSError) as exc:  # CliError is a ValueError
+    except (ValueError, OSError, MemoryError) as exc:  # CliError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -213,9 +213,14 @@ def separation_distance(p: Distribution, q: Distribution) -> float:
     """
     if p.n != q.n:
         raise ValueError("dimension mismatch")
-    mask = q.probs > 0
+    return _separation(p.probs, q.probs)
+
+
+def _separation(p: np.ndarray, q: np.ndarray) -> float:
+    """:func:`separation_distance` on raw arrays, q with some positive mass."""
+    mask = q > 0
     with np.errstate(over="ignore"):  # a subnormal q_i gives -inf, never the max
-        kappa = float(np.max(1.0 - p.probs[mask] / q.probs[mask]))
+        kappa = float(np.max(1.0 - p[mask] / q[mask]))
     return min(1.0, max(0.0, kappa))
 
 

@@ -1,5 +1,5 @@
 """Statistical layer: the contamination test, the certified lower bound on
-the contaminated fraction, the two-sample variant, and the deterministic
+the contaminated count, the two-sample variant, and the deterministic
 sweep experiment.
 
 The decision threshold comes from large-deviations bounds on empirical
@@ -30,9 +30,9 @@ from .distributions import (
     Singleton,
     _large_deviations_radius,
     _log_inverse,
+    _separation,
     empirical,
     klball_radius,
-    separation_distance,
     uniform,
 )
 from .solver import _solver
@@ -66,7 +66,7 @@ class EstimateResult:
     stopped it first, 0 when the data is not contaminated.
 
     ``kappa`` is the separation distance from the empirical distribution to
-    ``q_star`` of the final full solve at ``alpha_lower``.  For mixtures and
+    the model q of the final full solve at ``alpha_lower``.  For mixtures and
     KL balls that is an iterate within ``TOLERANCE`` of the optimal
     objective, not a unique optimum, so ``kappa`` can move in its trailing
     digits while ``alpha_lower`` and ``c_lower`` do not.
@@ -91,7 +91,8 @@ def is_contaminated(
     model-set KL distance provably reaches the decision threshold, so there
     are no false flags beyond the significance level.  Returns
     ``(verdict, margin)`` with margin = objective - threshold, from the full
-    solve of a solver object (``solver._solver``), run first for every kind.
+    solve's run of a solver object (``solver._solver``), run first for every
+    kind.
     Its objective below the threshold, or its converged bound at or above
     it, settles the verdict; only the band between them (never an exact
     singleton solve) or an unconverged solve asks the object's ``exceeds``,
@@ -102,14 +103,14 @@ def is_contaminated(
         raise ValueError("empty dataset")
     threshold = gof_threshold(p, counts.n, epsilon)
     solver = _solver(counts, model)
-    full = solver.solve(0.0)
-    if full.objective < threshold:
+    _, _, _, _, objective, lower, _, converged = solver._run(0.0, None)
+    if objective < threshold:
         verdict = False
-    elif full.converged and full.lower_bound >= threshold:
+    elif converged and lower >= threshold:
         verdict = True
     else:
         verdict = solver.exceeds(0.0, threshold)
-    return verdict, full.objective - threshold
+    return verdict, objective - threshold
 
 
 def estimate_alpha_lower(
@@ -135,10 +136,10 @@ def estimate_alpha_lower(
 
     One solver object per estimate (``solver._solver``) answers every
     probe, alpha = 0 included, with ``exceeds``: from what earlier probes
-    prove, else by a solve under the probe's threshold.  Its full ``solve``
-    at ``alpha_lower``, the fraction of the last True probe, gives
-    ``objective_at_alpha``, and its ``phat``, the one empirical
-    distribution of the estimate, gives ``kappa``.
+    prove, else by a solve under the probe's threshold.  Its full solve's
+    run at ``alpha_lower``, the fraction of the last True probe, gives
+    ``objective_at_alpha``, and its q and the object's ``phat``, the one
+    empirical distribution of the estimate, give ``kappa``.
     """
     p = counts.total
     if p < 1:
@@ -158,14 +159,14 @@ def estimate_alpha_lower(
             lo, alpha_lo = mid, alpha
         else:
             hi = mid
-    final = solver.solve(alpha_lo)
+    support, _, q, _, objective, _, _, _ = solver._run(alpha_lo, None)
 
     return EstimateResult(
         alpha_lower=alpha_lo,
-        kappa=separation_distance(solver.phat, final.q_star),
+        kappa=_separation(solver.phat.probs[support], q),
         c_lower=lo,
         threshold_at_alpha=gof_threshold(p - lo, counts.n, epsilon),
-        objective_at_alpha=final.objective,
+        objective_at_alpha=objective,
         contaminated=contaminated,
         bisection_width=(hi - lo) / p,
     )

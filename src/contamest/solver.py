@@ -30,20 +30,20 @@ one sort of the data prove when they can, else by a solve under it.  A
 solve of every kind is one run with one result shape, so the base class
 alone answers probes and builds results; a probe's solve whose certified
 bound reaches its threshold stops at that bound and fills no further
-state.  The public solves are the full solves of fresh objects.  A
+state.  The public :func:`solve` is the full solve of a fresh object, and
+only it builds a :class:`SolveResult`: the estimator reads runs.  A
 singleton estimate builds ``phat`` once and sorts the data once: the
 profile's order serves every exact fill after the first probe, and only
-the public solves build KKT duals, which the estimator never reads.  A
+the public solve builds KKT duals, which the estimator never reads.  A
 mixture estimate builds ``phat``, the component matrix and its support
 once.  A KL-ball estimate builds ``phat``, the center's support and one
 stable sort of phat / center there once: that sort orders the first fill
-of every solve, against the center.  Probes of either kind build no
-result distributions, and a solve at the alpha of the solve before it
-starts from that solve's first or returned fill when its first model is
-that pair's.  A fill's own sort puts ties in index order by sorting only
-the tied positions again (:func:`_stable_order`).  The singleton path
-(fill, duals, KL, profile) allocates each full-length array once and
-works in it, so large solves do not re-fault their memory.
+of every solve, against the center.  A solve at the alpha of the solve
+before it starts from that solve's first or returned fill when its first
+model is that pair's.  A fill's own sort puts ties in index order by
+sorting only the tied positions again (:func:`_stable_order`).  The
+singleton path (fill, duals, KL, profile) allocates each full-length
+array once and works in it, so large solves do not re-fault their memory.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -73,7 +72,7 @@ MAX_ITERATIONS = 10_000
 
 _EPS = float(np.finfo(float).eps)
 
-# The mixture step's Newton move (:func:`solve_mixture`): its face holds the
+# The mixture step's Newton move (:class:`_MixtureSolver`): its face holds the
 # weights above _FACE_WEIGHT and those whose m_j exceeds 1 + _FACE_GRADIENT,
 # and a trial step is halved at most _NEWTON_HALVINGS times.
 _FACE_WEIGHT = 1e-9
@@ -109,12 +108,7 @@ class SolveResult:
     for an exact singleton solve, else the bound of the last model step (0
     before the first).  ``mixture_weights`` are the weights of ``q_star``
     (mixtures only), and ``duals`` the KKT multipliers of an exact
-    singleton solve.  A probe's solve under a threshold (:class:`_Solver`)
-    that stops on its bound, and only such a solve, has ``lower_bound >=
-    threshold``.  A KL-ball step's bound is certified at the returned pair;
-    a mixture step's is the first of its bounds, at the returned weights w
-    or at the updates w1 and w2 from them, that reaches the threshold
-    (:func:`solve_mixture`).
+    singleton solve.
     """
 
     objective: float
@@ -271,17 +265,6 @@ def _water_fill(
     return p, _kl(p, q), c
 
 
-def solve_singleton(counts: EmpiricalCounts, q0: Distribution, alpha: float) -> SolveResult:
-    """Exact minimum of D(P || q0) over the discard-feasible box.
-
-    Returns the water-filling optimizer together with the KKT multipliers:
-    lam_i = max(0, log(c) + log(q_i/upper_i)) on active box constraints and
-    nu = -1 - log(c) for the simplex constraint; None when the optimum is
-    infinite or the water level c overflows.
-    """
-    return _SingletonSolver(counts, q0).solve(alpha, duals=True)
-
-
 def _box_duals(upper: np.ndarray, q: np.ndarray, c: float) -> np.ndarray:
     """Box multipliers of a fill at level c: lam_i = max(0, log(c) + log(q_i/upper_i)).
 
@@ -301,7 +284,7 @@ def _box_duals(upper: np.ndarray, q: np.ndarray, c: float) -> np.ndarray:
 
 
 def _singleton_profile(phat: np.ndarray, q0: Distribution):
-    """Sort-once form of :func:`solve_singleton`'s objective for a sweep over alpha.
+    """Sort-once form of the singleton solve's objective for a sweep over alpha.
 
     The caps phat_i / (1 - alpha) all scale together, so the breakpoints
     r_i = phat_i / q_i keep one order for every alpha.  After one sort of
@@ -314,7 +297,7 @@ def _singleton_profile(phat: np.ndarray, q0: Distribution):
 
     ``phat`` is the empirical distribution of the counts.  Returns
     ``(probe, sort)``: ``probe(alpha) -> (D, err)`` with ``err`` a bound on
-    ``|D - solve_singleton(counts, q0, alpha).objective|`` built from
+    ``|D - solve(counts, Singleton(q0), alpha).objective|`` built from
     (m + 2) * eps, m = |supp(q)|, times the magnitude of the summed terms
     (both sides accumulate prefix sums in sequence); a comparison of
     D with anything farther than ``err`` away agrees with the exact solve.
@@ -327,8 +310,6 @@ def _singleton_profile(phat: np.ndarray, q0: Distribution):
     when some q_i is subnormal: ratios and levels can then overflow, and
     :func:`_water_fill_pos` takes its rescaled path.
     """
-    if phat.size != q0.n:
-        raise ValueError("dimension mismatch")
     q = q0.probs
     ph = phat
     if q.min() > 0:
@@ -459,7 +440,7 @@ def _certifies(lower: float, threshold: float | None) -> bool:
 
 
 def _alternate(state, fill, step, threshold):
-    """The alternating loop of :func:`solve_mixture` and :func:`solve_klball`.
+    """The alternating loop of :class:`_MixtureSolver` and :class:`_KlBallSolver`.
 
     ``fill`` is the fill ``(p, q, objective, level)`` of the first state:
     the box water-filled against the state's model q.  Each iteration's
@@ -498,9 +479,148 @@ def _alternate(state, fill, step, threshold):
     return p, q, state, obj, lower, MAX_ITERATIONS, False
 
 
-def solve_mixture(
-    counts: EmpiricalCounts, components: Sequence[Distribution], alpha: float
-) -> SolveResult:
+class _Solver:
+    """The two questions a bisection over alpha asks of one data set and model set.
+
+    ``solve(alpha)`` is the full solve.  ``exceeds(alpha, threshold)`` asks
+    whether the optimum at ``alpha`` is at or above ``threshold``: from what
+    earlier probes prove (``_certified``, None if they prove nothing), else
+    from a solve under the threshold, whose proof ``_record`` keeps.  Only a
+    converged objective at or above it reads True; a cap hit or a cycle in
+    rounding reads False, which can only shrink alpha_lower.  Only solves
+    whose verdict is proven are skipped, so a bisection visits the same
+    points as with a solve at every probe.  ``phat``, the empirical
+    distribution, is built on first use, or shared by the solver that built
+    this one.
+
+    Every kind's solve is ``_run(alpha, threshold)`` (threshold None for a
+    full solve), which returns ``(support, p, q, state, objective, lower,
+    iterations, converged)``: the returned pair over ``support``, the state
+    that produced q, the objective, the certified lower bound, and the
+    loop's count and flag.  ``solve`` scatters a full solve's run into a
+    :class:`SolveResult`, the public :func:`solve`'s; the estimator and the
+    probes read runs and build none.
+
+    The alternating kinds run :func:`_alternate` through ``_loop``, which
+    keeps the fills of the latest solve's first and returned pairs with its
+    alpha (``_fills``).  A solve at that alpha whose first model q is either
+    pair's q, bit for bit, starts from that pair's fill rather than filling
+    it again: a fill is a function of the box and q.
+    """
+
+    def __init__(self, counts: EmpiricalCounts, phat: Distribution | None = None):
+        self._counts = counts
+        if phat is not None:
+            self.phat = phat
+        self._fills = None  # (alpha, first fill, returned fill) of the latest solve
+
+    @functools.cached_property
+    def phat(self) -> Distribution:
+        return empirical(self._counts)
+
+    def solve(self, alpha: float) -> SolveResult:
+        """The full solve at alpha, its run scattered over every category."""
+        support, p_s, q_s, state, obj, lower, it, converged = self._run(alpha, None)
+        p = np.zeros(self._counts.n)
+        p[support] = p_s
+        q = np.zeros(self._counts.n)
+        q[support] = q_s
+        return SolveResult(
+            objective=obj,
+            p_star=Distribution(p),
+            q_star=Distribution(q),
+            iterations=it,
+            converged=converged,
+            lower_bound=lower,
+            **self._reported(alpha, state, q_s),
+        )
+
+    def exceeds(self, alpha: float, threshold: float) -> bool:
+        verdict = self._certified(alpha, threshold)
+        if verdict is None:
+            run = self._run(alpha, threshold)
+            self._record(alpha, threshold, run)
+            _, _, _, _, objective, _, _, converged = run
+            verdict = converged and objective >= threshold
+        return verdict
+
+    def _loop(self, alpha: float, state, q: np.ndarray, fill, step, threshold: float | None):
+        """:func:`_alternate` at alpha from ``state``, whose model is q, with
+        ``fill(state)`` its first fill unless ``_fills`` holds it."""
+        kept = self._fills
+        first = None
+        if kept is not None and kept[0] == alpha:
+            first = next((f for f in kept[1:] if np.array_equal(f[1], q)), None)
+        if first is None:
+            first = fill(state)
+        p, q, state, obj, lower, it, converged = _alternate(state, first, step, threshold)
+        self._fills = alpha, first, (p, q, obj, None)  # no step reads a first fill's level
+        return p, q, state, obj, lower, it, converged
+
+    def _reported(self, alpha: float, state, q: np.ndarray) -> dict:
+        """The :class:`SolveResult` fields that only some kinds report, from
+        a full solve's state and q."""
+        return {}
+
+    def _certified(self, alpha: float, threshold: float) -> bool | None:
+        return None
+
+    def _record(self, alpha: float, threshold: float, run) -> None:
+        pass
+
+
+class _SingletonSolver(_Solver):
+    """Exact minimum of D(P || q0) over the discard-feasible box, from one
+    phat and one sort of the data.
+
+    The optimizer is the water fill of the box against q0.  The full solve
+    reports it with the KKT multipliers: lam_i = max(0, log(c) +
+    log(q_i/upper_i)) on active box constraints and nu = -1 - log(c) for the
+    simplex constraint; None when the optimum is infinite or the water level
+    c overflows.  No estimator path builds them.
+
+    Every probe reads :func:`_singleton_profile`, built on the first, or
+    within its rounding bound of the threshold the exact solve.  Once built,
+    the profile's sort orders every exact fill that follows
+    (:func:`_water_fill_pos`); a lone solve, such as the verdict of
+    ``is_contaminated``, sorts in its fill and builds no profile.
+    """
+
+    def __init__(
+        self, counts: EmpiricalCounts, q0: Distribution, phat: Distribution | None = None
+    ):
+        if counts.n != q0.n:
+            raise ValueError("dimension mismatch")
+        super().__init__(counts, phat)
+        self._q0 = q0
+
+    @functools.cached_property
+    def _profile(self):
+        return _singleton_profile(self.phat.probs, self._q0)
+
+    def _reported(self, alpha: float, c, q: np.ndarray) -> dict:
+        if c is None or not c < math.inf:
+            return {}
+        lam = _box_duals(_caps(self.phat.probs, alpha), q, c)
+        return {"duals": Duals(lam, -1.0 - math.log(c))}
+
+    def _run(self, alpha: float, threshold: float | None):
+        """The exact fill at alpha, a run whose state is the water level c
+        and whose bound is its objective; no threshold changes it."""
+        q = self._q0.probs
+        profile = vars(self).get("_profile")  # read, not built: a sort costs more than a fill
+        sort = None if profile is None else profile[1]
+        p, objective, c = _water_fill(_caps(self.phat.probs, alpha), q, sort)
+        return slice(None), p, q, c, objective, objective, 0, True
+
+    def _certified(self, alpha: float, threshold: float) -> bool | None:
+        probe = self._profile[0](alpha) if self._profile is not None else None
+        if probe is not None and abs(probe[0] - threshold) > probe[1]:
+            return probe[0] >= threshold
+        return None
+
+
+class _MixtureSolver(_Solver):
     """Alternating minimization over the feasible box and mixture weights.
 
     Let F(w) water-fill the box against w @ Q and then apply the
@@ -529,180 +649,10 @@ def solve_mixture(
     else the step returns w2.  So the objective never increases.  Every
     point the step returns comes with its fill, the next iteration's pair.
     A full solve's step certifies the largest of the bounds at w, at w1
-    and, when it tries Newton, at w2.  A probe's step (:class:`_Solver`)
-    stops at the first of them that reaches its threshold, and fills
-    nothing after it: that first certifying bound is then its
-    ``lower_bound``.  Weights start uniform.  ``mixture_weights`` are the
-    weights of ``q_star``.  The solve is the full solve of a fresh
-    :class:`_MixtureSolver`.
-    """
-    return _MixtureSolver(counts, components).solve(alpha)
-
-
-def solve_klball(
-    counts: EmpiricalCounts, center: Distribution, radius: float, alpha: float
-) -> SolveResult:
-    """Alternating minimization with the model ranging over a KL ball.
-
-    The model starts at the center, and the model step is the exact ball
-    projection :func:`_ball_projection`.  The step also certifies a lower
-    bound.  g(Q) = min over the box of D(P || Q) is convex, and at the
-    water-filled pair (P, Q) -a is a subgradient (Danskin), with
-    a_i = P_i / Q_i where Q_i > 0; where Q_i = 0, a_i is 0 if the box cap is
-    0 and the water level max(a) otherwise (the box duals of the fill).  As
-    <a, Q> = 1, the optimum is at least obj + 1 - U for any upper bound U on
-    <a, Q'> over the ball: the Frank-Wolfe bound (Jaggi, 2013), with U from
-    :func:`_ball_linear_max`, warm-started from the previous step's search.
-    The solve is the full solve of a fresh :class:`_KlBallSolver`.
-    """
-    return _KlBallSolver(counts, center, radius).solve(alpha)
-
-
-class _Solver:
-    """The two questions a bisection over alpha asks of one data set and model set.
-
-    ``solve(alpha)`` is the full solve.  ``exceeds(alpha, threshold)`` asks
-    whether the optimum at ``alpha`` is at or above ``threshold``: from what
-    earlier probes prove (``_certified``, None if they prove nothing), else
-    from a solve under the threshold, whose proof ``_record`` keeps.  Only a
-    converged objective at or above it reads True; a cap hit or a cycle in
-    rounding reads False, which can only shrink alpha_lower.  Only solves
-    whose verdict is proven are skipped, so a bisection visits the same
-    points as with a solve at every probe.  ``phat``, the empirical
-    distribution, is built on first use, or shared by the solver that built
-    this one.
-
-    Every kind's solve is ``_run(alpha, threshold)`` (threshold None for a
-    full solve), which returns ``(support, p, q, state, objective, lower,
-    iterations, converged)``: the returned pair over ``support``, the state
-    that produced q, the objective, the certified lower bound, and the
-    loop's count and flag.  ``_solve`` scatters a run into a
-    :class:`SolveResult`; a probe reads the run itself and builds none.
-
-    The alternating kinds run :func:`_alternate` through ``_loop``, which
-    keeps the fills of the latest solve's first and returned pairs with its
-    alpha (``_fills``).  A solve at that alpha whose first model q is either
-    pair's q, bit for bit, starts from that pair's fill rather than filling
-    it again: a fill is a function of the box and q.
-    """
-
-    # Whether a run's state is the weights a SolveResult reports.
-    _state_is_weights = False
-
-    def __init__(self, counts: EmpiricalCounts, phat: Distribution | None = None):
-        self._counts = counts
-        if phat is not None:
-            self.phat = phat
-        self._fills = None  # (alpha, first fill, returned fill) of the latest solve
-
-    @functools.cached_property
-    def phat(self) -> Distribution:
-        return empirical(self._counts)
-
-    def solve(self, alpha: float, duals: bool = False) -> SolveResult:
-        """The full solve at alpha.  Only an exact singleton solve has KKT
-        duals, built when ``duals`` asks: the public solves report them, and
-        the estimator reads none."""
-        return self._solve(alpha, None)
-
-    def exceeds(self, alpha: float, threshold: float) -> bool:
-        verdict = self._certified(alpha, threshold)
-        if verdict is None:
-            run = self._run(alpha, threshold)
-            self._record(alpha, threshold, run)
-            _, _, _, _, objective, _, _, converged = run
-            verdict = converged and objective >= threshold
-        return verdict
-
-    def _solve(self, alpha: float, threshold: float | None) -> SolveResult:
-        support, p_s, q_s, state, obj, lower, it, converged = self._run(alpha, threshold)
-        p = np.zeros(self._counts.n)
-        p[support] = p_s
-        q = np.zeros(self._counts.n)
-        q[support] = q_s
-        return SolveResult(
-            objective=obj,
-            p_star=Distribution(p),
-            q_star=Distribution(q),
-            mixture_weights=state if self._state_is_weights else None,
-            iterations=it,
-            converged=converged,
-            lower_bound=lower,
-        )
-
-    def _loop(self, alpha: float, state, q: np.ndarray, fill, step, threshold: float | None):
-        """:func:`_alternate` at alpha from ``state``, whose model is q, with
-        ``fill(state)`` its first fill unless ``_fills`` holds it."""
-        kept = self._fills
-        first = None
-        if kept is not None and kept[0] == alpha:
-            first = next((f for f in kept[1:] if np.array_equal(f[1], q)), None)
-        if first is None:
-            first = fill(state)
-        p, q, state, obj, lower, it, converged = _alternate(state, first, step, threshold)
-        self._fills = alpha, first, (p, q, obj, None)  # no step reads a first fill's level
-        return p, q, state, obj, lower, it, converged
-
-    def _certified(self, alpha: float, threshold: float) -> bool | None:
-        return None
-
-    def _record(self, alpha: float, threshold: float, run) -> None:
-        pass
-
-
-class _SingletonSolver(_Solver):
-    """The exact singleton solve against the fixed model q0, from one phat
-    and one sort of the data.  Every probe reads :func:`_singleton_profile`,
-    built on the first, or within its rounding bound of the threshold the
-    exact solve.  Once built, the profile's sort orders every exact fill
-    that follows (:func:`_water_fill_pos`); a lone solve, such as the
-    verdict of ``is_contaminated``, sorts in its fill and builds no profile.
-    Box duals are built only for ``solve(alpha, duals=True)``, the public
-    solves; no estimator path reads them."""
-
-    def __init__(
-        self, counts: EmpiricalCounts, q0: Distribution, phat: Distribution | None = None
-    ):
-        if counts.n != q0.n:
-            raise ValueError("dimension mismatch")
-        super().__init__(counts, phat)
-        self._q0 = q0
-
-    @functools.cached_property
-    def _profile(self):
-        return _singleton_profile(self.phat.probs, self._q0)
-
-    def solve(self, alpha: float, duals: bool = False) -> SolveResult:
-        _, p, q, c, objective, _, _, _ = self._run(alpha, None)
-        box = None
-        if duals and c is not None and c < math.inf:
-            box = Duals(_box_duals(_caps(self.phat.probs, alpha), q, c), -1.0 - math.log(c))
-        return SolveResult(
-            objective=objective,
-            p_star=Distribution(p),
-            q_star=self._q0,
-            duals=box,
-            lower_bound=objective,
-        )
-
-    def _run(self, alpha: float, threshold: float | None):
-        """The exact fill at alpha, a run whose state is the water level c
-        and whose bound is its objective; no threshold changes it."""
-        q = self._q0.probs
-        profile = vars(self).get("_profile")  # read, not built: a sort costs more than a fill
-        sort = None if profile is None else profile[1]
-        p, objective, c = _water_fill(_caps(self.phat.probs, alpha), q, sort)
-        return slice(None), p, q, c, objective, objective, 0, True
-
-    def _certified(self, alpha: float, threshold: float) -> bool | None:
-        probe = self._profile[0](alpha) if self._profile is not None else None
-        if probe is not None and abs(probe[0] - threshold) > probe[1]:
-            return probe[0] >= threshold
-        return None
-
-
-class _MixtureSolver(_Solver):
-    """The mixture solves of :func:`solve_mixture` over one data set's box.
+    and, when it tries Newton, at w2.  A probe's step stops at the first of
+    them that reaches its threshold, and fills nothing after it: that first
+    certifying bound is then its run's bound.  Weights start uniform, and
+    the full solve reports the weights of ``q_star`` as ``mixture_weights``.
 
     ``phat``, the stacked component matrix, the union of the components'
     supports and the matrix's columns there are built once, on first use,
@@ -714,16 +664,11 @@ class _MixtureSolver(_Solver):
     probes prove nothing here.
     """
 
-    _state_is_weights = True
-
-    def __init__(self, counts: EmpiricalCounts, components: Sequence[Distribution]):
-        comps = tuple(components)
-        if len(comps) < 2:
-            raise ValueError("mixture model needs at least 2 components")
-        if any(c.n != counts.n for c in comps):
+    def __init__(self, counts: EmpiricalCounts, model: Mixture):
+        if model.components[0].n != counts.n:  # Mixture checks that all share one n
             raise ValueError("dimension mismatch")
         super().__init__(counts)
-        self._components = comps
+        self._components = model.components
         self._weights = None  # the weights the next solve starts from
 
     @functools.cached_property
@@ -733,14 +678,17 @@ class _MixtureSolver(_Solver):
         union = qmat.sum(axis=0) > 0
         return qmat, union, qmat[:, union]
 
+    def _reported(self, alpha: float, w, q: np.ndarray) -> dict:
+        return {"mixture_weights": w}
+
     def _record(self, alpha: float, threshold: float, run) -> None:
         self._weights = run[3]
 
     def _run(self, alpha: float, threshold: float | None):
-        """The alternating loop of :func:`solve_mixture` from ``self._weights``,
-        or uniform weights: a run whose state is the weights w, with p and q
-        over the union of the components' supports, or over every category
-        when the box cannot carry unit mass there."""
+        """The alternating loop from ``self._weights``, or uniform weights: a
+        run whose state is the weights w, with p and q over the union of the
+        components' supports, or over every category when the box cannot
+        carry unit mass there."""
         upper = _caps(self.phat.probs, alpha)
         qmat, union, qmat_u = self._arrays
         k = qmat.shape[0]
@@ -855,8 +803,18 @@ class _MixtureSolver(_Solver):
 
 
 class _KlBallSolver(_Solver):
-    """The KL-ball solves of :func:`solve_klball` over one data set's box,
-    which start from the center, and what earlier probes prove.
+    """Alternating minimization with the model ranging over a KL ball, and
+    what earlier probes prove.
+
+    The model starts at the center, and the model step is the exact ball
+    projection :func:`_ball_projection`.  The step also certifies a lower
+    bound.  g(Q) = min over the box of D(P || Q) is convex, and at the
+    water-filled pair (P, Q) -a is a subgradient (Danskin), with
+    a_i = P_i / Q_i where Q_i > 0; where Q_i = 0, a_i is 0 if the box cap is
+    0 and the water level max(a) otherwise (the box duals of the fill).  As
+    <a, Q> = 1, the optimum is at least obj + 1 - U for any upper bound U on
+    <a, Q'> over the ball: the Frank-Wolfe bound (Jaggi, 2013), with U from
+    :func:`_ball_linear_max`, warm-started from the previous step's search.
 
     ``phat``, the center's support and one stable sort of phat / center
     there are built once, on first use, and every solve runs from them: the
@@ -871,7 +829,7 @@ class _KlBallSolver(_Solver):
 
     with a'_i = c exp(-lam_i) and the maximum over the ball: a lower bound
     affine in t, valid at every alpha.  A probe that reads True from its
-    Frank-Wolfe bound B = obj + 1 - U (:func:`solve_klball`) takes c = max a
+    Frank-Wolfe bound B = obj + 1 - U (above) takes c = max a
     and lam = :func:`_box_duals` of its pair, the box duals of its fill.
     Then a' = a, U bounds the maximum, and obj = log(c) - t0 * Lambda, so
     the bound reads L(t) = B - (t - t0) * Lambda.  Both identities hold up to
@@ -886,13 +844,11 @@ class _KlBallSolver(_Solver):
     solver's own rule.
     """
 
-    def __init__(self, counts: EmpiricalCounts, center: Distribution, radius: float):
-        if counts.n != center.n:
+    def __init__(self, counts: EmpiricalCounts, model: KlBall):
+        if counts.n != model.center.n:
             raise ValueError("dimension mismatch")
-        if not (radius > 0):
-            raise ValueError("radius must be positive")
         super().__init__(counts)
-        self._center, self._radius = center, radius
+        self._center, self._radius = model.center, model.radius
         self._tol = 4.0 * (counts.n + 8) * _EPS
         self._minorant = None  # (t0, B, Lambda, rounding scale) of the latest True probe
         self._model = None  # _SingletonSolver of the latest converged False probe's q
@@ -911,8 +867,8 @@ class _KlBallSolver(_Solver):
         return support, (order, free_q)
 
     def _run(self, alpha: float, threshold: float | None):
-        """The alternating loop of :func:`solve_klball`: a run over every
-        category whose state is the model q."""
+        """The alternating loop: a run over every category whose state is
+        the model q."""
         upper = _caps(self.phat.probs, alpha)
         center, radius = self._center.probs, self._radius
         support, first_sort = self._arrays
@@ -1112,7 +1068,8 @@ def _ball_projection(p: np.ndarray, center: np.ndarray, support, radius: float) 
 def solve(counts: EmpiricalCounts, model: ModelSet, alpha: float) -> SolveResult:
     """Minimum KL divergence from the discard-feasible box to the model set.
 
-    Exact for singleton models.  Mixture and KL-ball models run one
+    Exact for singleton models, with the KKT duals of the water fill
+    (:class:`_SingletonSolver`).  Mixture and KL-ball models run one
     alternating loop whose model step certifies a lower bound on the
     optimum (0 before the first step).  A full solve stops when the
     objective is within ``TOLERANCE`` of the bound.  At ``MAX_ITERATIONS``
@@ -1129,7 +1086,7 @@ def solve(counts: EmpiricalCounts, model: ModelSet, alpha: float) -> SolveResult
     is below the threshold or the certified lower bound reaches it, so a
     converged objective at or above it is proven.
     """
-    return _solver(counts, model).solve(alpha, duals=True)
+    return _solver(counts, model).solve(alpha)
 
 
 def _solver(counts: EmpiricalCounts, model: ModelSet) -> _Solver:
@@ -1137,7 +1094,7 @@ def _solver(counts: EmpiricalCounts, model: ModelSet) -> _Solver:
     if isinstance(model, Singleton):
         return _SingletonSolver(counts, model.q0)
     if isinstance(model, Mixture):
-        return _MixtureSolver(counts, model.components)
+        return _MixtureSolver(counts, model)
     if isinstance(model, KlBall):
-        return _KlBallSolver(counts, model.center, model.radius)
+        return _KlBallSolver(counts, model)
     raise TypeError(f"unknown model set: {type(model).__name__}")

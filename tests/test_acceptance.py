@@ -24,7 +24,6 @@ from contamest import (
     is_contaminated,
     kl_divergence,
     solve,
-    solve_singleton,
     two_sample_test,
     uniform,
 )
@@ -83,7 +82,7 @@ def test_criterion_1_closed_form_cross_check():
         alpha = lo + float(rng.uniform(0.001, 0.999)) * (kappa - lo)
         closed = closed_form_singleton(c, q, alpha)
         assert closed is not None
-        numeric = solve_singleton(c, q, alpha)
+        numeric = solve(c, Singleton(q), alpha)
         assert np.max(np.abs(closed.p_star.probs - numeric.p_star.probs)) <= 1e-9
         assert abs(closed.objective - numeric.objective) <= 1e-9
         check_kkt(closed, c, q, alpha, atol=1e-8)

@@ -5,6 +5,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import contamest.cli as cli_module
 from contamest.cli import (
     CliError,
     align_with_model,
@@ -393,6 +394,19 @@ class TestCommands:
         assert "\n" not in err.strip()
         # bad usage also exits 1, not argparse's default 2
         assert run_command(["estimate", "--model", "x"]) == 1
+
+    def test_memory_error_is_one_stderr_line(self, capsys, monkeypatch):
+        # A sweep over 1e11 categories asks numpy for 745 GiB, and numpy's
+        # MemoryError exits 1 with one line, not a traceback.  The sweep
+        # raises it here, so nothing is allocated.
+        def out_of_memory(config):
+            raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)")
+
+        monkeypatch.setattr(cli_module, "sweep", out_of_memory)
+        argv = ["sweep", "--family", "dip", "--n", "100000000000", "--p", "10", "--pi", "0.5"]
+        assert run_command(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate 745. GiB") and err.count("\n") == 1
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
     def test_non_finite_tol_rejected(self, capsys, uniform3_model, spike_data, tol):

@@ -15,6 +15,7 @@ from contamest import (
     KlBall,
     Mixture,
     Singleton,
+    SolveResult,
     SweepConfig,
     convergence_bound,
     empirical,
@@ -574,7 +575,7 @@ class TestPinnedBounds:
         model = KlBall(empirical(baseline), klball_radius(baseline, 0.05))
         alpha = 0.0625
         threshold = gof_threshold(data.total * (1 - alpha), data.n, 0.05)
-        probe = klball_at(data, model, alpha, threshold)
+        probe = run_at(data, model, alpha, threshold)
         assert probe.objective < threshold
         assert probe.iterations == 2
         assert solve(data, model, alpha).iterations == 3
@@ -763,23 +764,24 @@ class TestSortOnceBisection:
     def test_probes_in_the_band_are_decided_by_the_probe_object(self, seed, monkeypatch):
         # A profile that bounds no probe puts every probe in its band, where
         # the solver object's ``exceeds`` runs the exact solve itself, in the
-        # profile's order: its full ``solve`` runs only the final solve, and
-        # every field keeps its bits.
+        # profile's order: the only run without a threshold is the final
+        # solve, and every field keeps its bits.
         c, model = wide_singleton(seed, 2000)
         want = estimate_alpha_lower(c, model, 0.05)
         calls = []
-        full_solve = solver._SingletonSolver.solve
+        run = solver._SingletonSolver._run
         profile = solver._singleton_profile
 
-        def counting_solve(self, alpha):
-            calls.append(alpha)
-            return full_solve(self, alpha)
+        def counting_run(self, alpha, threshold):
+            if threshold is None:
+                calls.append(alpha)
+            return run(self, alpha, threshold)
 
         def unbounded_profile(phat, q0):
             return (lambda a: (0.0, math.inf)), profile(phat, q0)[1]
 
         monkeypatch.setattr(solver, "_singleton_profile", unbounded_profile)
-        monkeypatch.setattr(solver._SingletonSolver, "solve", counting_solve)
+        monkeypatch.setattr(solver._SingletonSolver, "_run", counting_run)
         assert_same_fields(estimate_alpha_lower(c, model, 0.05), want, c)
         assert want.contaminated and calls == [want.alpha_lower]
 
@@ -1116,7 +1118,7 @@ class TestCertifiedProbes:
             capped = estimate_alpha_lower(c, model, 0.05)
             assert capped.alpha_lower <= full.alpha_lower
             threshold = gof_threshold(c.total, c.n, 0.05)
-            if not mixture_at(c, model, 0.0, threshold).converged:
+            if not run_at(c, model, 0.0, threshold).converged:
                 assert full.contaminated
                 assert not capped.contaminated and capped.alpha_lower == 0.0
                 refuted += 1
@@ -1235,14 +1237,15 @@ class TestKlballArraysOnce:
 
         monkeypatch.setattr(solver._KlBallSolver, "_record", recording)
         # A whole bisection, 9 solves here, took 10 empirical calls and 28
-        # distributions when each solve built its own phat, p_star and q_star.
+        # distributions when each solve built its own phat, p_star and q_star,
+        # and 6 when the final solve still built its p_star and q_star.
         data, baseline = klball_twosample_pair(7, 80)
         model = KlBall(empirical(baseline), klball_radius(baseline, 0.05))
         work.clear()
         res = estimate_alpha_lower(data, model, 0.05)
         assert res.contaminated and len(stored) >= 5
-        # phat, the probes' stored models, and the final solve's p_star and q_star.
-        assert work == {"empirical": 1, "Distribution": 1 + sum(stored) + 2}, (work, stored)
+        # phat and the probes' stored models: the final solve builds none.
+        assert work == {"empirical": 1, "Distribution": 1 + sum(stored)}, (work, stored)
         assert sum(stored) < len(stored)
 
     def test_no_first_fill_repeats_an_earlier_fill(self, monkeypatch):
@@ -1277,26 +1280,83 @@ class TestKlballArraysOnce:
                 assert fills[i][0] not in {key for key, _ in fills[:i]}, (i, len(fills))
 
 
-def mixture_at(c, model, alpha, threshold):
-    """A fresh mixture solver's solve at alpha under ``threshold``, None for a full solve."""
-    return solver._MixtureSolver(c, model.components)._solve(alpha, threshold)
+def twosample_klball(data, baseline):
+    """``data`` and the KL ball that ``two_sample_test`` builds from ``baseline``."""
+    return data, KlBall(empirical(baseline), klball_radius(baseline, 0.05))
 
 
-def klball_at(c, model, alpha, threshold):
-    """A fresh KL-ball solver's solve at alpha under ``threshold``, None for a full solve."""
-    return solver._KlBallSolver(c, model.center, model.radius)._solve(alpha, threshold)
+def union_mixture():
+    """A contaminated mixture whose components put no mass on the last of
+    six categories, where the data has no count either: its solves run
+    over the union of the components' supports, not over every category."""
+    rng = np.random.default_rng(11)
+    comps = tuple(Distribution(np.append(rng.dirichlet(np.ones(5)), 0.0)) for _ in range(3))
+    target = 0.6 * comps[0].probs
+    target[0] += 0.4
+    return EmpiricalCounts(rng.multinomial(2000, target)), Mixture(comps)
 
 
-def threshold_solves(instances, solve_at):
-    """``(model, threshold, result)`` of each instance's public threshold
-    solves at alpha 0 and 0.2, under 0.5 to 2 times the full solve's
+class TestFinalRun:
+    """The estimate reads its final full solve as a run and builds no
+    result: ``objective_at_alpha`` and ``kappa`` keep the bits of the
+    public result of the same object's full solve at ``alpha_lower``."""
+
+    CASES = {
+        "singleton": lambda: wide_singleton(7, 2000),
+        "klball": lambda: twosample_klball(*klball_twosample_pair(7, 80)),
+        "mixture": lambda: next(test_solver.TestSolveMixture.criterion_5_instances(1)),
+        "union": union_mixture,
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_objective_and_kappa_keep_the_solve_bits(self, case, monkeypatch):
+        c, model = self.CASES[case]()
+        built = []
+
+        def capturing(c, model):
+            built.append(solver._solver(c, model))
+            return built[-1]
+
+        monkeypatch.setattr(estimator_module, "_solver", capturing)
+        got = estimate_alpha_lower(c, model, 0.05)
+        (obj,) = built
+        res = obj.solve(got.alpha_lower)
+        assert got.contaminated and got.alpha_lower > 0
+        assert got.objective_at_alpha.hex() == res.objective.hex()
+        assert got.kappa.hex() == separation_distance(obj.phat, res.q_star).hex()
+        if case == "union":
+            assert not obj._arrays[1].all()  # the union misses a category
+
+
+def run_at(c, model, alpha, threshold):
+    """A fresh solver object's run at alpha under ``threshold``, None for a
+    full solve, scattered over every category into a :class:`SolveResult`
+    as the public ``solve`` scatters a full solve's run."""
+    obj = solver._solver(c, model)
+    support, p_s, q_s, state, objective, lower, iterations, converged = obj._run(alpha, threshold)
+    p, q = np.zeros(c.n), np.zeros(c.n)
+    p[support], q[support] = p_s, q_s
+    return SolveResult(
+        objective=objective,
+        p_star=Distribution(p),
+        q_star=Distribution(q),
+        mixture_weights=state if isinstance(model, Mixture) else None,
+        iterations=iterations,
+        converged=converged,
+        lower_bound=lower,
+    )
+
+
+def threshold_solves(instances):
+    """``(model, threshold, result)`` of each instance's threshold solves at
+    alpha 0 and 0.2 (:func:`run_at`), under 0.5 to 2 times the full solve's
     objective."""
     for c, model in instances:
         for alpha in (0.0, 0.2):
-            full = solve_at(c, model, alpha, None)
+            full = run_at(c, model, alpha, None)
             for scale in (0.5, 0.9, 0.99, 1.01, 2.0):
                 threshold = full.objective * scale
-                yield model, threshold, solve_at(c, model, alpha, threshold)
+                yield model, threshold, run_at(c, model, alpha, threshold)
 
 
 class TestThresholdSolveExits:
@@ -1316,28 +1376,26 @@ class TestThresholdSolveExits:
         return h.hexdigest()
 
     @pytest.mark.parametrize(
-        "instances, solve_at, names, want",
+        "instances, names, want",
         [
             pytest.param(
                 small_mixtures,
-                mixture_at,
                 ("objective", "p_star", "q_star", "mixture_weights", "iterations", "converged"),
                 "f2a1fd1847d09e8abc915cd5f3392b4b16f086c35dd8d7bb08d85de5c0e6ac79",
                 id="mixture-all-but-lower-bound",
             ),
             pytest.param(
                 small_klballs,
-                klball_at,
                 ("objective", "p_star", "q_star", "lower_bound", "iterations", "converged"),
                 "5dded7ab8ab3c2234cad512cf78ca57744f1da8496075ed5fc2a52ad31919071",
                 id="klball-every-field",
             ),
         ],
     )
-    def test_fields_keep_their_bits(self, instances, solve_at, names, want):
+    def test_fields_keep_their_bits(self, instances, names, want):
         # Digests recorded when every step filled its next state after a
         # certifying bound and a mixture step reported its largest bound.
-        solves = list(threshold_solves(instances(np.random.default_rng(47), 14), solve_at))
+        solves = list(threshold_solves(instances(np.random.default_rng(47), 14)))
         assert self.digest([res for *_, res in solves], names) == want
         true_exits = 0
         for _, threshold, res in solves:
@@ -1347,7 +1405,7 @@ class TestThresholdSolveExits:
         assert true_exits == 86
 
     @staticmethod
-    def true_exits(instances, solve_at, monkeypatch):
+    def true_exits(instances, monkeypatch):
         """``(model, result, last)`` of each threshold solve that reads True,
         with ``last = (p, q, objective)`` the last water fill before it
         returned."""
@@ -1360,7 +1418,7 @@ class TestThresholdSolveExits:
             return p, objective, level
 
         monkeypatch.setattr(solver, "_water_fill", recording_fill)
-        solves = threshold_solves(instances(np.random.default_rng(47), 14), solve_at)
+        solves = threshold_solves(instances(np.random.default_rng(47), 14))
         for model, threshold, res in solves:
             if res.converged and res.objective >= threshold:
                 yield model, res, fills[-1]
@@ -1371,9 +1429,7 @@ class TestThresholdSolveExits:
         # reports: the returned pair's, or that of w1 or w2.  Every
         # component mass is positive here, so a fill covers every category.
         seen = 0
-        for model, res, (p, q, objective) in self.true_exits(
-            small_mixtures, mixture_at, monkeypatch
-        ):
+        for model, res, (p, q, objective) in self.true_exits(small_mixtures, monkeypatch):
             m = np.stack([d.probs for d in model.components]) @ (p / q)
             assert objective - (m.max() - 1.0) == pytest.approx(res.lower_bound, rel=1e-12)
             seen += 1
@@ -1383,7 +1439,7 @@ class TestThresholdSolveExits:
         # The ball's bound is that of the returned pair, so the step stops
         # before it projects and fills the next model.
         seen = 0
-        for _, res, (_, q, _) in self.true_exits(small_klballs, klball_at, monkeypatch):
+        for _, res, (_, q, _) in self.true_exits(small_klballs, monkeypatch):
             assert np.array_equal(q, res.q_star.probs), res.iterations
             seen += 1
         assert seen == 86
@@ -1406,7 +1462,7 @@ class TestCertifiedKlballProbes(TestCertifiedProbes):
             capped = estimate_alpha_lower(c, model, 0.05)
             assert capped.alpha_lower <= full.alpha_lower
             threshold = gof_threshold(c.total, c.n, 0.05)
-            probe = klball_at(c, model, 0.0, threshold)
+            probe = run_at(c, model, 0.0, threshold)
             if not probe.converged:
                 assert not capped.contaminated and capped.alpha_lower == 0.0
                 refuted += full.contaminated

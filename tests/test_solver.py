@@ -22,9 +22,6 @@ from contamest import (
     klball_radius,
     separation_distance,
     solve,
-    solve_klball,
-    solve_mixture,
-    solve_singleton,
     uniform,
 )
 from contamest import solver
@@ -125,7 +122,7 @@ def simplex_grid_min(upper, q, steps=600):
 class TestSolveSingleton:
     def test_two_category_frozen_example(self):
         # golden-section oracle value frozen: D* = 0.13081203594113697
-        res = solve_singleton(counts(80, 20), dist(0.5, 0.5), 0.2)
+        res = solve(counts(80, 20), Singleton(dist(0.5, 0.5)), 0.2)
         assert res.objective == pytest.approx(0.13081203594113697, abs=1e-12)
         np.testing.assert_allclose(res.p_star.probs, [0.75, 0.25], atol=1e-12)
         oracle_obj, oracle_p = golden_section_two_cat([0.8, 0.2], [0.5, 0.5], 0.2)
@@ -135,14 +132,14 @@ class TestSolveSingleton:
     def test_alpha_zero_pins_to_empirical(self):
         c = counts(7, 12, 31)
         q = dist(0.2, 0.3, 0.5)
-        res = solve_singleton(c, q, 0.0)
+        res = solve(c, Singleton(q), 0.0)
         np.testing.assert_allclose(res.p_star.probs, empirical(c).probs, atol=1e-12)
         assert res.objective == pytest.approx(
             kl_divergence(empirical(c), q), abs=1e-12
         )
 
     def test_three_category_frozen_example(self):
-        res = solve_singleton(counts(20, 30, 50), dist(0.5, 0.3, 0.2), 0.5)
+        res = solve(counts(20, 30, 50), Singleton(dist(0.5, 0.3, 0.2)), 0.5)
         np.testing.assert_allclose(res.p_star.probs, [0.4, 0.36, 0.24], atol=1e-12)
         assert res.objective == pytest.approx(0.02013551355068887, abs=1e-12)
 
@@ -152,7 +149,7 @@ class TestSolveSingleton:
             c = EmpiricalCounts(rng.integers(1, 40, size=3))
             q = Distribution(rng.dirichlet(np.ones(3)))
             alpha = float(rng.uniform(0.0, 0.8))
-            res = solve_singleton(c, q, alpha)
+            res = solve(c, Singleton(q), alpha)
             upper = empirical(c).probs / (1 - alpha)
             grid = simplex_grid_min(upper, q.probs)
             assert res.objective <= grid + 1e-9
@@ -167,7 +164,7 @@ class TestSolveSingleton:
                 continue
             q = Distribution(rng.dirichlet(np.ones(n)))
             alpha = float(rng.uniform(0.0, 0.95))
-            res = solve_singleton(c, q, alpha)
+            res = solve(c, Singleton(q), alpha)
             if math.isinf(res.objective):
                 continue
             assert_kkt(res, c, q, alpha)
@@ -179,7 +176,7 @@ class TestSolveSingleton:
             c = EmpiricalCounts(rng.integers(1, 30, size=n))
             q = Distribution(rng.dirichlet(np.ones(n)))
             alphas = np.sort(rng.uniform(0, 0.99, size=6))
-            objs = [solve_singleton(c, q, a).objective for a in alphas]
+            objs = [solve(c, Singleton(q), a).objective for a in alphas]
             for lo_obj, hi_obj in zip(objs, objs[1:]):
                 assert hi_obj <= lo_obj + 1e-12
 
@@ -192,34 +189,34 @@ class TestSolveSingleton:
             kappa = separation_distance(empirical(c), q)
             if kappa >= 1.0:
                 continue
-            assert solve_singleton(c, q, kappa).objective <= 1e-9
+            assert solve(c, Singleton(q), kappa).objective <= 1e-9
 
     def test_model_support_hole_forces_infinite(self):
-        res = solve_singleton(counts(50, 50), dist(1.0, 0.0), 0.0)
+        res = solve(counts(50, 50), Singleton(dist(1.0, 0.0)), 0.0)
         assert math.isinf(res.objective)
         # feasible iterate still reported
         assert res.p_star.probs.sum() == pytest.approx(1.0)
         # widening the box enough makes the support hole avoidable
-        res2 = solve_singleton(counts(50, 50), dist(1.0, 0.0), 0.5)
+        res2 = solve(counts(50, 50), Singleton(dist(1.0, 0.0)), 0.5)
         assert res2.objective == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_bad_alpha_and_dims(self):
         with pytest.raises(ValueError):
-            solve_singleton(counts(1, 1), dist(0.5, 0.5), 1.0)
+            solve(counts(1, 1), Singleton(dist(0.5, 0.5)), 1.0)
         with pytest.raises(ValueError):
-            solve_singleton(counts(1, 1), dist(0.5, 0.3, 0.2), 0.1)
+            solve(counts(1, 1), Singleton(dist(0.5, 0.3, 0.2)), 0.1)
 
     def test_duals_with_overflowing_level(self):
         # c = 1/1e-300 on the first category; the second's multiplier is
         # log(1e300) - log(1e-15) = 725.31, finite.
-        res = solve_singleton(counts(10**15, 1), dist(1e-300, 1.0), 0.0)
+        res = solve(counts(10**15, 1), Singleton(dist(1e-300, 1.0)), 0.0)
         assert res.duals.lam[1] == pytest.approx(math.log(1e300) - math.log(1e-15), rel=1e-6)
 
     def test_fill_with_zero_level(self):
         # At alpha = 0.5 the caps are (1/3, 1, 2/3); q_b is below the rounding
         # of q_c, so b's level is chosen with nothing left to fill.  The
         # optimum saturates a and fills c: D = 1/3 log(1/3) + 2/3 log(2/3 / 1e-20).
-        res = solve_singleton(counts(1, 3, 2), dist(1.0, 1e-300, 1e-20), 0.5)
+        res = solve(counts(1, 3, 2), Singleton(dist(1.0, 1e-300, 1e-20)), 0.5)
         expected = math.log(1 / 3) / 3 + 2 / 3 * math.log(2 / 3 / 1e-20)
         assert res.objective == pytest.approx(expected, rel=1e-9)
 
@@ -473,7 +470,7 @@ def check_profile(c, q, alpha):
     Returns the probe, or None where the profile declines.
     """
     profile = singleton_probe(c, q)
-    exact = solve_singleton(c, q, alpha).objective
+    exact = solve(c, Singleton(q), alpha).objective
     if profile is None:
         # It declines only on subnormal model masses.
         assert np.any((q.probs > 0) & (q.probs < np.finfo(float).tiny))
@@ -545,7 +542,7 @@ class TestSingletonProfile:
 
     def test_dimension_checked(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            singleton_probe(counts(1, 1), dist(0.5, 0.3, 0.2))
+            solver._SingletonSolver(counts(1, 1), dist(0.5, 0.3, 0.2))
 
     @settings(max_examples=200, deadline=None)
     @given(profile_cases())
@@ -726,13 +723,13 @@ class TestInPlaceBits:
 
 def fills_in_profile_order(c, q0, alphas, monkeypatch):
     """Full solves of a ``_SingletonSolver`` whose profile is built, checked
-    bit for bit (p, objective, duals) against a fresh ``solve_singleton``,
+    bit for bit (p, objective, duals) against a fresh singleton ``solve``,
     which sorts in its fill.  Returns the number of fresh sorts the object's
     fills made, ``_stable_order`` calls: one where the profile's order is
     refused, none where it is taken."""
     obj = solver._SingletonSolver(c, q0)
     obj._profile  # the first probe builds it
-    want = [solve_singleton(c, q0, alpha) for alpha in alphas]
+    want = [solve(c, Singleton(q0), alpha) for alpha in alphas]
     sorts = []
     stable_order = solver._stable_order
 
@@ -742,7 +739,7 @@ def fills_in_profile_order(c, q0, alphas, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(solver, "_stable_order", counting_order)
-        got = [obj.solve(alpha, duals=True) for alpha in alphas]
+        got = [obj.solve(alpha) for alpha in alphas]
     for alpha, g, w in zip(alphas, got, want):
         assert hexes([g.objective]) == hexes([w.objective]), alpha
         assert hexes(g.p_star.probs) == hexes(w.p_star.probs), alpha
@@ -756,7 +753,7 @@ def fills_in_profile_order(c, q0, alphas, monkeypatch):
 class TestProfileOrder:
     """A singleton solver object's exact fills take its profile's sort where
     that is the fill's own order, and sort afresh where it is not; either way
-    they keep the bits of a fresh ``solve_singleton``."""
+    they keep the bits of a fresh singleton ``solve``."""
 
     # phat_1 / q_1 < phat_0 / q_0 by one ulp, but the ratios of the caps
     # phat_i / (1 - alpha) tie at alpha = 0.3 and invert at alpha = 0.1
@@ -870,7 +867,7 @@ class TestClosedFormSingleton:
         c = counts(20, 30, 50)
         q = dist(0.5, 0.3, 0.2)
         cf = closed_form_singleton(c, q, 0.5)
-        num = solve_singleton(c, q, 0.5)
+        num = solve(c, Singleton(q), 0.5)
         np.testing.assert_allclose(cf.p_star.probs, num.p_star.probs, atol=1e-12)
         np.testing.assert_allclose(cf.p_star.probs, [0.4, 0.36, 0.24], atol=1e-12)
         assert cf.objective == pytest.approx(num.objective, abs=1e-12)
@@ -903,7 +900,7 @@ class TestSolveMixture:
     def test_data_equal_to_component(self):
         q1 = dist(0.7, 0.2, 0.1)
         q2 = dist(0.1, 0.3, 0.6)
-        res = solve_mixture(counts(70, 20, 10), (q1, q2), 0.0)
+        res = solve(counts(70, 20, 10), Mixture((q1, q2)), 0.0)
         assert res.objective <= 1e-5
         assert res.mixture_weights[0] >= 0.99
         assert res.converged
@@ -912,7 +909,7 @@ class TestSolveMixture:
         q1 = dist(0.7, 0.2, 0.1)
         q2 = dist(0.1, 0.3, 0.6)
         # counts give exactly 0.5*q1 + 0.5*q2 = (0.4, 0.25, 0.35)
-        res = solve_mixture(counts(40, 25, 35), (q1, q2), 0.0)
+        res = solve(counts(40, 25, 35), Mixture((q1, q2)), 0.0)
         assert res.objective <= 1e-8
 
     def test_matches_weight_grid_oracle(self):
@@ -921,7 +918,7 @@ class TestSolveMixture:
             c = EmpiricalCounts(rng.integers(1, 50, size=3))
             q1 = Distribution(rng.dirichlet(np.ones(3)))
             q2 = Distribution(rng.dirichlet(np.ones(3)))
-            res = solve_mixture(c, (q1, q2), 0.1)
+            res = solve(c, Mixture((q1, q2)), 0.1)
             upper = empirical(c).probs / 0.9
             grid = math.inf
             for i in range(201):
@@ -940,10 +937,10 @@ class TestSolveMixture:
         for _ in range(10):
             c = EmpiricalCounts(rng.integers(1, 50, size=4))
             comps = tuple(Distribution(rng.dirichlet(np.ones(4))) for _ in range(3))
-            res = solve_mixture(c, comps, 0.2)
+            res = solve(c, Mixture(comps), 0.2)
             trace = [res.objective]
             while not res.converged:
-                mixture = solver._MixtureSolver(c, comps)
+                mixture = solver._MixtureSolver(c, Mixture(comps))
                 mixture._weights = res.mixture_weights
                 res = mixture.solve(0.2)
                 trace.append(res.objective)
@@ -956,7 +953,7 @@ class TestSolveMixture:
         comps = tuple(Distribution(rng.dirichlet(np.ones(6))) for _ in range(4))
         with monkeypatch.context() as m:
             m.setattr(solver, "MAX_ITERATIONS", 2)
-            res = solve_mixture(c, comps, 0.1)
+            res = solve(c, Mixture(comps), 0.1)
         assert not res.converged
         assert res.iterations == 2
         assert math.isfinite(res.objective)
@@ -968,7 +965,7 @@ class TestSolveMixture:
         )
         assert res.objective == kl_divergence(res.p_star, res.q_star)
         # capped run is an upper bound on the converged value
-        full = solve_mixture(c, comps, 0.1)
+        full = solve(c, Mixture(comps), 0.1)
         assert full.converged
         assert full.objective <= res.objective + 1e-12
 
@@ -999,8 +996,9 @@ class TestSolveMixture:
                 continue
             for scale, expected in ((1 + 1e-6, False), (1 - 1e-6, True)):
                 threshold = optimum * scale
-                res = solver._MixtureSolver(c, comps)._solve(0.1, threshold)
-                assert (res.converged and res.objective >= threshold) == expected
+                run = solver._MixtureSolver(c, Mixture(comps))._run(0.1, threshold)
+                _, _, _, _, objective, _, _, converged = run
+                assert (converged and objective >= threshold) == expected
             checked += 1
         assert checked >= 6
 
@@ -1008,7 +1006,7 @@ class TestSolveMixture:
         rng = np.random.default_rng(67)
         c = EmpiricalCounts(rng.integers(1, 50, size=5))
         comps = tuple(Distribution(rng.dirichlet(np.ones(5))) for _ in range(3))
-        res = solve_mixture(c, comps, 0.15)
+        res = solve(c, Mixture(comps), 0.15)
         # q_star is the mixture at the reported weights
         np.testing.assert_allclose(
             res.q_star.probs,
@@ -1030,10 +1028,11 @@ class TestSolveMixture:
         threshold = 1e-11
         first = _water_fill(empirical(c).probs, np.array([0.5, 0.5]))[1]
         assert threshold <= first <= solver.TOLERANCE
-        probe = solver._MixtureSolver(c, model.components)._solve(0.0, threshold)
+        probe = solver._MixtureSolver(c, model)._run(0.0, threshold)
+        _, _, _, _, objective, _, _, converged = probe
         monkeypatch.setattr(solver, "TOLERANCE", 1e-14)
         assert solve(c, model, 0.0).objective < threshold
-        assert not (probe.converged and probe.objective >= threshold)
+        assert not (converged and objective >= threshold)
 
     @staticmethod
     def criterion_5_instances(count):
@@ -1086,7 +1085,7 @@ class TestSolveMixture:
         # data's mass there until half the sample is discarded.
         c = counts(5, 5, 0)
         comps = (dist(0.7, 0.0, 0.3), dist(0.0, 0.0, 1.0))
-        res = solve_mixture(c, comps, 0.0)
+        res = solve(c, Mixture(comps), 0.0)
         assert res.objective == math.inf
         assert res.iterations == 0
         np.testing.assert_array_equal(res.p_star.probs, [0.5, 0.5, 0.0])
@@ -1101,12 +1100,12 @@ class TestSolveKlball:
     def test_data_inside_ball(self):
         c = counts(30, 30, 40)
         center = dist(0.3, 0.3, 0.4)
-        res = solve_klball(c, center, 0.1, 0.0)
+        res = solve(c, KlBall(center, 0.1), 0.0)
         assert res.objective <= 1e-12
 
     def test_huge_radius_always_zero(self):
         c = counts(90, 5, 5)
-        res = solve_klball(c, uniform(3), 50.0, 0.0)
+        res = solve(c, KlBall(uniform(3), 50.0), 0.0)
         assert res.objective <= 1e-9
 
     def test_matches_refined_grid_oracle(self):
@@ -1116,7 +1115,7 @@ class TestSolveKlball:
         radius = 0.05
         phat = empirical(c).probs
         assert _kl(center.probs, phat) > radius
-        res = solve_klball(c, center, radius, 0.0)
+        res = solve(c, KlBall(center, radius), 0.0)
 
         def feasible_min(grid_pts):
             best = math.inf
@@ -1169,7 +1168,7 @@ class TestSolveKlball:
             trace = []
             for k in range(1, 1000):
                 monkeypatch.setattr(solver, "MAX_ITERATIONS", k)
-                res = solve_klball(c, center, 0.08, 0.1)
+                res = solve(c, KlBall(center, 0.08), 0.1)
                 trace.append(res.objective)
                 if res.converged:
                     break
@@ -1184,20 +1183,20 @@ class TestSolveKlball:
         upper = empirical(c).probs / 0.9
         with monkeypatch.context() as m:
             m.setattr(solver, "MAX_ITERATIONS", 1)
-            res = solve_klball(c, center, 0.05, 0.1)
+            res = solve(c, KlBall(center, 0.05), 0.1)
         assert not res.converged
         assert res.iterations == 1
         np.testing.assert_array_equal(res.q_star.probs, center.probs)
         p, obj, _ = _water_fill(upper, res.q_star.probs)
         np.testing.assert_array_equal(res.p_star.probs, p)
         assert res.objective == obj
-        full = solve_klball(c, center, 0.05, 0.1)
+        full = solve(c, KlBall(center, 0.05), 0.1)
         assert full.converged
         assert full.objective <= res.objective + 1e-12
 
     def test_disjoint_support_handled(self):
         # ball centers always admit members covering the data support
-        res = solve_klball(counts(100, 0), dist(0.0, 1.0), 0.05, 0.0)
+        res = solve(counts(100, 0), KlBall(dist(0.0, 1.0), 0.05), 0.0)
         assert math.isfinite(res.objective)
         assert res.objective > 0
         # model stays inside the ball
@@ -1282,7 +1281,7 @@ class TestSolveKlball:
         # P_i / Q_i reaches 1e300 at the center (subnormal for 1e-320): the
         # bound's search must not overflow, and it still certifies the
         # optimum, Q = (e**-r, 1 - e**-r) with P at the caps (5/7, 2/7).
-        res = solve_klball(counts(5, 5), dist(1.0, tiny), 0.05, 0.3)
+        res = solve(counts(5, 5), KlBall(dist(1.0, tiny), 0.05), 0.3)
         expected = 5 / 7 * (math.log(5 / 7) + 0.05) + 2 / 7 * (
             math.log(2 / 7) - math.log(-math.expm1(-0.05))
         )
@@ -1309,33 +1308,19 @@ class TestSolveKlball:
         # exceeds the gap: a tighter tolerance moves no objective by more
         # than TOLERANCE, and no solve spins to the iteration cap.
         for c, center, radius in self.tiny_balls():
-            full = solve_klball(c, center, radius, 0.3)
+            full = solve(c, KlBall(center, radius), 0.3)
             with monkeypatch.context() as m:
                 m.setattr(solver, "TOLERANCE", 1e-14)
-                tight = solve_klball(c, center, radius, 0.3)
+                tight = solve(c, KlBall(center, radius), 0.3)
             assert abs(full.objective - tight.objective) <= solver.TOLERANCE
             assert max(full.iterations, tight.iterations) <= 10
 
 
-def recorded(result):
-    """The run of a KL-ball solve, as ``_KlBallSolver._record`` takes it:
-    ``(support, p, q, state, objective, lower, iterations, converged)``."""
-    q = result.q_star.probs
-    return (
-        slice(None),
-        result.p_star.probs,
-        q,
-        q,
-        result.objective,
-        result.lower_bound,
-        result.iterations,
-        result.converged,
-    )
-
-
 def klball_probe(c, center, radius, alpha, threshold):
-    """A fresh KL-ball solver's solve at alpha under ``threshold``."""
-    return solver._KlBallSolver(c, center, radius)._solve(alpha, threshold)
+    """A fresh KL-ball solver's run at alpha under ``threshold``, as
+    ``_KlBallSolver._record`` takes it: ``(support, p, q, state, objective,
+    lower, iterations, converged)``."""
+    return solver._KlBallSolver(c, KlBall(center, radius))._run(alpha, threshold)
 
 
 class TestKlBallCertificates:
@@ -1365,20 +1350,22 @@ class TestKlBallCertificates:
         for c, center, radius in self.balls():
             with monkeypatch.context() as m:
                 m.setattr(solver, "TOLERANCE", 1e-14)
-                tight = [solve_klball(c, center, radius, alpha) for alpha in alphas]
+                tight = [solve(c, KlBall(center, radius), alpha) for alpha in alphas]
             for alpha0 in (0.1, 0.3):
-                optimum = solve_klball(c, center, radius, alpha0).objective
+                optimum = solve(c, KlBall(center, radius), alpha0).objective
                 if not optimum > 1e-6:
                     continue
-                passed = solver._KlBallSolver(c, center, radius)
+                passed = solver._KlBallSolver(c, KlBall(center, radius))
                 probe = klball_probe(c, center, radius, alpha0, 0.5 * optimum)
-                assert probe.lower_bound >= 0.5 * optimum
-                passed._record(alpha0, 0.5 * optimum, recorded(probe))
+                _, _, _, _, _, lower, _, _ = probe
+                assert lower >= 0.5 * optimum
+                passed._record(alpha0, 0.5 * optimum, probe)
                 assert passed._certified(alpha0, 0.25 * optimum) is True
-                failed = solver._KlBallSolver(c, center, radius)
+                failed = solver._KlBallSolver(c, KlBall(center, radius))
                 probe = klball_probe(c, center, radius, alpha0, 2.0 * optimum)
-                assert probe.converged and probe.objective < 2.0 * optimum
-                failed._record(alpha0, 2.0 * optimum, recorded(probe))
+                _, _, _, _, objective, _, _, converged = probe
+                assert converged and objective < 2.0 * optimum
+                failed._record(alpha0, 2.0 * optimum, probe)
                 assert failed._certified(alpha0, 3.0 * optimum) is False
                 for alpha, res in zip(alphas, tight):
                     assert passed._certified(alpha, res.objective + 1e-12) is None, alpha
@@ -1395,13 +1382,13 @@ class TestKlBallCertificates:
         for c, center, radius in self.balls():
             phat = empirical(c).probs
             for alpha0 in (0.1, 0.3):
-                optimum = solve_klball(c, center, radius, alpha0).objective
+                optimum = solve(c, KlBall(center, radius), alpha0).objective
                 if not optimum > 1e-6:
                     continue
-                failed = solver._KlBallSolver(c, center, radius)
+                failed = solver._KlBallSolver(c, KlBall(center, radius))
                 probe = klball_probe(c, center, radius, alpha0, 2.0 * optimum)
-                failed._record(alpha0, 2.0 * optimum, recorded(probe))
-                q = probe.q_star.probs
+                failed._record(alpha0, 2.0 * optimum, probe)
+                _, _, q, _, _, _, _, _ = probe
                 for alpha in alphas:
                     objective = _water_fill(phat / (1.0 - alpha), q)[1]
                     for factor in (1.0 - 1e-15, 1.0 + 1e-15, 0.5, 2.0):
