@@ -12,11 +12,12 @@ Count files are CSV (``category,count``, header optional) or a JSON mapping
 of category to count.  Every count, in a count file or in a KL-ball spec's
 ``counts``, must be a finite non-negative integer (an integer literal is
 read exactly), and each mapping's total must be positive and fit in int64;
-a JSON boolean is not a number anywhere.  Input files are UTF-8, with or
-without a byte-order mark.  Model specs are JSON with a ``kind`` field; see
-the README for the schema.  Categories are aligned
-between data and model by label: the dimension is the union, missing
-categories get count 0 on the data side and mass 0 on the model side.
+a JSON boolean is not a number anywhere, and no JSON object may repeat a
+key.  Input files are UTF-8, with or without a byte-order mark.  Model
+specs are JSON with a ``kind`` field; see the README for the schema.
+Categories are aligned between data and model by label: the dimension is
+the union, missing categories get count 0 on the data side and mass 0 on
+the model side.
 ``twosample`` is ``estimate`` against the spec ``{"kind": "klball",
 "counts": <baseline>, "epsilon": <epsilon>}``.
 
@@ -96,9 +97,20 @@ def _read_text(path: Path) -> str:
 
 
 def _read_json(path: Path):
-    """Decoded JSON of an input file; nesting too deep to decode is unparseable."""
+    """Decoded JSON of an input file; nesting too deep to decode is
+    unparseable, and a key repeated within one object is an error (the
+    decoder alone would keep its last value)."""
+
+    def unique(pairs):
+        node = {}
+        for key, value in pairs:
+            if key in node:
+                raise CliError(f"duplicate key in {path}: {key!r}")
+            node[key] = value
+        return node
+
     try:
-        return json.loads(_read_text(path))
+        return json.loads(_read_text(path), object_pairs_hook=unique)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"unparseable file: {path}: {exc}") from exc
 
@@ -294,7 +306,8 @@ def _flatten(node: dict, prefix: str = "") -> dict:
 
 
 def _emit_report(report: dict | list[dict], fmt: str, out_path: str | None) -> None:
-    """Write one report, or a list of rows, to stdout and to ``out_path``.
+    """Write one report, or a list of rows, to ``out_path`` and then to stdout,
+    so a run that cannot write its file prints no report.
 
     JSON keeps the nesting and writes a non-finite float as null (strict
     JSON has no Infinity or NaN); CSV has one line per row under the first
@@ -311,9 +324,9 @@ def _emit_report(report: dict | list[dict], fmt: str, out_path: str | None) -> N
         writer.writerow(list(flat_rows[0]))
         writer.writerows([_csv_cell(v) for v in flat.values()] for flat in flat_rows)
         text = buf.getvalue()
-    sys.stdout.write(text)
     if out_path:
         Path(out_path).write_text(text)
+    sys.stdout.write(text)
 
 
 def _finite_or_null(node):
@@ -440,13 +453,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="contamest", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
+    def epsilon_and_tol(p, tol=True):
+        p.add_argument("--epsilon", type=float, default=0.05, help="significance level, in (0, 1)")
+        if tol:
+            tol_help = "floor on the count resolution as a fraction of p; binds only for p > 1/tol"
+            p.add_argument("--tol", type=float, default=DEFAULT_BISECT_TOL, help=tol_help)
+
     def common(p, model=True, tol=True):
         if model:
             p.add_argument("--model", required=True, help="model spec JSON")
         p.add_argument("--data", required=True, help="count file (CSV or JSON)")
-        p.add_argument("--epsilon", type=float, default=0.05)
-        if tol:
-            p.add_argument("--tol", type=float, default=DEFAULT_BISECT_TOL)
+        epsilon_and_tol(p, tol)
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--out", default=None, help="also write the report here")
 
@@ -468,8 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--n", type=int, required=True)
     p_sweep.add_argument("--p", required=True, help="comma-separated sample sizes")
     p_sweep.add_argument("--pi", required=True, help="comma-separated proportions")
-    p_sweep.add_argument("--epsilon", type=float, default=0.05)
-    p_sweep.add_argument("--tol", type=float, default=DEFAULT_BISECT_TOL)
+    epsilon_and_tol(p_sweep)
     p_sweep.add_argument("--format", choices=("json", "csv"), default="csv")
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=_cmd_sweep)

@@ -76,22 +76,30 @@ class EmpiricalCounts:
         raw = np.asarray(self.counts)
         if raw.ndim != 1 or raw.size == 0:
             raise ValueError("counts must be a non-empty 1-D sequence")
-        if not np.all(np.isfinite(raw.astype(float))):
+        try:
+            flt = raw.astype(float)
+        except OverflowError:  # a Python int beyond the float range
+            flt = np.array([float(min(max(x, -(2**64)), 2**64)) for x in raw])
+        if not np.all(np.isfinite(flt)):
             raise ValueError("counts must be finite")
+        if np.any(flt < 0):
+            raise ValueError("counts must be non-negative")
+        # ``total`` sums in int64, which wraps past 2**63 - 1, and the int64
+        # cast wraps (uint64) or fails (float) past it.  The float sum is far
+        # within a factor 2 of the exact one, so only a total near the edge
+        # pays for the exact sum, taken before the cast: of the integers as
+        # given, or of a float count's float.
+        exact = raw if raw.dtype.kind in "iu" else flt
+        with np.errstate(over="ignore"):
+            near_edge = float(flt.sum()) > 2.0**62
+        if near_edge and sum(map(int, exact)) > _MAX_TOTAL:
+            raise ValueError("counts must sum to at most 2**63 - 1")
         if raw.dtype.kind in "iu":
             as_int = raw.astype(np.int64)  # copy: frozen below
         else:
-            flt = raw.astype(float)
             as_int = np.round(flt).astype(np.int64)
             if np.any(np.abs(flt - as_int) > 0):
                 raise ValueError("counts must be integers")
-        if np.any(as_int < 0):
-            raise ValueError("counts must be non-negative")
-        # ``total`` sums in int64, which wraps past 2**63 - 1.  The float sum
-        # is far within a factor 2 of the exact one, so only a total near
-        # the edge pays for the exact sum.
-        if float(as_int.sum(dtype=float)) > 2.0**62 and sum(map(int, as_int)) > _MAX_TOTAL:
-            raise ValueError("counts must sum to at most 2**63 - 1")
         as_int.setflags(write=False)
         object.__setattr__(self, "counts", as_int)
         if self.labels is not None:

@@ -96,7 +96,7 @@ def is_contaminated(
     Its objective below the threshold, or its converged bound at or above
     it, settles the verdict; only the band between them (never an exact
     singleton solve) or an unconverged solve asks the object's ``exceeds``,
-    which starts from the full solve's first fill and takes the same steps.
+    which starts from the full solve's first model and takes the same steps.
     """
     p = counts.total
     if p < 1:

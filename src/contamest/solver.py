@@ -38,9 +38,8 @@ the public solve builds KKT duals, which the estimator never reads.  A
 mixture estimate builds ``phat``, the component matrix and its support
 once.  A KL-ball estimate builds ``phat``, the center's support and one
 stable sort of phat / center there once: that sort orders the first fill
-of every solve, against the center.  A solve at the alpha of the solve
-before it starts from that solve's first or returned fill when its first
-model is that pair's.  A fill's own sort puts ties in index order by
+of every solve, against the center.  Every alternating solve fills its
+own first model.  A fill's own sort puts ties in index order by
 sorting only the tied positions again (:func:`_stable_order`).  The
 singleton path (fill, duals, KL, profile) allocates each full-length
 array once and works in it, so large solves do not re-fault their memory.
@@ -500,19 +499,12 @@ class _Solver:
     loop's count and flag.  ``solve`` scatters a full solve's run into a
     :class:`SolveResult`, the public :func:`solve`'s; the estimator and the
     probes read runs and build none.
-
-    The alternating kinds run :func:`_alternate` through ``_loop``, which
-    keeps the fills of the latest solve's first and returned pairs with its
-    alpha (``_fills``).  A solve at that alpha whose first model q is either
-    pair's q, bit for bit, starts from that pair's fill rather than filling
-    it again: a fill is a function of the box and q.
     """
 
     def __init__(self, counts: EmpiricalCounts, phat: Distribution | None = None):
         self._counts = counts
         if phat is not None:
             self.phat = phat
-        self._fills = None  # (alpha, first fill, returned fill) of the latest solve
 
     @functools.cached_property
     def phat(self) -> Distribution:
@@ -543,19 +535,6 @@ class _Solver:
             _, _, _, _, objective, _, _, converged = run
             verdict = converged and objective >= threshold
         return verdict
-
-    def _loop(self, alpha: float, state, q: np.ndarray, fill, step, threshold: float | None):
-        """:func:`_alternate` at alpha from ``state``, whose model is q, with
-        ``fill(state)`` its first fill unless ``_fills`` holds it."""
-        kept = self._fills
-        first = None
-        if kept is not None and kept[0] == alpha:
-            first = next((f for f in kept[1:] if np.array_equal(f[1], q)), None)
-        if first is None:
-            first = fill(state)
-        p, q, state, obj, lower, it, converged = _alternate(state, first, step, threshold)
-        self._fills = alpha, first, (p, q, obj, None)  # no step reads a first fill's level
-        return p, q, state, obj, lower, it, converged
 
     def _reported(self, alpha: float, state, q: np.ndarray) -> dict:
         """The :class:`SolveResult` fields that only some kinds report, from
@@ -659,9 +638,7 @@ class _MixtureSolver(_Solver):
     and every solve runs from them.  A solve starts from the weights of the
     latest probe, which ``_record`` keeps: consecutive alphas are close, and
     a warm start changes the iterates, never the limit (joint convexity).
-    So the full solve at alpha_lower, when the latest probe was there,
-    starts from the pair that probe returned (``_Solver._loop``).  Earlier
-    probes prove nothing here.
+    Earlier probes prove nothing here.
     """
 
     def __init__(self, counts: EmpiricalCounts, model: Mixture):
@@ -799,7 +776,7 @@ class _MixtureSolver(_Solver):
 
         # Set once per solve, not per step: the step checks m for overflow.
         with np.errstate(over="ignore", invalid="ignore"):
-            return union, *self._loop(alpha, w, w @ qmat_u, fill, step, threshold)
+            return union, *_alternate(w, fill(w), step, threshold)
 
 
 class _KlBallSolver(_Solver):
@@ -819,8 +796,7 @@ class _KlBallSolver(_Solver):
     ``phat``, the center's support and one stable sort of phat / center
     there are built once, on first use, and every solve runs from them: the
     first fill of every solve, against the center, takes that sort where it
-    is the fill's own order (:func:`_water_fill_pos`), unless a solve at the
-    same alpha filled the center just before (``_Solver._loop``).
+    is the fill's own order (:func:`_water_fill_pos`).
 
     Let V(t) be the optimum with the box P <= t * phat, t = 1/(1 - alpha).
     For any box multipliers lam >= 0 and level c > 0, weak duality gives
@@ -897,8 +873,7 @@ class _KlBallSolver(_Solver):
             q_next = _ball_projection(p, center, support, radius)
             return q_next, lower, fill(q_next)
 
-        first = functools.partial(fill, sort=first_sort)
-        return slice(None), *self._loop(alpha, center, center, first, step, threshold)
+        return slice(None), *_alternate(center, fill(center, first_sort), step, threshold)
 
     def _certified(self, alpha: float, threshold: float) -> bool | None:
         if self._minorant is not None:

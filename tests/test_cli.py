@@ -589,6 +589,38 @@ class TestCommands:
             message = f"unparseable file: {tmp_path / culprit}: {message}"
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    # json.dumps cannot repeat a key, so these files are written by hand.
+    @pytest.mark.parametrize(
+        "files, data_name, culprit, key",
+        [
+            pytest.param({"d.json": '{"a": 100, "a": 5, "b": 50}'}, "d.json", "d.json", "a",
+                         id="count-file"),
+            pytest.param({"m.json": '{"kind": "singleton", "probs": {"a": 0.5, "a": 0.1}}'},
+                         "d.csv", "m.json", "a", id="singleton-probs"),
+            pytest.param({"m.json": '{"kind": "singleton", "kind": "singleton",'
+                          ' "probs": {"a": 1}}'}, "d.csv", "m.json", "kind", id="spec-field"),
+            pytest.param({"m.json": '{"kind": "mixture", "components":'
+                          ' [{"a": 1}, {"b": 1, "b": 2}]}'}, "d.csv", "m.json", "b",
+                         id="mixture-component"),
+            pytest.param({"m.json": '{"kind": "klball", "counts": {"a": 5, "a": 6},'
+                          ' "epsilon": 0.05}'}, "d.csv", "m.json", "a", id="klball-counts"),
+            pytest.param({"m.json": json.dumps({"kind": "singleton", "probs": "q.json"}),
+                          "q.json": '{"b": 1, "a": 1, "a": 2}'}, "d.csv", "q.json", "a",
+                         id="probs-file"),
+        ],
+    )
+    def test_duplicate_json_key_rejected(self, capsys, tmp_path, files, data_name, culprit, key):
+        # The decoder kept the last value: {"a": 100, "a": 5, "b": 50} was
+        # read as p = 55.
+        defaults = {
+            "d.csv": "a,5\nb,5\n",
+            "m.json": json.dumps({"kind": "singleton", "probs": {"a": 1, "b": 1}}),
+        }
+        argv = ["test", "--model", "m.json", "--data", data_name]
+        code, out, err = run_in(tmp_path, capsys, {**defaults, **files}, argv)
+        message = f"error: duplicate key in {tmp_path / culprit}: {key!r}\n"
+        assert (code, out, err) == (1, "", message)
+
     def test_blank_csv_line_skipped(self, capsys, tmp_path):
         model = json.dumps({"kind": "singleton", "probs": {"a": 1, "b": 1}})
 
@@ -815,6 +847,31 @@ class TestCommands:
         )
         on_stdout = capsys.readouterr().out
         assert out.read_text() == on_stdout
+
+    def test_out_written_before_stdout(self, tmp_path, capsys, uniform3_model, spike_data):
+        # A --out that cannot be written printed the whole report on stdout
+        # before the error.
+        argv = [
+            "estimate", "--model", str(uniform3_model), "--data", str(spike_data),
+            "--out", str(tmp_path),
+        ]
+        assert run_command(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: [Errno 21] Is a directory") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["test", "estimate", "twosample", "oracle", "sweep"])
+    def test_epsilon_and_tol_help(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            run_command([command, "--help"])
+        assert exit_info.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert "--epsilon EPSILON significance level, in (0, 1)" in text
+        tol_help = (
+            "--tol TOL floor on the count resolution as a fraction of p; "
+            "binds only for p > 1/tol"
+        )
+        assert (tol_help in text) == (command in ("estimate", "twosample", "sweep"))
 
     def test_csv_format_report(self, capsys, uniform3_model, spike_data):
         code = run_command(

@@ -92,6 +92,36 @@ class TestEmpiricalCounts:
         with pytest.raises(ValueError, match=r"counts must sum to at most 2\*\*63 - 1"):
             EmpiricalCounts(np.array([2**62, 2**62]))
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param([2**63], id="uint64-2**63"),
+            pytest.param(np.array([2**64 - 1], dtype=np.uint64), id="uint64-max"),
+            pytest.param([2**64], id="object-2**64"),
+            pytest.param([1e19], id="float-1e19"),
+            pytest.param([10**400], id="beyond-float"),
+            pytest.param(np.array([2**63 - 1], dtype=object), id="object-int64-max"),
+        ],
+    )
+    def test_count_past_int64_rejected(self, values):
+        # A uint64 count past int64 wrapped to a negative one in the cast, a
+        # float one failed the cast with a RuntimeWarning (an error here),
+        # and a Python int past the float range raised OverflowError.  An
+        # object array is read as floats, where 2**63 - 1 is 2**63.
+        with pytest.raises(ValueError, match=r"^counts must sum to at most 2\*\*63 - 1$"):
+            EmpiricalCounts(values)
+
+    @pytest.mark.parametrize(
+        "values", [[-(10**400)], [-1e19], [5, -(2**64)]], ids=["beyond-float", "float", "object"]
+    )
+    def test_negative_count_past_int64_rejected(self, values):
+        with pytest.raises(ValueError, match="^counts must be non-negative$"):
+            EmpiricalCounts(values)
+
+    def test_uint64_within_int64_accepted(self):
+        c = EmpiricalCounts(np.array([2**63 - 2, 1], dtype=np.uint64))
+        assert c.total == 2**63 - 1 and c.counts.dtype == np.int64
+
 
 class TestEmpirical:
     def test_direct_normalization(self):

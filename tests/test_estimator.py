@@ -1013,49 +1013,41 @@ class TestProbePath:
             assert probed > 0
 
     @pytest.mark.parametrize("model_kind", ["mixture", "klball"])
-    def test_band_probe_starts_from_the_full_solves_first_fill(self, model_kind, monkeypatch):
+    def test_band_probe_runs_as_a_fresh_object(self, model_kind, monkeypatch):
         # A full solve stopped at a loose TOLERANCE, or cut by the iteration
         # cap after its second iteration, ends between its objective and its
-        # bound, so the verdict asks the alpha = 0 probe.  That probe's first
-        # model is the full solve's, so it takes that fill instead of filling
-        # it again, and its run keeps the bits of a fresh object's.
+        # bound, so the verdict asks the alpha = 0 probe.  That probe starts
+        # from the full solve's first model, and its run keeps the bits of a
+        # fresh object's.
         verdicts = set()
         for setting, value in (("TOLERANCE", 1.0), ("MAX_ITERATIONS", 2)):
             monkeypatch.setattr(solver, setting, value)
             for c, model in self.random_instances(np.random.default_rng(83), model_kind):
                 for epsilon in (0.01, 0.05):
-                    verdicts.add(self.assert_probe_takes_the_first_fill(c, model, epsilon))
+                    verdicts.add(self.assert_probe_runs_fresh(c, model, epsilon))
             monkeypatch.undo()
         assert verdicts == {False, True, None}
 
     @staticmethod
-    def assert_probe_takes_the_first_fill(c, model, epsilon):
+    def assert_probe_runs_fresh(c, model, epsilon):
         """The verdict of ``is_contaminated``, None where the full solve
-        settled it, asserting that a probe repeats no fill of the first
-        model and that its run has a fresh object's bits."""
+        settled it, asserting that a probe's run has a fresh object's bits."""
         threshold = gof_threshold(c.total, c.n, epsilon)
         fresh = solver._solver(c, model)
         want = fresh._run(0.0, threshold)
-        fills, runs = [], []
-        water_fill = solver._water_fill
+        runs = []
         kind = type(fresh)
         run = kind._run
-
-        def recording_fill(upper, q, *args):
-            fills.append(upper.tobytes() + q.tobytes())
-            return water_fill(upper, q, *args)
 
         def recording_run(self, *args):
             runs.append(run(self, *args))
             return runs[-1]
 
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(solver, "_water_fill", recording_fill)
             m.setattr(kind, "_run", recording_run)
             verdict, _ = is_contaminated(c, model, epsilon)
         if len(runs) == 1:
             return None
-        assert fills.count(fills[0]) == 1, len(fills)
         got = [np.asarray(x, dtype=float).tobytes() for x in runs[1][1:]]
         assert got == [np.asarray(x, dtype=float).tobytes() for x in want[1:]]
         _, _, _, _, objective, _, _, converged = want
@@ -1247,37 +1239,6 @@ class TestKlballArraysOnce:
         # phat and the probes' stored models: the final solve builds none.
         assert work == {"empirical": 1, "Distribution": 1 + sum(stored)}, (work, stored)
         assert sum(stored) < len(stored)
-
-    def test_no_first_fill_repeats_an_earlier_fill(self, monkeypatch):
-        # A solve at the alpha of the solve before it takes that solve's fill
-        # of the center instead of filling it again: the final solve after a
-        # probe at alpha_lower, and a clean pair's after its alpha = 0 probe.
-        # Filling the center again took one more fill on each pair here: 16
-        # and 4 in all, where 15 and 3 remain.
-        rng = np.random.default_rng(3)
-        q = rng.dirichlet(np.full(120, 5.0))
-        clean = EmpiricalCounts(rng.multinomial(600_000, q)), EmpiricalCounts(
-            rng.multinomial(600_000, q)
-        )
-        fills = []  # (digest of the caps and q, whether q is the center)
-        water_fill = solver._water_fill
-        for data, baseline in (klball_twosample_pair(3, 80), clean):
-            center = empirical(baseline).probs
-
-            def recording_fill(upper, q, *args):
-                key = hashlib.sha256(upper.tobytes() + q.tobytes()).digest()
-                fills.append((key, np.array_equal(q, center)))
-                return water_fill(upper, q, *args)
-
-            fills.clear()
-            monkeypatch.setattr(solver, "_water_fill", recording_fill)
-            res = two_sample_test(data, baseline, 0.05)
-            monkeypatch.undo()
-            assert res.contaminated == (data is not clean[0])
-            firsts = [i for i, (_, first) in enumerate(fills) if first]
-            assert firsts, "no fill against the center seen"
-            for i in firsts:
-                assert fills[i][0] not in {key for key, _ in fills[:i]}, (i, len(fills))
 
 
 def twosample_klball(data, baseline):

@@ -1045,22 +1045,31 @@ class TestSolveMixture:
 
     def test_step_hands_over_its_fill(self, monkeypatch):
         # The model step returns the fill of the state it returns, so no
-        # iteration water-fills the pair that the call before it filled.
-        calls = []
+        # iteration of a solve water-fills the pair that the call before it
+        # filled.
+        runs = []  # per solve, the fills it made
+        run = solver._MixtureSolver._run
+
+        def recording_run(self, *args):
+            runs.append([])
+            return run(self, *args)
 
         def recording_fill(upper, q):
-            calls.append((upper.tobytes(), q.tobytes()))
+            runs[-1].append((upper.tobytes(), q.tobytes()))
             return _water_fill(upper, q)
 
+        monkeypatch.setattr(solver._MixtureSolver, "_run", recording_run)
         monkeypatch.setattr(solver, "_water_fill", recording_fill)
         # A threshold solve that stops on its bound fills nothing after the
         # bound: 79, 74 and 183 fills, where filling the rest of the step
         # took 106, 114 and 224.  Each of the ~30 solves fills at least once.
         for (c, model), cap in zip(self.criterion_5_instances(3), (95, 95, 205)):
-            calls.clear()
+            runs.clear()
             estimate_alpha_lower(c, model, 0.05)
-            assert 30 <= len(calls) <= cap, len(calls)
-            assert all(a != b for a, b in zip(calls, calls[1:]))
+            fills = sum(len(calls) for calls in runs)
+            assert 30 <= fills <= cap, fills
+            for calls in runs:
+                assert calls and all(a != b for a, b in zip(calls, calls[1:]))
 
     def test_flat_valley_work_count(self, monkeypatch):
         # Instance 24 of criterion 5 ends with weights from 0.64 down to
