@@ -196,11 +196,19 @@ def ingest_counts(path: str | Path) -> EmpiricalCounts:
 # model specs
 
 
-def _probs_mapping(node, base: Path, what: str) -> dict[str, float]:
+def _inline(node, base: Path):
+    """``node``, or the JSON it names when it is a file path relative to ``base``."""
+    return _read_json(base / node) if isinstance(node, str) else node
+
+
+def _digest(raw: dict) -> str:
+    """The digest of a model spec, every mapping in it written inline."""
+    return hashlib.sha256(json.dumps(raw, sort_keys=True).encode("utf-8")).hexdigest()[:12]
+
+
+def _probs_mapping(node, what: str) -> dict[str, float]:
     """Masses of a ``probs``/``center``/component mapping: each finite and
     non-negative, at least one positive."""
-    if isinstance(node, str):
-        node = _read_json(base / node)
     node = _mapping(node, f"model spec: {what} must be a category->mass mapping or file path")
     masses = {}
     for k, v in node.items():
@@ -215,33 +223,38 @@ def _probs_mapping(node, base: Path, what: str) -> dict[str, float]:
 
 
 def load_model_spec(path: str | Path) -> ModelSpec:
+    """The model spec at ``path``.  A mapping given as a file path is read
+    into the spec before it is digested, so the digest is that of the spec
+    written inline and follows the file's content."""
     path = Path(path)
     raw = _read_json(path)
     if not isinstance(raw, dict) or "kind" not in raw:
         raise CliError(f"model spec: missing 'kind' in {path}")
-    digest = hashlib.sha256(
-        json.dumps(raw, sort_keys=True).encode("utf-8")
-    ).hexdigest()[:12]
     kind = str(raw["kind"])
     base = path.parent
     if kind == "singleton":
-        probs = _probs_mapping(raw.get("probs"), base, "probs")
-        return ModelSpec(kind=kind, distributions=(probs,), digest=digest)
+        raw["probs"] = _inline(raw.get("probs"), base)
+        probs = _probs_mapping(raw["probs"], "probs")
+        return ModelSpec(kind=kind, distributions=(probs,), digest=_digest(raw))
     if kind == "mixture":
         comps = raw.get("components")
         if not isinstance(comps, list) or len(comps) < 2:
             raise CliError("model spec: mixture needs a list of >= 2 components")
-        dists = tuple(_probs_mapping(c, base, "component") for c in comps)
-        return ModelSpec(kind=kind, distributions=dists, digest=digest)
+        raw["components"] = comps = [_inline(c, base) for c in comps]
+        dists = tuple(_probs_mapping(c, "component") for c in comps)
+        return ModelSpec(kind=kind, distributions=dists, digest=_digest(raw))
     if kind == "klball":
         if "center" in raw and "radius" in raw:
-            center = _probs_mapping(raw["center"], base, "center")
+            raw["center"] = _inline(raw["center"], base)
+            center = _probs_mapping(raw["center"], "center")
             radius = _number(raw["radius"], "model spec: radius must be a number")
             if radius <= 0:
                 raise CliError("model spec: radius must be positive")
             if not math.isfinite(radius):
                 raise CliError("model spec: radius must be finite")
-            return ModelSpec(kind=kind, distributions=(center,), radius=radius, digest=digest)
+            return ModelSpec(
+                kind=kind, distributions=(center,), radius=radius, digest=_digest(raw)
+            )
         if "counts" in raw and "epsilon" in raw:
             message = "model spec: counts must be a category->count mapping"
             counts = _count_map(_mapping(raw["counts"], message).items(), path)
@@ -249,7 +262,7 @@ def load_model_spec(path: str | Path) -> ModelSpec:
             if not 0 < epsilon < 1:  # NaN fails both comparisons
                 raise CliError("model spec: epsilon must be in (0, 1)")
             return ModelSpec(
-                kind=kind, distributions=(), counts=counts, epsilon=epsilon, digest=digest
+                kind=kind, distributions=(), counts=counts, epsilon=epsilon, digest=_digest(raw)
             )
         raise CliError("model spec: klball needs center+radius or counts+epsilon")
     raise CliError(f"model spec: unknown kind {kind!r}")
@@ -397,10 +410,14 @@ def _estimate(args, counts, spec, model):
 
 
 def _baseline_spec(args) -> ModelSpec:
-    """The baseline counts as a KL-ball spec: the model ``two_sample_test`` uses."""
+    """The baseline counts as a KL-ball spec, digested as that spec's file
+    would be: the model ``two_sample_test`` uses."""
     baseline = ingest_counts(args.baseline)
     counts = dict(zip(baseline.labels, baseline.counts.tolist()))
-    return ModelSpec(kind="klball", distributions=(), counts=counts, epsilon=args.epsilon)
+    raw = {"kind": "klball", "counts": counts, "epsilon": args.epsilon}
+    return ModelSpec(
+        kind="klball", distributions=(), counts=counts, epsilon=args.epsilon, digest=_digest(raw)
+    )
 
 
 def _twosample(args, counts, spec, model):

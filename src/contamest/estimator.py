@@ -103,7 +103,7 @@ def is_contaminated(
         raise ValueError("empty dataset")
     threshold = gof_threshold(p, counts.n, epsilon)
     solver = _solver(counts, model)
-    _, _, _, _, objective, lower, _, converged = solver._run(0.0, None)
+    _, _, _, objective, lower, _, converged = solver._run(0.0, None)
     if objective < threshold:
         verdict = False
     elif converged and lower >= threshold:
@@ -159,11 +159,11 @@ def estimate_alpha_lower(
             lo, alpha_lo = mid, alpha
         else:
             hi = mid
-    support, _, q, _, objective, _, _, _ = solver._run(alpha_lo, None)
+    _, q, _, objective, _, _, _ = solver._run(alpha_lo, None)
 
     return EstimateResult(
         alpha_lower=alpha_lo,
-        kappa=_separation(solver.phat.probs[support], q),
+        kappa=_separation(solver.phat.probs, q),
         c_lower=lo,
         threshold_at_alpha=gof_threshold(p - lo, counts.n, epsilon),
         objective_at_alpha=objective,
@@ -190,12 +190,10 @@ def two_sample_test(
     have generated ``counts_q``; a contaminated verdict certifies that no
     single distribution explains both datasets at the significance level.
     Joint support is not required: the ball always contains distributions
-    whose support covers both samples.
+    whose support covers both samples.  An empty side raises ``empty
+    dataset`` and sides of different dimensions ``dimension mismatch``, as
+    the estimate and the ball's solver check them.
     """
-    if counts_p.n != counts_q.n:
-        raise ValueError("dimension mismatch")
-    if counts_p.total < 1 or counts_q.total < 1:
-        raise ValueError("empty dataset")
     model = KlBall(empirical(counts_q), klball_radius(counts_q, epsilon))
     return estimate_alpha_lower(counts_p, model, epsilon)
 

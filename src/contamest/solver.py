@@ -28,21 +28,21 @@ bisection's two questions: the full solve at alpha, and whether the
 optimum at alpha reaches a threshold, decided from what earlier solves or
 one sort of the data prove when they can, else by a solve under it.  A
 solve of every kind is one run with one result shape, so the base class
-alone answers probes and builds results; a probe's solve whose certified
-bound reaches its threshold stops at that bound and fills no further
-state.  The public :func:`solve` is the full solve of a fresh object, and
-only it builds a :class:`SolveResult`: the estimator reads runs.  A
-singleton estimate builds ``phat`` once and sorts the data once: the
-profile's order serves every exact fill after the first probe, and only
-the public solve builds KKT duals, which the estimator never reads.  A
-mixture estimate builds ``phat``, the component matrix and its support
-once.  A KL-ball estimate builds ``phat``, the center's support and one
-stable sort of phat / center there once: that sort orders the first fill
-of every solve, against the center.  Every alternating solve fills its
-own first model.  A fill's own sort puts ties in index order by
-sorting only the tied positions again (:func:`_stable_order`).  The
-singleton path (fill, duals, KL, profile) allocates each full-length
-array once and works in it, so large solves do not re-fault their memory.
+alone answers probes and builds results; a run covers every category.  A
+probe's solve whose certified bound reaches its threshold stops at that
+bound and fills no further state.  The public :func:`solve` is the full
+solve of a fresh object, and only it builds a :class:`SolveResult`: the
+estimator reads runs.  A singleton estimate builds ``phat`` once and
+sorts the data once: the profile's order serves every exact fill after
+the first probe, and only the public solve builds KKT duals, which the
+estimator never reads.  A mixture estimate builds ``phat``, the
+component matrix and its support once.  A KL-ball estimate builds
+``phat`` once.  Every alternating solve fills its own first model, and
+only a singleton fill takes an earlier sort; every other fill sorts for
+itself, putting ties in index order by sorting only the tied positions
+again (:func:`_stable_order`).  The singleton path (fill, duals, KL,
+profile) allocates each full-length array once and works in it, so large
+solves do not re-fault their memory.
 """
 
 from __future__ import annotations
@@ -170,13 +170,12 @@ def _water_fill_pos(
     does not exceed the next breakpoint.  If a ratio overflows (subnormal
     qs_i), the fill runs on qs * 2**960 (exact) and reports the level as inf.
 
-    ``sort`` is an earlier sort of the same categories, ``(order, T)``: from
-    :func:`_singleton_profile`, or the KL-ball solver's sort of its center's
-    first fill.  Its order is taken, and its T_k with it, when the
-    breakpoints increase along it and equal breakpoints sit in index order:
-    it is then the stable sort's order, the one this fill would make, so
-    the sums and p keep their bits.  On an inversion, or a tie out of index
-    order, the fill sorts afresh.
+    ``sort`` is an earlier sort of the same categories, ``(order, T)``, from
+    :func:`_singleton_profile`.  Its order is taken, and its T_k with it,
+    when the breakpoints increase along it and equal breakpoints sit in
+    index order: it is then the stable sort's order, the one this fill
+    would make, so the sums and p keep their bits.  On an inversion, or a
+    tie out of index order, the fill sorts afresh.
 
     Each full-length array is allocated once and the sums, levels and p are
     computed in place: glibc hands a freed heap top above its trim threshold
@@ -493,11 +492,11 @@ class _Solver:
     this one.
 
     Every kind's solve is ``_run(alpha, threshold)`` (threshold None for a
-    full solve), which returns ``(support, p, q, state, objective, lower,
-    iterations, converged)``: the returned pair over ``support``, the state
-    that produced q, the objective, the certified lower bound, and the
-    loop's count and flag.  ``solve`` scatters a full solve's run into a
-    :class:`SolveResult`, the public :func:`solve`'s; the estimator and the
+    full solve), which returns ``(p, q, state, objective, lower, iterations,
+    converged)``: the returned pair over every category, the state that
+    produced q, the objective, the certified lower bound, and the loop's
+    count and flag.  ``solve`` builds the public :func:`solve`'s
+    :class:`SolveResult` from a full solve's run; the estimator and the
     probes read runs and build none.
     """
 
@@ -511,12 +510,8 @@ class _Solver:
         return empirical(self._counts)
 
     def solve(self, alpha: float) -> SolveResult:
-        """The full solve at alpha, its run scattered over every category."""
-        support, p_s, q_s, state, obj, lower, it, converged = self._run(alpha, None)
-        p = np.zeros(self._counts.n)
-        p[support] = p_s
-        q = np.zeros(self._counts.n)
-        q[support] = q_s
+        """The full solve at alpha, as a :class:`SolveResult`."""
+        p, q, state, obj, lower, it, converged = self._run(alpha, None)
         return SolveResult(
             objective=obj,
             p_star=Distribution(p),
@@ -524,7 +519,7 @@ class _Solver:
             iterations=it,
             converged=converged,
             lower_bound=lower,
-            **self._reported(alpha, state, q_s),
+            **self._reported(alpha, state, q),
         )
 
     def exceeds(self, alpha: float, threshold: float) -> bool:
@@ -532,7 +527,7 @@ class _Solver:
         if verdict is None:
             run = self._run(alpha, threshold)
             self._record(alpha, threshold, run)
-            _, _, _, _, objective, _, _, converged = run
+            _, _, _, objective, _, _, converged = run
             verdict = converged and objective >= threshold
         return verdict
 
@@ -590,7 +585,7 @@ class _SingletonSolver(_Solver):
         profile = vars(self).get("_profile")  # read, not built: a sort costs more than a fill
         sort = None if profile is None else profile[1]
         p, objective, c = _water_fill(_caps(self.phat.probs, alpha), q, sort)
-        return slice(None), p, q, c, objective, objective, 0, True
+        return p, q, c, objective, objective, 0, True
 
     def _certified(self, alpha: float, threshold: float) -> bool | None:
         probe = self._profile[0](alpha) if self._profile is not None else None
@@ -653,19 +648,23 @@ class _MixtureSolver(_Solver):
         """``(qmat, union, qmat[:, union])``, qmat the (k, n) component matrix."""
         qmat = np.stack([c.probs for c in self._components])
         union = qmat.sum(axis=0) > 0
+        # A copy even when the union is full: the fancy-indexed copy is
+        # column-major, and BLAS sums w @ qmat_u and qmat_u @ ratio over it in
+        # another order than over qmat, so qmat itself would move their bits.
         return qmat, union, qmat[:, union]
 
     def _reported(self, alpha: float, w, q: np.ndarray) -> dict:
         return {"mixture_weights": w}
 
     def _record(self, alpha: float, threshold: float, run) -> None:
-        self._weights = run[3]
+        self._weights = run[2]
 
     def _run(self, alpha: float, threshold: float | None):
         """The alternating loop from ``self._weights``, or uniform weights: a
-        run whose state is the weights w, with p and q over the union of the
-        components' supports, or over every category when the box cannot
-        carry unit mass there."""
+        run whose state is the weights w.  The loop runs over the union of
+        the components' supports, and its pair is scattered over every
+        category once, at the return; when the box cannot carry unit mass
+        on the union, the run is one fill over every category."""
         upper = _caps(self.phat.probs, alpha)
         qmat, union, qmat_u = self._arrays
         k = qmat.shape[0]
@@ -680,7 +679,7 @@ class _MixtureSolver(_Solver):
             # No mixture can carry the required mass at this alpha.
             q = w @ qmat
             p, obj, _ = _water_fill(upper, q)
-            return slice(None), p, q, w, obj, obj, 0, True
+            return p, q, w, obj, obj, 0, True
 
         def fill(w):
             """The fill ``(p, q, objective, level)`` at weights w."""
@@ -776,7 +775,10 @@ class _MixtureSolver(_Solver):
 
         # Set once per solve, not per step: the step checks m for overflow.
         with np.errstate(over="ignore", invalid="ignore"):
-            return union, *_alternate(w, fill(w), step, threshold)
+            p_u, q_u, *rest = _alternate(w, fill(w), step, threshold)
+        p, q = np.zeros(upper.size), np.zeros(upper.size)
+        p[union], q[union] = p_u, q_u
+        return p, q, *rest
 
 
 class _KlBallSolver(_Solver):
@@ -793,10 +795,8 @@ class _KlBallSolver(_Solver):
     <a, Q'> over the ball: the Frank-Wolfe bound (Jaggi, 2013), with U from
     :func:`_ball_linear_max`, warm-started from the previous step's search.
 
-    ``phat``, the center's support and one stable sort of phat / center
-    there are built once, on first use, and every solve runs from them: the
-    first fill of every solve, against the center, takes that sort where it
-    is the fill's own order (:func:`_water_fill_pos`).
+    ``phat`` is built once, on first use.  Every solve starts from the
+    center, and its first fill sorts like any other.
 
     Let V(t) be the optimum with the box P <= t * phat, t = 1/(1 - alpha).
     For any box multipliers lam >= 0 and level c > 0, weak duality gives
@@ -829,30 +829,17 @@ class _KlBallSolver(_Solver):
         self._minorant = None  # (t0, B, Lambda, rounding scale) of the latest True probe
         self._model = None  # _SingletonSolver of the latest converged False probe's q
 
-    @functools.cached_property
-    def _arrays(self):
-        """``(support, sort)``: :func:`_ball_support` of the center, and
-        ``(order, T)``, the stable order of phat / center on supp(center)
-        and the suffix sums of the center mass along it."""
-        support = _ball_support(self._center.probs)
-        pos, c = support
-        with np.errstate(over="ignore"):  # phat_i / c_i overflows for subnormal c_i
-            order, _ = _stable_order(self.phat.probs[pos] / c)
-        free_q = c.take(order)
-        np.cumsum(free_q[::-1], out=free_q[::-1])
-        return support, (order, free_q)
-
     def _run(self, alpha: float, threshold: float | None):
         """The alternating loop: a run over every category whose state is
         the model q."""
         upper = _caps(self.phat.probs, alpha)
         center, radius = self._center.probs, self._radius
-        support, first_sort = self._arrays
+        support = _ball_support(center)
         scale = None
 
-        def fill(q, sort=None):
+        def fill(q):
             """The fill ``(p, q, objective, level)`` against the model q."""
-            p, obj, level = _water_fill(upper, q, sort)
+            p, obj, level = _water_fill(upper, q)
             return p, q, obj, level
 
         def step(p, q, obj, state):
@@ -873,7 +860,7 @@ class _KlBallSolver(_Solver):
             q_next = _ball_projection(p, center, support, radius)
             return q_next, lower, fill(q_next)
 
-        return slice(None), *_alternate(center, fill(center, first_sort), step, threshold)
+        return _alternate(center, fill(center), step, threshold)
 
     def _certified(self, alpha: float, threshold: float) -> bool | None:
         if self._minorant is not None:
@@ -889,7 +876,7 @@ class _KlBallSolver(_Solver):
     def _record(self, alpha: float, threshold: float, run) -> None:
         """Keep what a probe's solve at alpha proves, from its returned pair
         ``(p, q)``, objective, certified bound and convergence flag."""
-        _, p, q, _, objective, lower, _, converged = run
+        p, q, _, objective, lower, _, converged = run
         if lower >= threshold:  # certified at the returned pair
             with np.errstate(over="ignore", divide="ignore"):
                 c = float(np.divide(p, q, out=np.zeros_like(p), where=q > 0).max())

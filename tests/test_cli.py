@@ -210,6 +210,30 @@ class TestModelSpecs:
         assert spec.distributions[0] == {"a": 0.5, "b": 0.5}
 
     @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "singleton", "probs": "q.json"},
+            {"kind": "mixture", "components": ["q.json", {"a": 0.1, "b": 0.9}]},
+            {"kind": "klball", "center": "q.json", "radius": 0.25},
+        ],
+        ids=["probs", "component", "center"],
+    )
+    def test_digest_of_file_reference_follows_the_file(self, tmp_path, spec):
+        # A mapping named by path is digested as the same spec written
+        # inline, so the digest changes with the file, not with its name.
+        def digests(mapping):
+            (tmp_path / "q.json").write_text(json.dumps(mapping))
+            inline = json.loads(json.dumps(spec).replace('"q.json"', json.dumps(mapping)))
+            for name, raw in (("by_path.json", spec), ("inline.json", inline)):
+                (tmp_path / name).write_text(json.dumps(raw))
+            names = ("by_path.json", "inline.json")
+            return [load_model_spec(tmp_path / name).digest for name in names]
+
+        first, second = digests({"a": 0.5, "b": 0.5}), digests({"a": 0.25, "b": 0.75})
+        assert first[0] == first[1] and second[0] == second[1]
+        assert first[0] != second[0]
+
+    @pytest.mark.parametrize(
         "counts, message",
         [({"a": 3, "b": 1.5}, "non-integer count"), ({"a": 1e30}, "more than 2")],
     )
@@ -766,6 +790,27 @@ class TestCommands:
             "objective_at_alpha", "contaminated", "bisection_width",
         ):
             assert report["result"][field] == getattr(expected, field)
+
+    def test_twosample_digest_is_its_klball_spec(self, capsys, tmp_path):
+        # twosample reports the digest of the KL-ball spec it builds, that of
+        # estimate against the same spec in a file.
+        spec = {"kind": "klball", "counts": {"w": 40, "y": 500, "x": 460}, "epsilon": 0.05}
+        files = {
+            "a.csv": "x,700\ny,200\nz,100\n",
+            "b.json": json.dumps(spec["counts"]),
+            "m.json": json.dumps(spec),
+        }
+        reports = []
+        for argv in (
+            ["twosample", "--data", "a.csv", "--baseline", "b.json"],
+            ["estimate", "--data", "a.csv", "--model", "m.json"],
+        ):
+            code, out, err = run_in(tmp_path, capsys, files, argv)
+            assert (code, err) == (0, "")
+            reports.append(json.loads(out))
+        twosample, estimate = reports
+        assert twosample["model_digest"] == estimate["model_digest"] != ""
+        assert twosample["result"] == estimate["result"]
 
     @pytest.mark.parametrize(
         "data, baseline",

@@ -288,8 +288,15 @@ class TestTwoSampleTest:
         assert res.alpha_lower >= 0.5
 
     def test_dimension_checked(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dimension mismatch"):
             two_sample_test(counts(1, 2), counts(1, 2, 3), 0.05)
+
+    @pytest.mark.parametrize("side", ["data", "baseline"])
+    def test_empty_side_checked(self, side):
+        pair = {"data": counts(3, 5), "baseline": counts(4, 4)}
+        pair[side] = counts(0, 0)
+        with pytest.raises(ValueError, match="empty dataset"):
+            two_sample_test(pair["data"], pair["baseline"], 0.05)
 
     def test_no_joint_support_required(self):
         # data and model supports overlap only partially; still well-defined
@@ -1048,9 +1055,9 @@ class TestProbePath:
             verdict, _ = is_contaminated(c, model, epsilon)
         if len(runs) == 1:
             return None
-        got = [np.asarray(x, dtype=float).tobytes() for x in runs[1][1:]]
-        assert got == [np.asarray(x, dtype=float).tobytes() for x in want[1:]]
-        _, _, _, _, objective, _, _, converged = want
+        got = [np.asarray(x, dtype=float).tobytes() for x in runs[1]]
+        assert got == [np.asarray(x, dtype=float).tobytes() for x in want]
+        _, _, _, objective, _, _, converged = want
         assert verdict == (converged and objective >= threshold)
         return verdict
 
@@ -1291,12 +1298,10 @@ class TestFinalRun:
 
 def run_at(c, model, alpha, threshold):
     """A fresh solver object's run at alpha under ``threshold``, None for a
-    full solve, scattered over every category into a :class:`SolveResult`
-    as the public ``solve`` scatters a full solve's run."""
+    full solve, as a :class:`SolveResult`, as the public ``solve`` builds
+    one from a full solve's run."""
     obj = solver._solver(c, model)
-    support, p_s, q_s, state, objective, lower, iterations, converged = obj._run(alpha, threshold)
-    p, q = np.zeros(c.n), np.zeros(c.n)
-    p[support], q[support] = p_s, q_s
+    p, q, state, objective, lower, iterations, converged = obj._run(alpha, threshold)
     return SolveResult(
         objective=objective,
         p_star=Distribution(p),
