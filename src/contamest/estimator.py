@@ -92,17 +92,15 @@ def is_contaminated(
     are no false flags beyond the significance level.  Returns
     ``(verdict, margin)`` with margin = objective - threshold, from the full
     solve's run of a solver object (``solver._solver``), run first for every
-    kind.
+    kind.  The object is built before ``epsilon`` is read, so an empty data
+    set, a model of another dimension or of an unknown kind raises first.
     Its objective below the threshold, or its converged bound at or above
     it, settles the verdict; only the band between them (never an exact
     singleton solve) or an unconverged solve asks the object's ``exceeds``,
     which starts from the full solve's first model and takes the same steps.
     """
-    p = counts.total
-    if p < 1:
-        raise ValueError("empty dataset")
-    threshold = gof_threshold(p, counts.n, epsilon)
     solver = _solver(counts, model)
+    threshold = gof_threshold(counts.total, counts.n, epsilon)
     _, _, _, objective, lower, _, converged = solver._run(0.0, None)
     if objective < threshold:
         verdict = False
@@ -139,15 +137,14 @@ def estimate_alpha_lower(
     prove, else by a solve under the probe's threshold.  Its full solve's
     run at ``alpha_lower``, the fraction of the last True probe, gives
     ``objective_at_alpha``, and its q and the object's ``phat``, the one
-    empirical distribution of the estimate, give ``kappa``.
+    empirical distribution of the estimate, give ``kappa``.  The object is
+    built first, so an empty data set, a model of another dimension or of
+    an unknown kind raises before ``bisect_tol`` and ``epsilon`` are read.
     """
-    p = counts.total
-    if p < 1:
-        raise ValueError("empty dataset")
+    solver = _solver(counts, model)
     if not 0 < bisect_tol < math.inf:  # NaN fails both comparisons
         raise ValueError("bisect_tol must be finite and positive")
-
-    solver = _solver(counts, model)
+    p = counts.total
     contaminated = solver.exceeds(0.0, gof_threshold(p, counts.n, epsilon))
     lo, hi = 0, p if contaminated else 0
     alpha_lo = 0.0
@@ -163,7 +160,7 @@ def estimate_alpha_lower(
 
     return EstimateResult(
         alpha_lower=alpha_lo,
-        kappa=_separation(solver.phat.probs, q),
+        kappa=_separation(solver.phat, q),
         c_lower=lo,
         threshold_at_alpha=gof_threshold(p - lo, counts.n, epsilon),
         objective_at_alpha=objective,
@@ -191,8 +188,9 @@ def two_sample_test(
     single distribution explains both datasets at the significance level.
     Joint support is not required: the ball always contains distributions
     whose support covers both samples.  An empty side raises ``empty
-    dataset`` and sides of different dimensions ``dimension mismatch``, as
-    the estimate and the ball's solver check them.
+    dataset``, from the ``empirical`` of that side, and sides of different
+    dimensions ``dimension mismatch``, from the solver's one dimension
+    check.
     """
     model = KlBall(empirical(counts_q), klball_radius(counts_q, epsilon))
     return estimate_alpha_lower(counts_p, model, epsilon)

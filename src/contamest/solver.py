@@ -32,15 +32,15 @@ alone answers probes and builds results; a run covers every category.  A
 probe's solve whose certified bound reaches its threshold stops at that
 bound and fills no further state.  The public :func:`solve` is the full
 solve of a fresh object, and only it builds a :class:`SolveResult`: the
-estimator reads runs.  A singleton estimate builds ``phat`` once and
-sorts the data once: the profile's order serves every exact fill after
-the first probe, and only the public solve builds KKT duals, which the
-estimator never reads.  A mixture estimate builds ``phat``, the
-component matrix and its support once.  A KL-ball estimate builds
-``phat`` once.  Every alternating solve fills its own first model, and
-only a singleton fill takes an earlier sort; every other fill sorts for
-itself, putting ties in index order by sorting only the tied positions
-again (:func:`_stable_order`).  The singleton path (fill, duals, KL,
+estimator reads runs.  :func:`_solver` computes ``phat`` once and hands
+it to the object, which builds what it derives from its model then: the
+mixture's component matrix and support, the ball's support.  Only the
+singleton's sort of the data waits for its first probe; the profile's
+order serves every exact fill after it, and only the public solve builds
+KKT duals, which the estimator never reads.  Every alternating solve
+fills its own first model, and only a singleton fill takes an earlier
+sort; every other fill sorts for itself, putting ties in index order by
+sorting only the tied positions again (:func:`_stable_order`).  The singleton path (fill, duals, KL,
 profile) allocates each full-length array once and works in it, so large
 solves do not re-fault their memory.
 """
@@ -487,9 +487,10 @@ class _Solver:
     converged objective at or above it reads True; a cap hit or a cycle in
     rounding reads False, which can only shrink alpha_lower.  Only solves
     whose verdict is proven are skipped, so a bisection visits the same
-    points as with a solve at every probe.  ``phat``, the empirical
-    distribution, is built on first use, or shared by the solver that built
-    this one.
+    points as with a solve at every probe.  ``phat`` is the empirical
+    distribution's array, built once by :func:`_solver` (or handed on by
+    the solver that builds this one); the constructor makes the one
+    dimension check of the data against the model's ``n``.
 
     Every kind's solve is ``_run(alpha, threshold)`` (threshold None for a
     full solve), which returns ``(p, q, state, objective, lower, iterations,
@@ -500,14 +501,10 @@ class _Solver:
     probes read runs and build none.
     """
 
-    def __init__(self, counts: EmpiricalCounts, phat: Distribution | None = None):
-        self._counts = counts
-        if phat is not None:
-            self.phat = phat
-
-    @functools.cached_property
-    def phat(self) -> Distribution:
-        return empirical(self._counts)
+    def __init__(self, phat: np.ndarray, n: int):
+        if phat.size != n:
+            raise ValueError("dimension mismatch")
+        self.phat = phat
 
     def solve(self, alpha: float) -> SolveResult:
         """The full solve at alpha, as a :class:`SolveResult`."""
@@ -560,22 +557,18 @@ class _SingletonSolver(_Solver):
     ``is_contaminated``, sorts in its fill and builds no profile.
     """
 
-    def __init__(
-        self, counts: EmpiricalCounts, q0: Distribution, phat: Distribution | None = None
-    ):
-        if counts.n != q0.n:
-            raise ValueError("dimension mismatch")
-        super().__init__(counts, phat)
+    def __init__(self, phat: np.ndarray, q0: Distribution):
+        super().__init__(phat, q0.n)
         self._q0 = q0
 
     @functools.cached_property
     def _profile(self):
-        return _singleton_profile(self.phat.probs, self._q0)
+        return _singleton_profile(self.phat, self._q0)
 
     def _reported(self, alpha: float, c, q: np.ndarray) -> dict:
         if c is None or not c < math.inf:
             return {}
-        lam = _box_duals(_caps(self.phat.probs, alpha), q, c)
+        lam = _box_duals(_caps(self.phat, alpha), q, c)
         return {"duals": Duals(lam, -1.0 - math.log(c))}
 
     def _run(self, alpha: float, threshold: float | None):
@@ -584,7 +577,7 @@ class _SingletonSolver(_Solver):
         q = self._q0.probs
         profile = vars(self).get("_profile")  # read, not built: a sort costs more than a fill
         sort = None if profile is None else profile[1]
-        p, objective, c = _water_fill(_caps(self.phat.probs, alpha), q, sort)
+        p, objective, c = _water_fill(_caps(self.phat, alpha), q, sort)
         return p, q, c, objective, objective, 0, True
 
     def _certified(self, alpha: float, threshold: float) -> bool | None:
@@ -628,30 +621,23 @@ class _MixtureSolver(_Solver):
     certifying bound is then its run's bound.  Weights start uniform, and
     the full solve reports the weights of ``q_star`` as ``mixture_weights``.
 
-    ``phat``, the stacked component matrix, the union of the components'
-    supports and the matrix's columns there are built once, on first use,
-    and every solve runs from them.  A solve starts from the weights of the
+    The stacked component matrix, the union of the components' supports
+    and the matrix's columns there are built with the object, and every
+    solve runs from them.  A solve starts from the weights of the
     latest probe, which ``_record`` keeps: consecutive alphas are close, and
     a warm start changes the iterates, never the limit (joint convexity).
     Earlier probes prove nothing here.
     """
 
-    def __init__(self, counts: EmpiricalCounts, model: Mixture):
-        if model.components[0].n != counts.n:  # Mixture checks that all share one n
-            raise ValueError("dimension mismatch")
-        super().__init__(counts)
-        self._components = model.components
-        self._weights = None  # the weights the next solve starts from
-
-    @functools.cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(qmat, union, qmat[:, union])``, qmat the (k, n) component matrix."""
-        qmat = np.stack([c.probs for c in self._components])
-        union = qmat.sum(axis=0) > 0
+    def __init__(self, phat: np.ndarray, model: Mixture):
+        super().__init__(phat, model.components[0].n)  # Mixture checks that all share one n
+        self._qmat = np.stack([c.probs for c in model.components])  # (k, n)
+        self._union = self._qmat.sum(axis=0) > 0
         # A copy even when the union is full: the fancy-indexed copy is
         # column-major, and BLAS sums w @ qmat_u and qmat_u @ ratio over it in
         # another order than over qmat, so qmat itself would move their bits.
-        return qmat, union, qmat[:, union]
+        self._qmat_u = self._qmat[:, self._union]
+        self._weights = None  # the weights the next solve starts from
 
     def _reported(self, alpha: float, w, q: np.ndarray) -> dict:
         return {"mixture_weights": w}
@@ -665,8 +651,8 @@ class _MixtureSolver(_Solver):
         the components' supports, and its pair is scattered over every
         category once, at the return; when the box cannot carry unit mass
         on the union, the run is one fill over every category."""
-        upper = _caps(self.phat.probs, alpha)
-        qmat, union, qmat_u = self._arrays
+        upper = _caps(self.phat, alpha)
+        qmat, union, qmat_u = self._qmat, self._union, self._qmat_u
         k = qmat.shape[0]
         if self._weights is None:
             w = np.full(k, 1.0 / k)
@@ -795,8 +781,8 @@ class _KlBallSolver(_Solver):
     <a, Q'> over the ball: the Frank-Wolfe bound (Jaggi, 2013), with U from
     :func:`_ball_linear_max`, warm-started from the previous step's search.
 
-    ``phat`` is built once, on first use.  Every solve starts from the
-    center, and its first fill sorts like any other.
+    The center's support is found once, with the object.  Every solve
+    starts from the center, and its first fill sorts like any other.
 
     Let V(t) be the optimum with the box P <= t * phat, t = 1/(1 - alpha).
     For any box multipliers lam >= 0 and level c > 0, weak duality gives
@@ -820,21 +806,19 @@ class _KlBallSolver(_Solver):
     solver's own rule.
     """
 
-    def __init__(self, counts: EmpiricalCounts, model: KlBall):
-        if counts.n != model.center.n:
-            raise ValueError("dimension mismatch")
-        super().__init__(counts)
-        self._center, self._radius = model.center, model.radius
-        self._tol = 4.0 * (counts.n + 8) * _EPS
+    def __init__(self, phat: np.ndarray, model: KlBall):
+        super().__init__(phat, model.center.n)
+        self._center, self._radius = model.center.probs, model.radius
+        self._support = _ball_support(self._center)
+        self._tol = 4.0 * (phat.size + 8) * _EPS
         self._minorant = None  # (t0, B, Lambda, rounding scale) of the latest True probe
         self._model = None  # _SingletonSolver of the latest converged False probe's q
 
     def _run(self, alpha: float, threshold: float | None):
         """The alternating loop: a run over every category whose state is
         the model q."""
-        upper = _caps(self.phat.probs, alpha)
-        center, radius = self._center.probs, self._radius
-        support = _ball_support(center)
+        upper = _caps(self.phat, alpha)
+        center, support, radius = self._center, self._support, self._radius
         scale = None
 
         def fill(q):
@@ -882,13 +866,13 @@ class _KlBallSolver(_Solver):
                 c = float(np.divide(p, q, out=np.zeros_like(p), where=q > 0).max())
                 if not c < math.inf:  # P_i / Q_i overflowed (subnormal Q_i)
                     return
-                lam = _box_duals(_caps(self.phat.probs, alpha), q, c)
+                lam = _box_duals(_caps(self.phat, alpha), q, c)
             u = abs(objective + 1.0 - lower)
             scale = 1.0 + abs(lower) + (1.0 + u) * (1.0 + abs(math.log(c)) + float(lam.max()))
-            slope = float(self.phat.probs @ lam)
+            slope = float(self.phat @ lam)
             self._minorant = (1.0 / (1.0 - alpha), lower, slope, scale)
         elif converged and objective < threshold:
-            self._model = _SingletonSolver(self._counts, Distribution(q), self.phat)
+            self._model = _SingletonSolver(self.phat, Distribution(q))
 
 
 def _ball_support(center: np.ndarray):
@@ -1052,11 +1036,14 @@ def solve(counts: EmpiricalCounts, model: ModelSet, alpha: float) -> SolveResult
 
 
 def _solver(counts: EmpiricalCounts, model: ModelSet) -> _Solver:
-    """The solver of ``counts`` against ``model``; building it does no O(n) work."""
+    """The solver of ``counts`` against ``model``, built from the one ``phat``
+    of the counts: an empty data set raises ``empty dataset`` here, before
+    the model's kind and dimension are checked."""
+    phat = empirical(counts).probs
     if isinstance(model, Singleton):
-        return _SingletonSolver(counts, model.q0)
+        return _SingletonSolver(phat, model.q0)
     if isinstance(model, Mixture):
-        return _MixtureSolver(counts, model)
+        return _MixtureSolver(phat, model)
     if isinstance(model, KlBall):
-        return _KlBallSolver(counts, model)
+        return _KlBallSolver(phat, model)
     raise TypeError(f"unknown model set: {type(model).__name__}")

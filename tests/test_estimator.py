@@ -304,6 +304,56 @@ class TestTwoSampleTest:
         assert math.isfinite(res.objective_at_alpha)
 
 
+def single_fault_cases():
+    """``(call, args, exception, message)`` per entry point and fault: each
+    input is valid but for its one fault."""
+    data, empty = counts(3, 5, 2), counts(0, 0, 0)
+    wide = {
+        "singleton": Singleton(dist(0.2, 0.3, 0.5)),
+        "mixture": Mixture((dist(0.2, 0.3, 0.5), dist(0.6, 0.2, 0.2))),
+        "klball": KlBall(dist(0.2, 0.3, 0.5), 0.01),
+    }
+    narrow = {  # the same kinds over two categories
+        "singleton": Singleton(dist(0.5, 0.5)),
+        "mixture": Mixture((dist(0.5, 0.5), dist(0.9, 0.1))),
+        "klball": KlBall(dist(0.5, 0.5), 0.01),
+    }
+    # solve's third argument is alpha, the others' epsilon; 0.05 suits both.
+    bad = {
+        is_contaminated: ("epsilon", "epsilon must be in (0, 1)"),
+        estimate_alpha_lower: ("epsilon", "epsilon must be in (0, 1)"),
+        solve: ("alpha", "alpha must be in [0, 1)"),
+    }
+    for call, (name, message) in bad.items():
+        yield call, "empty", (empty, wide["singleton"], 0.05), ValueError, "empty dataset"
+        for kind, model in narrow.items():
+            yield call, f"{kind}-dimension", (data, model, 0.05), ValueError, "dimension mismatch"
+        yield call, "model-kind", (data, object(), 0.05), TypeError, "unknown model set: object"
+        yield call, name, (data, wide["klball"], 1.5), ValueError, message
+    yield (
+        estimate_alpha_lower, "bisect_tol", (data, wide["mixture"], 0.05, 0.0), ValueError,
+        "bisect_tol must be finite and positive",
+    )
+    other = counts(4, 4, 1)
+    yield two_sample_test, "empty", (empty, other, 0.05), ValueError, "empty dataset"
+    yield two_sample_test, "empty-baseline", (data, empty, 0.05), ValueError, "empty dataset"
+    yield two_sample_test, "klball-dimension", (data, counts(4, 4), 0.05), ValueError, (
+        "dimension mismatch"
+    )
+    yield two_sample_test, "epsilon", (data, other, 1.5), ValueError, "epsilon must be in (0, 1)"
+
+
+@pytest.mark.parametrize(
+    "call, args, exception, message",
+    [pytest.param(call, args, exc, msg, id=f"{call.__name__}-{fault}")
+     for call, fault, args, exc, msg in single_fault_cases()],
+)
+def test_single_fault_message(call, args, exception, message):
+    with pytest.raises(exception) as info:
+        call(*args)
+    assert str(info.value) == message
+
+
 class TestConvergenceBound:
     def test_frozen_arithmetic(self):
         # sqrt((1/1e4) log 20 + (11/1e4) log(1e4 + 1)) computed independently
@@ -1205,7 +1255,7 @@ class TestMixtureArraysOnce:
         assert True in verdicts
 
 
-class TestKlballArraysOnce:
+class TestKlballPhatOnce:
     """One KL-ball solver object builds phat once, and its probes build no
     result distributions: only a probe that leaves a model for later probes
     builds one, of that model."""
@@ -1291,9 +1341,9 @@ class TestFinalRun:
         res = obj.solve(got.alpha_lower)
         assert got.contaminated and got.alpha_lower > 0
         assert got.objective_at_alpha.hex() == res.objective.hex()
-        assert got.kappa.hex() == separation_distance(obj.phat, res.q_star).hex()
+        assert got.kappa.hex() == separation_distance(Distribution(obj.phat), res.q_star).hex()
         if case == "union":
-            assert not obj._arrays[1].all()  # the union misses a category
+            assert not obj._union.all()  # the union misses a category
 
 
 def run_at(c, model, alpha, threshold):

@@ -542,7 +542,7 @@ class TestSingletonProfile:
 
     def test_dimension_checked(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            solver._SingletonSolver(counts(1, 1), dist(0.5, 0.3, 0.2))
+            solver._solver(counts(1, 1), Singleton(dist(0.5, 0.3, 0.2)))
 
     @settings(max_examples=200, deadline=None)
     @given(profile_cases())
@@ -727,7 +727,7 @@ def fills_in_profile_order(c, q0, alphas, monkeypatch):
     which sorts in its fill.  Returns the number of fresh sorts the object's
     fills made, ``_stable_order`` calls: one where the profile's order is
     refused, none where it is taken."""
-    obj = solver._SingletonSolver(c, q0)
+    obj = solver._solver(c, Singleton(q0))
     obj._profile  # the first probe builds it
     want = [solve(c, Singleton(q0), alpha) for alpha in alphas]
     sorts = []
@@ -787,7 +787,7 @@ class TestProfileOrder:
 
     def test_subnormal_q_has_no_profile(self, monkeypatch):
         c, q = counts(1, 3, 2), dist(1.0, 1e-310, 1e-20)
-        assert solver._SingletonSolver(c, q)._profile is None
+        assert solver._solver(c, Singleton(q))._profile is None
         assert fills_in_profile_order(c, q, (0.0, 0.5, 0.9), monkeypatch) >= 3
 
     @pytest.mark.parametrize("family", ["dip", "spike"])
@@ -940,7 +940,7 @@ class TestSolveMixture:
             res = solve(c, Mixture(comps), 0.2)
             trace = [res.objective]
             while not res.converged:
-                mixture = solver._MixtureSolver(c, Mixture(comps))
+                mixture = solver._solver(c, Mixture(comps))
                 mixture._weights = res.mixture_weights
                 res = mixture.solve(0.2)
                 trace.append(res.objective)
@@ -996,7 +996,7 @@ class TestSolveMixture:
                 continue
             for scale, expected in ((1 + 1e-6, False), (1 - 1e-6, True)):
                 threshold = optimum * scale
-                run = solver._MixtureSolver(c, Mixture(comps))._run(0.1, threshold)
+                run = solver._solver(c, Mixture(comps))._run(0.1, threshold)
                 _, _, _, objective, _, _, converged = run
                 assert (converged and objective >= threshold) == expected
             checked += 1
@@ -1028,7 +1028,7 @@ class TestSolveMixture:
         threshold = 1e-11
         first = _water_fill(empirical(c).probs, np.array([0.5, 0.5]))[1]
         assert threshold <= first <= solver.TOLERANCE
-        probe = solver._MixtureSolver(c, model)._run(0.0, threshold)
+        probe = solver._solver(c, model)._run(0.0, threshold)
         _, _, _, objective, _, _, converged = probe
         monkeypatch.setattr(solver, "TOLERANCE", 1e-14)
         assert solve(c, model, 0.0).objective < threshold
@@ -1043,7 +1043,7 @@ class TestSolveMixture:
             truth = rng.dirichlet(np.ones(50))
             yield EmpiricalCounts(rng.multinomial(100_000, truth)), Mixture(comps)
 
-    def test_step_hands_over_its_fill(self, monkeypatch):
+    def test_fills_do_not_repeat_and_stay_capped(self, monkeypatch):
         # The model step returns the fill of the state it returns, so no
         # iteration of a solve water-fills the pair that the call before it
         # filled.
@@ -1329,7 +1329,7 @@ def klball_probe(c, center, radius, alpha, threshold):
     """A fresh KL-ball solver's run at alpha under ``threshold``, as
     ``_KlBallSolver._record`` takes it: ``(p, q, state, objective, lower,
     iterations, converged)``."""
-    return solver._KlBallSolver(c, KlBall(center, radius))._run(alpha, threshold)
+    return solver._solver(c, KlBall(center, radius))._run(alpha, threshold)
 
 
 class TestKlBallCertificates:
@@ -1364,13 +1364,13 @@ class TestKlBallCertificates:
                 optimum = solve(c, KlBall(center, radius), alpha0).objective
                 if not optimum > 1e-6:
                     continue
-                passed = solver._KlBallSolver(c, KlBall(center, radius))
+                passed = solver._solver(c, KlBall(center, radius))
                 probe = klball_probe(c, center, radius, alpha0, 0.5 * optimum)
                 _, _, _, _, lower, _, _ = probe
                 assert lower >= 0.5 * optimum
                 passed._record(alpha0, 0.5 * optimum, probe)
                 assert passed._certified(alpha0, 0.25 * optimum) is True
-                failed = solver._KlBallSolver(c, KlBall(center, radius))
+                failed = solver._solver(c, KlBall(center, radius))
                 probe = klball_probe(c, center, radius, alpha0, 2.0 * optimum)
                 _, _, _, objective, _, _, converged = probe
                 assert converged and objective < 2.0 * optimum
@@ -1394,7 +1394,7 @@ class TestKlBallCertificates:
                 optimum = solve(c, KlBall(center, radius), alpha0).objective
                 if not optimum > 1e-6:
                     continue
-                failed = solver._KlBallSolver(c, KlBall(center, radius))
+                failed = solver._solver(c, KlBall(center, radius))
                 probe = klball_probe(c, center, radius, alpha0, 2.0 * optimum)
                 failed._record(alpha0, 2.0 * optimum, probe)
                 _, q, _, _, _, _, _ = probe
@@ -1409,8 +1409,8 @@ class TestKlBallCertificates:
 
 
 class TestSolverObject:
-    """``solver._solver`` builds one object per data set and model set, with
-    no O(n) work until a question needs it."""
+    """``solver._solver`` builds one object per data set and model set from
+    one ``phat``, and runs no fill until a question needs one."""
 
     MODELS = (
         Singleton(dist(0.2, 0.3, 0.5)),
@@ -1419,8 +1419,8 @@ class TestSolverObject:
     )
 
     @pytest.mark.parametrize("model", MODELS, ids=("singleton", "mixture", "klball"))
-    def test_building_reads_no_data(self, model, monkeypatch):
-        monkeypatch.setattr(solver, "empirical", None)
+    def test_building_runs_no_fill(self, model, monkeypatch):
+        monkeypatch.setattr(solver, "_water_fill", None)
         solver._solver(counts(50, 20, 30), model)
 
     def test_singleton_solve_and_verdict_build_no_profile(self, monkeypatch):
